@@ -82,11 +82,19 @@ DEFAULT_CONFIG = {
 
 
 def fmt(x):
-    """17-significant-digit float formatting for diff-able CSV output."""
+    """17-significant-digit float formatting for diff-able CSV output.
+
+    Also the JSON `default`: numpy scalars become Python values first, so an
+    np.bool_ is written as a JSON boolean and an np.int64 as a number.
+    """
+    if isinstance(x, np.generic):
+        x = x.item()
     if isinstance(x, complex):
         return f"{x.real:.17g}{x.imag:+.17g}j"
     if isinstance(x, float):
         return f"{x:.17g}"
+    if isinstance(x, int):  # bool included
+        return x
     return str(x)
 
 
@@ -256,7 +264,7 @@ def cmd_condense(config, emitter):
     seq = condensation.condensate_sequence(
         config["sweep"]["box_sizes"], rho, beta, disp, num_internal=n_i
     )
-    report = condensation.classify_phase(rho, beta, disp, n_i)
+    report = seq.regime
     rows = [
         (L, y, res, dens, report.phase)
         for L, y, res, dens in zip(
@@ -448,12 +456,7 @@ def main(argv=None):
         "--override", action="append", default=[], metavar="KEY=VALUE",
         help="dotted-path config override, value parsed as JSON",
     )
-    parser.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
-
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
 
     try:
         config = load_config(args.config, args.override)

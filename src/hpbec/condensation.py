@@ -113,17 +113,21 @@ class CondensateSequence:
     residuals: tuple
     condensate_densities: tuple  # [N_i/(y_L - 1) + N_ir] / L^d
     extrapolated: float
+    regime: PhaseReport  # the phase whose finite-size law the extrapolation fits
 
 
 def condensate_sequence(box_sizes, target_density, beta, disp, n_ir=0.0, num_internal=1):
     """Condensate density per volume along an increasing ladder of box sizes.
 
-    The limit estimate fits a + b / L through the last three points (the
-    leading finite-size correction of the boundary-mode sum is 1/L).
+    The limit estimate fits a + b / L^p through the last three points, with
+    the finite-size law of the phase: p = 1 when the gas condenses or is
+    critical (the boundary-mode sum is O(1/L)), p = d in the normal phase,
+    where N_b0 = N_i / (y_L - 1) stays bounded and only the volume divides it.
     """
     box_sizes = [float(L) for L in box_sizes]
     if not box_sizes or any(b >= a for b, a in zip(box_sizes, box_sizes[1:])):
         raise ValueError("box sizes must be strictly increasing and nonempty")
+    regime = classify_phase(target_density, beta, disp, num_internal)
     ys, residuals, densities = [], [], []
     for L in box_sizes:
         sol = solve_fugacity(L, target_density, beta, disp, n_ir, num_internal)
@@ -136,11 +140,12 @@ def condensate_sequence(box_sizes, target_density, beta, disp, n_ir=0.0, num_int
     if tail == 1:
         limit = float(vals[0])
     else:
-        design = np.stack([np.ones_like(Ls), 1.0 / Ls], axis=1)
+        power = disp.dimension if regime.phase == "normal" else 1
+        design = np.stack([np.ones_like(Ls), 1.0 / Ls**power], axis=1)
         coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
         limit = float(coef[0])
     return CondensateSequence(
-        tuple(box_sizes), tuple(ys), tuple(residuals), tuple(densities), limit
+        tuple(box_sizes), tuple(ys), tuple(residuals), tuple(densities), limit, regime
     )
 
 

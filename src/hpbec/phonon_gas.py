@@ -1,8 +1,9 @@
 """Bose gas mode sums and continuum densities for a radial dispersion.
 
-Finite-volume quantities are sums over the truncated lattice mode set; the
-continuum density rho_fr and the critical density are radial integrals of the
-Bose factor 1/(y e^{beta F(k)} - 1).
+Finite-volume quantities are sums over the truncated lattice mode set, taken
+shell by shell (one Bose factor per occupied |n|^2, weighted by its mode
+counts); the continuum density rho_fr and the critical density are radial
+integrals of the Bose factor 1/(y e^{beta F(k)} - 1).
 """
 
 from dataclasses import dataclass
@@ -33,13 +34,12 @@ def boson_number_finite(modes, disp, beta, y, n_ir=0.0):
     if n_ir < 0:
         raise ValueError("infrared number must be nonnegative")
     n_i = modes.num_internal
-    norms = modes.norms()
-    gaps = np.asarray(disp.gap(norms), dtype=float)
+    gaps = np.asarray(disp.gap(modes.shell_norms()), dtype=float)
     # written with e^{-beta F} so deeply gapped modes underflow instead of overflowing
     w = np.exp(-beta * gaps) / y
     bose = n_i * w / (1.0 - w)
-    interior = float(bose[modes.all_nonzero_mask()].sum())
-    boundary = float(bose[modes.boundary_mask()].sum())
+    interior = float(modes.interior_counts() @ bose)
+    boundary = float(modes.boundary_counts() @ bose)
     condensate = n_i / (y - 1.0)
     excited = interior + boundary
     return BosonNumberRecord(
@@ -61,9 +61,9 @@ def lattice_density(modes, disp, beta, y, n_ir=0.0):
 def lattice_density_derivative(modes, disp, beta, y):
     """d f_L / dy, analytic (the n_ir term is y-independent)."""
     n_i = modes.num_internal
-    gaps = np.asarray(disp.gap(modes.norms()[~modes.zero_mask()]), dtype=float)
+    gaps = np.asarray(disp.gap(modes.shell_norms()), dtype=float)
     e = np.exp(beta * gaps)
-    deriv = -n_i / (y - 1.0) ** 2 - n_i * float((e / np.square(y * e - 1.0)).sum())
+    deriv = -n_i / (y - 1.0) ** 2 - n_i * float(modes.excited_counts() @ (e / np.square(y * e - 1.0)))
     return deriv / modes.box_size**modes.dimension
 
 

@@ -135,3 +135,31 @@ def test_verification_failure_exit_code(tmp_path, monkeypatch):
 def test_csv_floats_are_full_precision():
     assert cli.fmt(1.0 / 3.0) == "0.33333333333333331"
     assert cli.fmt(0.5 + 0.25j) == "0.5+0.25j"
+
+
+def test_validate_checks_are_json_booleans(tmp_path):
+    out = tmp_path / "run"
+    assert run(["--command", "validate", "--out", str(out)]) == 0
+    report = json.loads((out / "validate.json").read_text())
+    assert report["all_passed"] is True
+    assert all(type(c["passed"]) is bool for c in report["checks"])
+
+
+def test_normal_phase_condensate_extrapolates_to_zero(tmp_path):
+    out = tmp_path / "run"
+    code = run(
+        [
+            "--command", "condense", "--out", str(out),
+            "--override", "thermo.rho_target=0.0293218106738204",  # rho_c / 2
+            "--override", "sweep.box_sizes=[10, 20, 40, 80]",
+        ]
+    )
+    assert code == cli.EXIT_OK
+    payload = json.loads((out / "condense.json").read_text())
+    assert payload["phase"] == "normal"
+    assert 0.0 <= payload["extrapolated_condensate_density"] <= 1e-7
+
+
+def test_threads_flag_is_gone():
+    with pytest.raises(SystemExit):
+        run(["--command", "validate", "--threads", "1"])

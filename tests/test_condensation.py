@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -131,3 +133,21 @@ def test_randomized_fixtures_residual_and_bound():
         sol = condensation.solve_fugacity(L, rho, beta, DISP)
         assert sol.residual <= condensation.RESIDUAL_TOL
         assert sol.y - 1.0 <= sol.bracket_bound
+
+
+def test_normal_sequence_extrapolates_to_zero():
+    """Normal phase: N_b0 / L^d falls like L^-d, and so does the fitted law."""
+    rc = phonon_gas.rho_crit(DISP, 1.0)
+    seq = condensation.condensate_sequence((10.0, 20.0, 40.0, 80.0), 0.5 * rc, 1.0, DISP)
+    assert seq.regime.phase == "normal"
+    assert 0.0 <= seq.extrapolated <= 1e-7
+
+
+def test_fugacity_solve_at_large_box():
+    """L = 320 (1.2e8 modes, beyond reach of an enumerated cube) in a few seconds."""
+    rho = 2.0 * phonon_gas.rho_crit(DISP, 1.0)
+    t0 = time.perf_counter()
+    sol = condensation.solve_fugacity(320.0, rho, 1.0, DISP)
+    assert time.perf_counter() - t0 < 10.0
+    assert sol.y - 1.0 == pytest.approx(5.1419e-7, rel=1e-4)
+    assert sol.residual <= condensation.RESIDUAL_TOL

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -164,3 +166,32 @@ def test_characteristic_i2_converges_to_limit_integral():
         gaps.append(abs(rec.i2 - limit) / limit)
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < 1e-2
+
+
+def _per_mode_gaps(modes, disp):
+    return np.asarray(disp.gap(modes.norms()), dtype=float)
+
+
+@pytest.mark.parametrize(
+    "box_size,disp",
+    [(30.0, quadratic_dispersion(dimension=1)), (12.0, quadratic_dispersion(dimension=2)), (7.0, DISP)],
+)
+@pytest.mark.parametrize("y", [1.0 + 1e-6, 1.3])
+def test_shell_sums_match_per_mode_sums(box_size, disp, y):
+    """Shell-weighted sums against the same sums over every enumerated mode."""
+    beta = 0.8
+    modes = build_lattice_modes(box_size, disp, beta)
+    gaps = _per_mode_gaps(modes, disp)
+    zeros = np.count_nonzero(modes.coords == 0, axis=1)
+    d = modes.dimension
+    w = np.exp(-beta * gaps) / y
+    bose = w / (1.0 - w)
+    rec = phonon_gas.boson_number_finite(modes, disp, beta, y)
+    interior = math.fsum(bose[zeros == 0])
+    boundary = math.fsum(bose[(zeros > 0) & (zeros < d)])
+    assert rec.interior == pytest.approx(interior, rel=1e-13)
+    assert rec.boundary == pytest.approx(boundary, rel=1e-13)
+    e = np.exp(beta * gaps[zeros < d])
+    deriv = (-1.0 / (y - 1.0) ** 2 - math.fsum(e / np.square(y * e - 1.0))) / box_size**d
+    assert phonon_gas.lattice_density_derivative(modes, disp, beta, y) == pytest.approx(deriv, rel=1e-13)
+    assert modes.included_weight == pytest.approx(math.fsum(np.exp(-beta * gaps)), rel=1e-13)
