@@ -17,6 +17,7 @@ from . import phonon_gas
 from .bessel import j0
 from .couplings import gaussian_density_integral, gaussian_pair_integral, gaussian_weighted_zero_mode
 from .errors import InfraredDivergence
+from .ladders import is_nonincreasing
 from .testfunctions import GaussianTestFunction, gaussian_test_function
 
 
@@ -286,8 +287,9 @@ def combined_limit(box_sizes, f, disp, beta, target_density, regime_report, elec
         val = electron_value * rec.weyl_value
         finite.append(val)
         gaps.append(abs(val - limit))
-    monotone = all(b <= a * (1.0 + 1e-12) + 1e-15 for a, b in zip(gaps, gaps[1:]))
-    return CombinedLimitReport(tuple(box_sizes), tuple(finite), complex(limit), tuple(gaps), monotone)
+    return CombinedLimitReport(
+        tuple(box_sizes), tuple(finite), complex(limit), tuple(gaps), is_nonincreasing(gaps)
+    )
 
 
 def injectivity_rank_gap(atoms, zero_modes):

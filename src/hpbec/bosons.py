@@ -12,7 +12,29 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation
-from .linalg import expm_hermitian
+
+
+def _single_mode_lowering(level_cap):
+    """Annihilation matrix of one oscillator truncated at `level_cap` quanta."""
+    if level_cap < 1:
+        raise ValueError("level_cap must be >= 1")
+    return np.diag(np.sqrt(np.arange(1.0, level_cap + 1)), 1)
+
+
+def mode_fields(f, level_cap):
+    """Single-mode Segal fields (conj(f_k) a + f_k a^dagger) / sqrt(2), one per entry of `f`.
+
+    `f` may have any shape; the result has shape f.shape + (level_cap + 1, level_cap + 1).
+    """
+    a = _single_mode_lowering(level_cap)
+    f = np.asarray(f, dtype=complex)[..., None, None]
+    return (np.conj(f) * a + f * a.T) / np.sqrt(2.0)
+
+
+def mode_weyl(f, level_cap):
+    """Single-mode Weyl operators exp(i phi(f_k)), one per entry of `f`, via a stacked eigh."""
+    w, v = np.linalg.eigh(mode_fields(f, level_cap))
+    return (v * np.exp(1j * w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
 
 @dataclass(frozen=True)
@@ -40,11 +62,10 @@ class TruncatedBosonSpace:
 
     def lowering(self, j):
         """Annihilation matrix a_j on the full truncated space."""
-        n1 = self.level_cap + 1
-        a1 = np.diag(np.sqrt(np.arange(1.0, n1)), 1)
+        a1 = _single_mode_lowering(self.level_cap)
         M = np.eye(1)
         for m in range(self.num_modes):
-            M = np.kron(M, a1 if m == j else np.eye(n1))
+            M = np.kron(M, a1 if m == j else np.eye(self.level_cap + 1))
         return M
 
     def raising(self, j):
@@ -78,8 +99,15 @@ class TruncatedBosonSpace:
         return (a + a.conj().T) / np.sqrt(2.0)
 
     def weyl(self, f):
-        """W(f) = exp(i phi(f))."""
-        return expm_hermitian(self.segal_field(f), prefactor=1j)
+        """W(f) = exp(i phi(f)), the Kronecker product of the single-mode Weyl operators.
+
+        Exact on the truncated space: the single-mode fields act on different
+        tensor factors, so they commute and the exponential factorizes.
+        """
+        W = np.eye(1)
+        for u in mode_weyl(self._check_vector(f), self.level_cap):
+            W = np.kron(W, u)
+        return W
 
     def vacuum(self):
         v = np.zeros(self.dim)

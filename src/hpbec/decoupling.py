@@ -1,10 +1,13 @@
 """Electron-phonon dressing transform on truncated tensor-product spaces.
 
-Builds S = sum_x n_x (x) phi(i lambda_x / omega), the unitary V = e^{i alpha S},
-and the coupled Hamiltonian H = H_e (x) 1 + 1 (x) H_b + alpha H_I, then
-certifies numerically that conjugating the free boson part by V reproduces the
-interaction plus the density-density shift, that the coupled spectrum matches
-the decoupled one, and that Gibbs expectations of A (x) W(f) factorize.
+The generator S = sum_x n_x (x) phi(i lambda_x / omega) has diagonal n_x, so
+the unitary V = e^{i alpha S} is block diagonal over fermion basis states, and
+each block is a Kronecker product of single-mode exponentials; V is kept as
+those factors.  The module certifies numerically that conjugating the free
+boson part by V reproduces the interaction plus the density-density shift, that
+the spectrum of the dense coupled Hamiltonian H = H_e (x) 1 + 1 (x) H_b +
+alpha H_I matches the decoupled one, and that Gibbs expectations of A (x) W(f)
+factorize.  Only H itself is formed as a dense tensor-product matrix.
 
 Every inner product in this module is the discrete sum over the sampled mode
 set; mixing in continuum quadrature would inject spurious residuals into
@@ -12,14 +15,21 @@ identities that hold exactly per mode.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .bosons import TruncatedBosonSpace
+from .bosons import TruncatedBosonSpace, mode_fields, mode_weyl
 from .errors import ContractViolation
-from .hubbard import build_hubbard_hamiltonian, site_number_operators
-from .linalg import expm_hermitian, gibbs
+from .hubbard import build_hubbard_hamiltonian, site_occupations
+from .ladders import is_nonincreasing
+from .linalg import boltzmann_weights, expm_hermitian, gibbs, require_hermitian
 
+# Largest fermion x boson dimension that build_coupled_operators forms densely.
+# Only h_full is dense, for its spectrum and its Gibbs state; the dressing
+# identity works from (cap+1) x (cap+1) factors and never meets this cap.  A
+# complex matrix at the cap takes 6.4 GB, and its eigendecomposition several
+# times that.
 DIMENSION_CAP = 20000
 
 
@@ -83,73 +93,96 @@ def build_coupled_system(hubbard_sys, family, disp, box_size, coords, mu_b=0.0):
 
 @dataclass(frozen=True)
 class CoupledOperators:
+    """Dense operators of one build at one level cap; only h_full has the tensor dimension."""
+
+    system: CoupledSystem = field(repr=False)
     boson_space: TruncatedBosonSpace
     h_full: np.ndarray = field(repr=False)
-    h_free: np.ndarray = field(repr=False)
-    h_interaction: np.ndarray = field(repr=False)
-    s_generator: np.ndarray = field(repr=False)
-    v_dressing: np.ndarray = field(repr=False)
     h_electron: np.ndarray = field(repr=False)
     h_electron_dressed: np.ndarray = field(repr=False)
     h_boson: np.ndarray = field(repr=False)
 
+    @cached_property
+    def eigh(self):
+        """(levels, vectors) of h_full: the one dense eigendecomposition of a build."""
+        return np.linalg.eigh(require_hermitian(self.h_full))
+
+    def levels(self):
+        """Ascending spectrum of h_full, from `eigh` if a Gibbs state already needed it."""
+        if "eigh" in self.__dict__:
+            return self.eigh[0]
+        return np.linalg.eigvalsh(self.h_full)
+
 
 def build_coupled_operators(sys, level_cap):
-    """All dense operators on the fermion (x) boson space at the given cap."""
+    """Dense h_full = H_e (x) 1 + 1 (x) H_b + alpha H_I at the given cap, with its parts."""
     sector = sys.hubbard.sector
     space = TruncatedBosonSpace(sys.frequencies, int(level_cap))
     if sector.dim * space.dim > DIMENSION_CAP:
         raise ContractViolation(
             f"tensor dimension {sector.dim * space.dim} exceeds cap {DIMENSION_CAP}"
         )
-    ide = np.eye(sector.dim)
-    idb = np.eye(space.dim)
-    ns = site_number_operators(sector)
+    occ = site_occupations(sector)
     h_e = build_hubbard_hamiltonian(sys.hubbard)
     h_b = space.free_hamiltonian(sys.mu_b)
-
-    h_int = np.zeros((sector.dim * space.dim,) * 2, dtype=complex)
-    s_gen = np.zeros_like(h_int)
-    for x in range(sector.num_sites):
-        lam = sys.site_mode_couplings[x]
-        h_int += np.kron(ns[x], space.segal_field(lam))
-        s_gen += np.kron(ns[x], space.segal_field(1j * lam / sys.frequencies))
-
+    h_int = sum(
+        np.kron(np.diag(occ[:, x]), space.segal_field(sys.site_mode_couplings[x]))
+        for x in range(sector.num_sites)
+    )
     alpha = sys.hubbard.coupling
-    h_free = np.kron(h_e, idb) + np.kron(ide, h_b)
-    h_full = h_free + alpha * h_int
-    v = expm_hermitian(s_gen, prefactor=1j * alpha)
+    h_full = np.kron(h_e, np.eye(space.dim)) + np.kron(np.eye(sector.dim), h_b) + alpha * h_int
     # density-density shift: the conjugation identity closes with alpha^2/2
     # times the m = -1/2 overlap form under this field convention
-    shift = density_shift_operator(sys)
-    h_e_dressed = h_e - 0.5 * alpha**2 * shift
-    return CoupledOperators(space, h_full, h_free, h_int, s_gen, v, h_e, h_e_dressed, h_b)
+    h_e_dressed = h_e - 0.5 * alpha**2 * np.diag(mode_density_shifts(sys).sum(axis=1))
+    return CoupledOperators(sys, space, h_full, h_e, h_e_dressed, h_b)
 
 
-def density_shift_operator(sys):
-    """sum_{x,y} Re<omega^{-1/2} lambda_x, omega^{-1/2} lambda_y> n_x n_y."""
-    R = sys.discrete_overlap(-0.5)
-    ns = site_number_operators(sys.hubbard.sector)
-    diag = sum(
-        R[x, y] * np.diag(ns[x]) * np.diag(ns[y])
-        for x in range(len(ns))
-        for y in range(len(ns))
-    )
-    return np.diag(diag)
+def mode_amplitudes(sys):
+    """l[s, j] = sum_x n_x(s) lambda_xj: the coupling of fermion basis state s to mode j."""
+    return site_occupations(sys.hubbard.sector) @ sys.site_mode_couplings
 
 
-def _interior_projector(space, level_cap):
-    """Boolean mask of tensor basis states with every occupation <= cap/2."""
-    occ = space.occupations()
-    return np.all(occ <= level_cap // 2, axis=1)
+def mode_density_shifts(sys):
+    """|l[s, j]|^2 / omega_j: each mode's share of the density-density shift.
+
+    Summed over j it is sum_{x,y} R_xy n_x(s) n_y(s), with R the m = -1/2
+    discrete overlap.
+    """
+    return np.abs(mode_amplitudes(sys)) ** 2 / sys.frequencies
 
 
-def _restricted_residual(lhs, rhs, fermion_dim, space, level_cap):
-    mask_b = _interior_projector(space, level_cap)
-    mask = np.repeat(np.ones(fermion_dim, dtype=bool), space.dim) & np.tile(mask_b, fermion_dim)
-    diff = (lhs - rhs)[np.ix_(mask, mask)]
-    ref = rhs[np.ix_(mask, mask)]
-    return float(np.linalg.norm(diff) / max(np.linalg.norm(ref), 1e-300))
+def dressing_factors(sys, level_cap):
+    """V = e^{i alpha S} as its factors U[s, j] = exp(i alpha phi(g_sj)), g_s = i l_s / omega.
+
+    S = sum_x n_x (x) phi(i lambda_x / omega) has diagonal n_x, so V is block
+    diagonal over the fermion basis states s, and S restricted to block s is
+    phi(g_s).  The truncated single-mode fields of phi(g_s) act on different
+    tensor factors and commute, so block s is exactly the Kronecker product
+    over modes j of the (cap+1) x (cap+1) matrices U[s, j].  The result has
+    shape (sector dim, num_modes, cap + 1, cap + 1).
+    """
+    g = 1j * mode_amplitudes(sys) / sys.frequencies
+    return mode_weyl(sys.hubbard.coupling * g, level_cap)
+
+
+def _interior_norm(blocks, level_cap):
+    """Frobenius norm of the operator whose block s is sum_j blocks[s, j] (x) 1,
+    restricted to boson occupations at most cap/2.
+
+    The interior projector is a product over modes, so block s restricts to
+    sum_j A_j (x) 1 with A_j the top-left k x k corner of blocks[s, j],
+    k = cap//2 + 1.  Splitting A_j = A0_j + c_j 1 into a traceless part and a
+    multiple of the identity makes all terms mutually orthogonal:
+    ||.||^2 = k^(M-1) sum_j ||A0_j||^2 + k^M |sum_j c_j|^2, with no terms to cancel.
+    """
+    k = level_cap // 2 + 1
+    num_modes = blocks.shape[1]
+    corner = blocks[..., :k, :k]
+    c = np.trace(corner, axis1=-2, axis2=-1) / k
+    traceless = corner - c[..., None, None] * np.eye(k)
+    sq = k ** (num_modes - 1) * np.sum(np.abs(traceless) ** 2)
+    sq += k**num_modes * np.sum(np.abs(c.sum(axis=1)) ** 2)
+    return float(np.sqrt(sq))
 
 
 @dataclass(frozen=True)
@@ -168,23 +201,24 @@ def verify_dressing_identity(sys, level_caps):
 
     The residual is the relative Frobenius norm restricted to boson occupations
     at most cap/2 (the truncation edge of a displaced ladder is always wrong),
-    and must be monotone nonincreasing along the cap ladder.
+    and must be monotone nonincreasing along the cap ladder.  It is computed
+    block by block and mode by mode: on fermion basis state s both sides are
+    sums over modes j of single-mode operators, U[s, j] (w_j N) U[s, j]^dagger
+    on the left and w_j N + alpha phi(l_sj) + (alpha^2/2) |l_sj|^2 / omega_j on
+    the right, with w_j = omega_j - mu_b, so no tensor-product matrix is formed.
     """
+    alpha = sys.hubbard.coupling
+    amplitudes = mode_amplitudes(sys)
+    shifts = 0.5 * alpha**2 * mode_density_shifts(sys)[..., None, None]
+    energies = (sys.frequencies - sys.mu_b)[:, None, None]
     residuals = []
     for cap in level_caps:
-        ops = build_coupled_operators(sys, cap)
-        sector_dim = sys.hubbard.sector.dim
-        idb = np.eye(ops.boson_space.dim)
-        alpha = sys.hubbard.coupling
-        lhs = ops.v_dressing @ np.kron(np.eye(sector_dim), ops.h_boson) @ ops.v_dressing.conj().T
-        rhs = (
-            np.kron(np.eye(sector_dim), ops.h_boson)
-            + alpha * ops.h_interaction
-            + 0.5 * alpha**2 * np.kron(density_shift_operator(sys), idb)
-        )
-        residuals.append(_restricted_residual(lhs, rhs, sector_dim, ops.boson_space, cap))
-    monotone = all(b <= a * (1.0 + 1e-12) + 1e-15 for a, b in zip(residuals, residuals[1:]))
-    return DressingReport(tuple(level_caps), tuple(residuals), monotone)
+        u = dressing_factors(sys, cap)
+        h_b = energies * np.diag(np.arange(cap + 1.0))
+        lhs = u @ h_b @ np.conj(np.swapaxes(u, -1, -2))
+        rhs = h_b + alpha * mode_fields(amplitudes, cap) + shifts * np.eye(cap + 1)
+        residuals.append(_interior_norm(lhs - rhs, cap) / max(_interior_norm(rhs, cap), 1e-300))
+    return DressingReport(tuple(level_caps), tuple(residuals), is_nonincreasing(residuals))
 
 
 @dataclass(frozen=True)
@@ -198,16 +232,21 @@ class SpectralReport:
         return float(np.abs(self.gaps).max())
 
 
+def spectral_comparison(ops, num_levels=5):
+    """Low-lying levels of h_full against those of H_e_dressed (x) 1 + 1 (x) H_b.
+
+    The decoupled spectrum is the Kronecker sum of the dressed electron levels
+    and the diagonal of h_boson, so only h_full is diagonalised densely.
+    """
+    electron = np.linalg.eigvalsh(ops.h_electron_dressed)
+    decoupled = np.sort(np.add.outer(electron, np.diag(ops.h_boson)), axis=None)[:num_levels]
+    coupled = ops.levels()[:num_levels]
+    return SpectralReport(coupled, decoupled, coupled - decoupled)
+
+
 def verify_spectral_equivalence(sys, level_cap, num_levels=5):
     """Compare low-lying spectra of H_full and H_e_dressed (x) 1 + 1 (x) H_b."""
-    ops = build_coupled_operators(sys, level_cap)
-    sector_dim = sys.hubbard.sector.dim
-    h_dec = np.kron(ops.h_electron_dressed, np.eye(ops.boson_space.dim)) + np.kron(
-        np.eye(sector_dim), ops.h_boson
-    )
-    ev_full = np.linalg.eigvalsh(ops.h_full)[:num_levels]
-    ev_dec = np.linalg.eigvalsh(h_dec)[:num_levels]
-    return SpectralReport(ev_full, ev_dec, ev_full - ev_dec)
+    return spectral_comparison(build_coupled_operators(sys, level_cap), num_levels)
 
 
 def discrete_phase_weights(sys, f_modes):
@@ -226,9 +265,7 @@ def density_phase_matrix(sys, f_modes, sign=-1.0):
     The conjugation convention fixed by the dressing identity pairs the Weyl
     factor with the minus sign; the plus sign is exposed for comparison runs.
     """
-    w = discrete_phase_weights(sys, f_modes)
-    ns = site_number_operators(sys.hubbard.sector)
-    n_tilde = sum(wx * np.diag(nx) for wx, nx in zip(w, ns))
+    n_tilde = site_occupations(sys.hubbard.sector) @ discrete_phase_weights(sys, f_modes)
     return np.diag(np.exp(1j * sign * sys.hubbard.coupling * n_tilde))
 
 
@@ -242,25 +279,35 @@ class FactorizationResult:
         return abs(self.lhs - self.rhs)
 
 
-def verify_factorization(sys, level_cap, electron_op, f_modes):
-    """Gibbs expectation of A (x) W(f) against its dressed product form.
+def factorization_check(ops, electron_op, f_modes):
+    """Gibbs expectation of A (x) W(f) against its dressed product form, on one build.
 
-    lhs = Tr[(A (x) W(f)) e^{-beta H}]/Z; rhs pairs the electron factor with
-    the density phase and the free boson Weyl value.
+    lhs = Tr[(A (x) W(f)) e^{-beta H}]/Z from the eigendecomposition of h_full;
+    rhs pairs the electron factor with the density phase and the free boson
+    Weyl value, whose Gibbs state is the weight vector of the diagonal h_boson.
     """
-    ops = build_coupled_operators(sys, level_cap)
+    sys = ops.system
     beta = sys.hubbard.inverse_temperature
     A = np.asarray(electron_op, dtype=complex)
-    W = ops.boson_space.weyl(np.asarray(f_modes, dtype=complex))
+    f_modes = np.asarray(f_modes, dtype=complex)
+    W = ops.boson_space.weyl(f_modes)
 
-    rho_full, _ = gibbs(ops.h_full, beta)
-    lhs = complex(np.trace(np.kron(A, W) @ rho_full))
+    levels, vectors = ops.eigh
+    weights, _ = boltzmann_weights(levels, beta)
+    # (A (x) W) applied to the eigenvectors one tensor factor at a time
+    moved = W @ np.tensordot(A, vectors.reshape(A.shape[1], W.shape[1], -1), axes=1)
+    lhs = complex(np.einsum("ik,ik,k->", vectors.conj(), moved.reshape(vectors.shape), weights))
 
     rho_e, _ = gibbs(ops.h_electron_dressed, beta)
-    rho_b, _ = gibbs(ops.h_boson, beta)
+    boson_weights, _ = boltzmann_weights(np.diag(ops.h_boson), beta)
     phase = density_phase_matrix(sys, f_modes)
-    rhs = complex(np.trace(phase @ A @ rho_e)) * complex(np.trace(W @ rho_b))
+    rhs = complex(np.trace(phase @ A @ rho_e)) * complex(np.diag(W) @ boson_weights)
     return FactorizationResult(lhs, rhs)
+
+
+def verify_factorization(sys, level_cap, electron_op, f_modes):
+    """Factorization check on a fresh build at `level_cap`."""
+    return factorization_check(build_coupled_operators(sys, level_cap), electron_op, f_modes)
 
 
 @dataclass(frozen=True)
@@ -274,10 +321,11 @@ class FactorizationLadder:
         return self.gaps[-1]
 
 
-def factorization_ladder(sys, level_caps, electron_op, f_modes):
-    gaps = [verify_factorization(sys, cap, electron_op, f_modes).gap for cap in level_caps]
-    monotone = all(b <= a * (1.0 + 1e-12) + 1e-15 for a, b in zip(gaps, gaps[1:]))
-    return FactorizationLadder(tuple(level_caps), tuple(gaps), monotone)
+def factorization_ladder(operators, electron_op, f_modes):
+    """Factorization gaps along a sequence of builds at increasing level caps."""
+    gaps = [factorization_check(ops, electron_op, f_modes).gap for ops in operators]
+    caps = tuple(ops.boson_space.level_cap for ops in operators)
+    return FactorizationLadder(caps, tuple(gaps), is_nonincreasing(gaps))
 
 
 def time_invariance_gap(sys, level_cap, observable, t):

@@ -47,6 +47,11 @@ def site_number_operators(sector):
     return [fermions.number_operator(sector, x) for x in range(sector.num_sites)]
 
 
+def site_occupations(sector):
+    """(dim, num_sites) array of n_x on each basis state: the diagonals of n_x as vectors."""
+    return np.stack([np.diag(n) for n in site_number_operators(sector)], axis=1)
+
+
 def build_hubbard_hamiltonian(sys):
     """H_e = sum_{x,y,sigma} T_xy c+_{x,sigma} c_{y,sigma} + U sum_x n_{x,+} n_{x,-}."""
     sector = sys.sector

@@ -52,22 +52,31 @@ def unitary_defect(U):
     return np.linalg.norm(U.conj().T @ U - np.eye(U.shape[0]))
 
 
+def boltzmann_weights(energies, beta):
+    """Normalized weights e^{-beta E}/Z of a spectrum E, and Z = sum e^{-beta E}.
+
+    The weights are computed with the spectrum shifted by its minimum, so they
+    are overflow-safe; Z is reported unshifted.
+    """
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    energies = np.asarray(energies, dtype=float)
+    shifted = np.exp(-beta * (energies - energies.min()))
+    with np.errstate(over="ignore"):
+        # Z itself may overflow to inf for deeply negative spectra; the weights stay finite
+        Z = shifted.sum() * np.exp(-beta * energies.min())
+    return shifted / shifted.sum(), Z
+
+
 def gibbs(H, beta):
     """Gibbs density matrix and partition function for Hermitian H.
 
     Returns (rho, Z) with rho = exp(-beta H)/Z and Z = Tr exp(-beta H).
-    Weights are computed with the spectrum shifted by its minimum, so the
-    normalized rho is overflow-safe; Z is reported unshifted.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
     H = require_hermitian(H)
     w, V = np.linalg.eigh(H)
-    shifted = np.exp(-beta * (w - w.min()))
-    with np.errstate(over="ignore"):
-        # Z itself may overflow to inf for deeply negative spectra; rho stays finite
-        Z = shifted.sum() * np.exp(-beta * w.min())
-    rho = (V * (shifted / shifted.sum())) @ V.conj().T
+    p, Z = boltzmann_weights(w, beta)
+    rho = (V * p) @ V.conj().T
     rho = 0.5 * (rho + rho.conj().T)
     return rho, Z
 

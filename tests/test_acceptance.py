@@ -76,8 +76,10 @@ def test_gibbs_factorization_randomized_pairs():
             phase = decoupling.density_phase_matrix(sys, f)
             rhs = complex(np.trace(phase @ A @ rho_e)) * complex(np.trace(W @ rho_b))
             gaps[i, j] = abs(lhs - rhs)
-    # gaps plateau at the finite-temperature dressing error, so allow a small
-    # relative slack on top of nonincrease instead of strict ordering
+    # with hopping on, the gaps plateau because the reference omits the
+    # Lang-Firsov dressing of the hopping term, which does not commute with n_x;
+    # so allow a small relative slack on top of nonincrease instead of
+    # strict ordering
     monotone = bool(np.all(gaps[:, 1:] <= gaps[:, :-1] * 1.01 + 1e-12))
     small = bool(np.all(gaps[:, -1] <= 1e-3))
 

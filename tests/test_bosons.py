@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from hpbec.bosons import build_truncated_boson_space
+from hpbec.bosons import build_truncated_boson_space, mode_weyl
 from hpbec.errors import ContractViolation
-from hpbec.linalg import gibbs, unitary_defect
+from hpbec.linalg import expm_hermitian, gibbs, unitary_defect
 
 
 def test_number_operator_single_mode():
@@ -63,6 +63,27 @@ def test_weyl_unitary():
     space = build_truncated_boson_space([1.0, 2.0], 6)
     W = space.weyl(np.array([0.4 - 0.1j, 0.7j]))
     assert unitary_defect(W) < 1e-10
+
+
+@pytest.mark.parametrize("num_modes,cap", [(2, 6), (3, 4)])
+def test_weyl_matches_dense_exponential_of_segal_field(num_modes, cap):
+    rng = np.random.default_rng(num_modes)
+    space = build_truncated_boson_space(np.ones(num_modes), cap)
+    f = rng.standard_normal(num_modes) + 1j * rng.standard_normal(num_modes)
+    dense = expm_hermitian(space.segal_field(f), prefactor=1j)
+    assert np.linalg.norm(space.weyl(f) - dense) < 1e-13
+
+
+def test_mode_weyl_stacks_over_any_shape():
+    f = np.array([[0.3 + 0.1j, -0.2j], [0.0, 1.1]])
+    stacked = mode_weyl(f, 5)
+    assert stacked.shape == (2, 2, 6, 6)
+    single = build_truncated_boson_space([1.0], 5)
+    for idx in np.ndindex(f.shape):
+        assert np.abs(stacked[idx] - single.weyl([f[idx]])).max() < 1e-15
+    assert np.abs(stacked[1, 0] - np.eye(6)).max() < 1e-15
+    with pytest.raises(ValueError):
+        mode_weyl(f, 0)
 
 
 def test_thermal_weyl_value_matches_quadratic_form():

@@ -1,37 +1,156 @@
+import time
+
 import numpy as np
 import pytest
 
-from hpbec import decoupling
+from hpbec import cli, decoupling
+from hpbec.bosons import TruncatedBosonSpace
 from hpbec.couplings import CouplingFamily
 from hpbec.dispersion import quadratic_dispersion
 from hpbec.errors import ContractViolation
-from hpbec.hubbard import build_hubbard_system
-from hpbec.linalg import unitary_defect
+from hpbec.hubbard import build_hubbard_hamiltonian, build_hubbard_system, site_occupations
+from hpbec.linalg import expm_hermitian, unitary_defect
 
 DISP = quadratic_dispersion()
 HOP = np.array([[0.0, -1.0], [-1.0, 0.0]])
 COORDS = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+COORDS_3 = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+COORDS_4 = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
 
 
-def make_system(alpha=0.2, beta=1.0, kappa=0.5):
-    cluster = build_hubbard_system(2, 2, HOP, 2.0, coupling=alpha, beta=beta)
+def make_system(alpha=0.2, beta=1.0, kappa=0.5, coords=COORDS, hopping=HOP, mu_b=0.0):
+    cluster = build_hubbard_system(2, 2, hopping, 2.0, coupling=alpha, beta=beta)
     family = CouplingFamily(2, 3, 2.0, kappa)
-    return decoupling.build_coupled_system(cluster, family, DISP, 10.0, COORDS)
+    return decoupling.build_coupled_system(cluster, family, DISP, 10.0, coords, mu_b)
+
+
+# Dense references, built here from the tensor-product definitions so that the
+# structured (per fermion state, per mode) path is checked against them.
+
+
+def dense_space(sys, cap):
+    return TruncatedBosonSpace(sys.frequencies, cap)
+
+
+def dense_field_sum(sys, space, mode_vectors):
+    """sum_x n_x (x) phi(mode_vectors[x]) on the full tensor space."""
+    occ = site_occupations(sys.hubbard.sector)
+    return sum(
+        np.kron(np.diag(occ[:, x]), space.segal_field(mode_vectors[x]))
+        for x in range(sys.hubbard.sector.num_sites)
+    )
+
+
+def dense_generator(sys, space):
+    return dense_field_sum(sys, space, 1j * sys.site_mode_couplings / sys.frequencies)
+
+
+def assembled_dressing(factors):
+    """Block-diagonal V whose block s is the Kronecker product of factors[s, :]."""
+    blocks = []
+    for per_mode in factors:
+        block = np.eye(1)
+        for u in per_mode:
+            block = np.kron(block, u)
+        blocks.append(block)
+    dim = sum(len(b) for b in blocks)
+    V = np.zeros((dim, dim), dtype=complex)
+    for s, block in enumerate(blocks):
+        V[s * len(block) : (s + 1) * len(block), s * len(block) : (s + 1) * len(block)] = block
+    return V
+
+
+def dense_dressing_residual(sys, cap):
+    """Restricted relative residual of the dressing identity from dense matrices."""
+    space = dense_space(sys, cap)
+    dim_e = sys.hubbard.sector.dim
+    alpha = sys.hubbard.coupling
+    v = expm_hermitian(dense_generator(sys, space), prefactor=1j * alpha)
+    h_b = np.kron(np.eye(dim_e), space.free_hamiltonian(sys.mu_b))
+    R = sys.discrete_overlap(-0.5)
+    occ = site_occupations(sys.hubbard.sector)
+    shift = np.einsum("sx,xy,sy->s", occ, R, occ)
+    lhs = v @ h_b @ v.conj().T
+    rhs = (
+        h_b
+        + alpha * dense_field_sum(sys, space, sys.site_mode_couplings)
+        + 0.5 * alpha**2 * np.kron(np.diag(shift), np.eye(space.dim))
+    )
+    interior = np.tile(np.all(space.occupations() <= cap // 2, axis=1), dim_e)
+    restrict = np.ix_(interior, interior)
+    return np.linalg.norm((lhs - rhs)[restrict]) / np.linalg.norm(rhs[restrict])
 
 
 def test_generator_hermitian_and_dressing_unitary():
-    ops = decoupling.build_coupled_operators(make_system(), level_cap=5)
-    assert np.linalg.norm(ops.s_generator - ops.s_generator.conj().T) < 1e-12
-    assert unitary_defect(ops.v_dressing) < 1e-12
+    sys = make_system()
+    S = dense_generator(sys, dense_space(sys, 5))
+    assert np.linalg.norm(S - S.conj().T) < 1e-12
+    factors = decoupling.dressing_factors(sys, 5)
+    assert factors.shape == (sys.hubbard.sector.dim, sys.num_modes, 6, 6)
+    assert max(unitary_defect(u) for u in factors.reshape(-1, 6, 6)) < 1e-13
+    assert unitary_defect(assembled_dressing(factors)) < 1e-12
+
+
+@pytest.mark.parametrize("coords,cap", [(COORDS, 5), (COORDS_3, 4)])
+def test_factored_dressing_matches_dense_exponential(coords, cap):
+    sys = make_system(coords=coords)
+    dense = expm_hermitian(dense_generator(sys, dense_space(sys, cap)), prefactor=1j * sys.hubbard.coupling)
+    factored = assembled_dressing(decoupling.dressing_factors(sys, cap))
+    assert np.linalg.norm(factored - dense) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "sys,caps",
+    [
+        (make_system(), (3, 4, 5)),
+        (make_system(hopping=np.zeros((2, 2))), (4, 6)),
+        (make_system(coords=COORDS_3), (3, 4)),
+        (make_system(mu_b=0.3), (4,)),
+    ],
+)
+def test_per_mode_residual_matches_dense_restricted_residual(sys, caps):
+    rep = decoupling.verify_dressing_identity(sys, caps)
+    for cap, residual in zip(caps, rep.residuals):
+        assert abs(residual - dense_dressing_residual(sys, cap)) < 1e-14
 
 
 def test_zero_coupling_trivial_dressing():
     sys = make_system(alpha=0.0)
+    factors = decoupling.dressing_factors(sys, 4)
+    assert np.abs(factors - np.eye(5)).max() < 1e-13
     ops = decoupling.build_coupled_operators(sys, level_cap=4)
-    assert np.linalg.norm(ops.v_dressing - np.eye(ops.v_dressing.shape[0])) < 1e-13
-    assert np.linalg.norm(ops.h_full - ops.h_free) < 1e-13
+    h_free = np.kron(ops.h_electron, np.eye(ops.boson_space.dim)) + np.kron(
+        np.eye(sys.hubbard.sector.dim), ops.h_boson
+    )
+    assert np.linalg.norm(ops.h_full - h_free) < 1e-13
     rep = decoupling.verify_dressing_identity(sys, (3, 4))
     assert rep.final_residual < 1e-13
+
+
+def test_density_shift_matches_overlap_form():
+    """sum_j |l_sj|^2 / omega_j is the m = -1/2 overlap form sum_xy R_xy n_x n_y."""
+    sys = make_system(coords=COORDS_3)
+    occ = site_occupations(sys.hubbard.sector)
+    R = sys.discrete_overlap(-0.5)
+    expected = np.einsum("sx,xy,sy->s", occ, R, occ)
+    shifts = decoupling.mode_density_shifts(sys).sum(axis=1)
+    assert np.abs(shifts - expected).max() < 1e-14 * np.abs(expected).max()
+    ops = decoupling.build_coupled_operators(sys, 2)
+    dressed = build_hubbard_hamiltonian(sys.hubbard) - 0.5 * sys.hubbard.coupling**2 * np.diag(expected)
+    assert np.abs(ops.h_electron_dressed - dressed).max() < 1e-14
+
+
+def test_dressing_identity_scaling_ceiling():
+    """Four modes at caps 6, 9, 12 (dense dimension 171,366) from per-mode factors."""
+    sys = make_system(hopping=np.zeros((2, 2)), coords=COORDS_4)
+    t0 = time.perf_counter()
+    rep = decoupling.verify_dressing_identity(sys, (6, 9, 12))
+    elapsed = time.perf_counter() - t0
+    assert rep.monotone
+    assert rep.final_residual < 1e-12
+    assert elapsed < 1.0
+    with pytest.raises(ValueError):
+        decoupling.verify_dressing_identity(sys, (0, 2))
 
 
 def test_zero_coupling_exact_factorization():
@@ -68,6 +187,39 @@ def test_spectral_equivalence_small_gap():
     rep = decoupling.verify_spectral_equivalence(make_system(), level_cap=10)
     assert rep.max_gap < 1e-3
     assert np.all(np.diff(rep.coupled) >= -1e-12)
+
+
+@pytest.mark.parametrize("coords,cap", [(COORDS, 8), (COORDS_3, 4)])
+def test_kronecker_sum_levels_match_dense_eigvalsh(coords, cap):
+    sys = make_system(coords=coords)
+    ops = decoupling.build_coupled_operators(sys, cap)
+    h_dec = np.kron(ops.h_electron_dressed, np.eye(ops.boson_space.dim)) + np.kron(
+        np.eye(sys.hubbard.sector.dim), ops.h_boson
+    )
+    rep = decoupling.spectral_comparison(ops, num_levels=12)
+    assert np.abs(rep.decoupled - np.linalg.eigvalsh(h_dec)[:12]).max() < 1e-12
+
+
+def test_spectral_levels_reuse_gibbs_eigendecomposition():
+    sys = make_system()
+    ops = decoupling.build_coupled_operators(sys, 6)
+    before = ops.levels()
+    decoupling.factorization_check(ops, np.eye(sys.hubbard.sector.dim), np.zeros(2))
+    assert ops.levels() is ops.eigh[0]
+    assert np.abs(ops.levels() - before).max() < 1e-12
+
+
+def test_decouple_verify_builds_once_per_cap(tmp_path, monkeypatch):
+    caps = []
+    build = decoupling.build_coupled_operators
+
+    def counting_build(sys, level_cap):
+        caps.append(level_cap)
+        return build(sys, level_cap)
+
+    monkeypatch.setattr(decoupling, "build_coupled_operators", counting_build)
+    cli.main(["--command", "decouple-verify", "--out", str(tmp_path), "--override", "sweep.level_caps=[2,3,4]"])
+    assert caps == [2, 3, 4]
 
 
 def test_discrete_overlap_symmetric_psd():

@@ -3,6 +3,7 @@ import pytest
 
 from hpbec.errors import ContractViolation
 from hpbec.linalg import (
+    boltzmann_weights,
     expm_hermitian,
     gibbs,
     gibbs_expectation,
@@ -91,3 +92,19 @@ def test_hermiticity_defect_scale_invariant():
     A = np.array([[1.0, 1e-15], [0.0, 1.0]])
     assert hermiticity_defect(A) < 1e-12
     assert hermiticity_defect(1e6 * A) < 1e-12
+
+
+def test_boltzmann_weights_match_gibbs_of_diagonal_hamiltonian():
+    energies = np.array([0.7, -1.2, 3.0, 0.7])
+    p, Z = boltzmann_weights(energies, 1.3)
+    rho, Z_dense = gibbs(np.diag(energies), 1.3)
+    assert np.abs(p - np.diag(rho).real).max() < 1e-15
+    assert Z == pytest.approx(np.exp(-1.3 * energies).sum(), rel=1e-14)
+    assert Z == pytest.approx(Z_dense, rel=1e-14)
+
+
+def test_boltzmann_weights_overflow_safe_and_reject_nonpositive_beta():
+    p, _ = boltzmann_weights(np.array([-2000.0, 0.0]), 1.0)
+    assert np.isfinite(p).all() and p[0] == pytest.approx(1.0)
+    with pytest.raises(ValueError):
+        boltzmann_weights(np.zeros(2), 0.0)
