@@ -9,7 +9,7 @@ from hpbec.couplings import CouplingFamily
 from hpbec.dispersion import quadratic_dispersion
 from hpbec.errors import ContractViolation
 from hpbec.hubbard import build_hubbard_hamiltonian, build_hubbard_system, site_occupations
-from hpbec.linalg import expm_hermitian, unitary_defect
+from hpbec.linalg import expm_hermitian, gibbs, unitary_defect
 
 DISP = quadratic_dispersion()
 HOP = np.array([[0.0, -1.0], [-1.0, 0.0]])
@@ -162,6 +162,24 @@ def test_zero_coupling_exact_factorization():
     f = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     res = decoupling.verify_factorization(sys, 6, A, f)
     assert res.gap < 1e-10
+
+
+def test_factorization_check_matches_dense_traces():
+    sys = make_system()
+    ops = decoupling.build_coupled_operators(sys, 5)
+    rng = np.random.default_rng(5)
+    dim = sys.hubbard.sector.dim
+    A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    f = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    W = ops.boson_space.weyl(f)
+    beta = sys.hubbard.inverse_temperature
+    rho_full, _ = gibbs(ops.h_full, beta)
+    rho_e, _ = gibbs(ops.h_electron_dressed, beta)
+    rho_b, _ = gibbs(ops.h_boson, beta)
+    phase = decoupling.density_phase_matrix(sys, f)
+    res = decoupling.factorization_check(ops, A, f)
+    assert abs(res.lhs - np.trace(np.kron(A, W) @ rho_full)) < 1e-13
+    assert abs(res.rhs - np.trace(phase @ A @ rho_e) * np.trace(W @ rho_b)) < 1e-13
 
 
 def test_dressing_residual_ladder_monotone():
