@@ -111,12 +111,15 @@ def psi_normal(f, disp, beta, y_infinity):
     return float(np.exp(-0.25 * q_form("q2", f, disp, beta, y_infinity=y_infinity)))
 
 
+def _fingerprint(c, r, theta, zero_mode):
+    """exp[i sqrt(c r) Re(e^{i theta} zero_mode)] for broadcastable r, theta."""
+    arg = np.sqrt(c * r) * np.real(np.exp(1j * theta) * zero_mode)
+    return np.exp(1j * arg)
+
+
 def e_fingerprint(phase, f):
     """Unimodular fiber fingerprint exp[i sqrt(c r) Re(e^{i theta} fhat(0))]."""
-    arg = np.sqrt(phase.amplitude * phase.r) * np.real(
-        np.exp(1j * phase.theta) * f.zero_mode
-    )
-    return complex(np.exp(1j * arg))
+    return complex(_fingerprint(phase.amplitude, phase.r, phase.theta, f.zero_mode))
 
 
 def psi_fiber(phase, f, disp, beta):
@@ -142,20 +145,25 @@ def angular_identity_check(p, q):
 
 
 def chi_average(func, n_radial=64, n_angular=256):
-    """Average of func(r, theta) against chi = e^{-r} dr x d theta / (2 pi)."""
+    """Average of func(r, theta) against chi = e^{-r} dr x d theta / (2 pi).
+
+    Gauss-Laguerre nodes in r times equispaced angles.  `func` is called once,
+    on broadcastable arrays r of shape (n_radial, 1) and theta of shape
+    (1, n_angular); a result that broadcasts to that grid (a constant too)
+    is averaged.
+    """
     nodes, weights = np.polynomial.laguerre.laggauss(n_radial)
     thetas = np.linspace(0.0, 2.0 * np.pi, n_angular + 1)[:-1]
-    total = 0.0 + 0.0j
-    for r, w in zip(nodes, weights):
-        total += w * np.mean([func(r, th) for th in thetas])
-    return complex(total)
+    values = np.broadcast_to(func(nodes[:, None], thetas[None, :]), (n_radial, n_angular))
+    return complex(weights @ values.mean(axis=1))
 
 
 def decomposition_gap(f, disp, beta, phase):
     """|integral of psi_fiber d chi - psi_bec| for one test function."""
-    thermal = np.exp(-0.25 * q_form("q1", f, disp, beta))
-    avg = chi_average(lambda r, th: e_fingerprint(phase.with_angles(r, th), f))
-    return abs(avg * thermal - psi_bec(f, disp, beta, phase))
+    q0 = q_form("q0", f, disp, beta, phase=phase)
+    q1 = q_form("q1", f, disp, beta)
+    avg = chi_average(lambda r, th: _fingerprint(phase.amplitude, r, th, f.zero_mode))
+    return abs(avg * np.exp(-0.25 * q1) - float(np.exp(-0.25 * (q0 + q1))))
 
 
 # --- fiber observables ------------------------------------------------------
@@ -300,13 +308,6 @@ def injectivity_rank_gap(atoms, zero_modes):
     column-normalized fingerprint matrix (positive means the atom weights are
     determined by the sampled transforms).
     """
-    M = np.array(
-        [
-            [
-                np.exp(1j * np.sqrt(r) * np.real(np.exp(1j * th) * z))
-                for (r, th) in atoms
-            ]
-            for z in zero_modes
-        ]
-    )
+    r, theta = np.asarray(atoms, dtype=float).T
+    M = _fingerprint(1.0, r[None, :], theta[None, :], np.asarray(zero_modes, dtype=complex)[:, None])
     return float(np.linalg.svd(M, compute_uv=False).min())

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import toeplitz
 
 from .errors import ContractViolation, InfraredDivergence
 
@@ -141,14 +142,15 @@ class OverlapMatrix:
 
 
 def overlap_matrix(family, disp, m, kappa=None):
-    """Gram matrix G_xy = <omega^m lambda_x, omega^m lambda_y>, Hermitian."""
+    """Gram matrix G_xy = <omega^m lambda_x, omega^m lambda_y>, Hermitian.
+
+    The overlap depends only on a_x - a_y, so on the chain G is Toeplitz:
+    one quadrature per distance y - x gives the first row, and the first
+    column is its conjugate.
+    """
     kap = family.kappa if kappa is None else kappa
-    n = family.num_sites
-    G = np.zeros((n, n), dtype=complex)
-    for x in range(n):
-        for y in range(x, n):
-            G[x, y] = coupling_overlap(family, disp, m, x, y, kap)
-            G[y, x] = np.conj(G[x, y])
+    row = np.array([coupling_overlap(family, disp, m, 0, d, kap) for d in range(family.num_sites)])
+    G = toeplitz(np.conj(row), row)
     defect = np.abs(G - G.conj().T).max()
     if defect > 1e-10 * max(np.abs(G).max(), 1e-300):
         raise ContractViolation(f"overlap matrix lost hermiticity: defect {defect:.3e}")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hpbec import bec_states, phonon_gas
+from hpbec import bec_states, couplings, phonon_gas
 from hpbec.bessel import j0
 from hpbec.dispersion import quadratic_dispersion
 from hpbec.errors import InfraredDivergence
@@ -125,14 +125,83 @@ def test_two_point_hermitian_pair():
 
 
 def test_fiber_density_averages_to_total_density():
-    """<r> = 1 under chi, so the mean fiber density is rho_0 + rho_crit."""
+    """<r> = 1 under chi and the fiber density r rho_0 + rho_crit is affine in r,
+    so the mean fiber density is the density at r = <r>: rho_0 + rho_crit."""
     rc = phonon_gas.rho_crit(DISP, BETA)
     phase = make_phase(rho0=rc)  # target density 2 rho_crit
-    avg = bec_states.chi_average(
-        lambda r, th: bec_states.fiber_density(phase.with_angles(r, th), DISP, BETA)
+    mean_r = bec_states.chi_average(lambda r, th: r)
+    density = bec_states.fiber_density(phase.with_angles(r=mean_r.real), DISP, BETA)
+    assert density == pytest.approx(2.0 * rc, rel=1e-10)
+    assert abs(mean_r.imag) < 1e-14
+
+
+def test_chi_average_broadcasts_separable_integrands():
+    """Laguerre moments <r> = 1, <r^2> = 2 and the angular mean of cos^2 = 1/2
+    are exact on the rule; r varies along the radial axis, theta along the other."""
+    assert bec_states.chi_average(lambda r, th: r) == pytest.approx(1.0, abs=1e-12)
+    assert bec_states.chi_average(lambda r, th: r * r) == pytest.approx(2.0, abs=1e-11)
+    assert bec_states.chi_average(lambda r, th: np.cos(th) ** 2) == pytest.approx(0.5, abs=1e-14)
+    assert bec_states.chi_average(lambda r, th: r * np.sin(th) ** 2) == pytest.approx(0.5, abs=1e-12)
+
+
+def scalar_fingerprint_average(phase, f):
+    """Per-node reference for the chi-average of the fingerprint: at each
+    Laguerre node, the mean of e_fingerprint over the 256 angles."""
+    nodes, weights = np.polynomial.laguerre.laggauss(64)
+    thetas = np.linspace(0.0, 2.0 * np.pi, 257)[:-1]
+    total = 0.0 + 0.0j
+    for r, w in zip(nodes, weights):
+        total += w * np.mean([bec_states.e_fingerprint(phase.with_angles(r, th), f) for th in thetas])
+    return total
+
+
+def draw_with_q0(rng, phase, q0):
+    """Random Gaussian (width in [1, 2], random centre and phase) with
+    c |fhat(0)|^2 = q0."""
+    width = float(rng.uniform(1.0, 2.0))
+    modulus = np.sqrt(q0 / phase.amplitude) / width**3
+    return gaussian_test_function(
+        3, center=rng.normal(scale=0.4, size=3), width=width,
+        amplitude=modulus * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)),
     )
-    assert avg.real == pytest.approx(2.0 * rc, rel=1e-10)
-    assert abs(avg.imag) < 1e-14
+
+
+def test_chi_average_of_fingerprint_matches_scalar_rule():
+    phase = make_phase(r=1.0, theta=0.3)
+    rng = np.random.default_rng(17)
+    for q0 in (1.0, 20.0, 150.0, 400.0):
+        f = draw_with_q0(rng, phase, q0)
+        avg = bec_states.chi_average(
+            lambda r, th: bec_states._fingerprint(phase.amplitude, r, th, f.zero_mode)
+        )
+        assert abs(avg - scalar_fingerprint_average(phase, f)) <= 1e-15
+
+
+def test_decomposition_gap_at_the_thermal_factor_floor():
+    """Divided by e^{-q1/4}, the gap is the chi-rule's own error, which stays at
+    roundoff for c |fhat(0)|^2 up to 400."""
+    rc = phonon_gas.rho_crit(DISP, BETA)
+    phase = bec_states.CondensatePhase(0.0, 0.0, rc)
+    rng = np.random.default_rng(23)
+    for q0 in np.concatenate([[1.0, 400.0], rng.uniform(1.0, 400.0, size=8)]):
+        f = draw_with_q0(rng, phase, q0)
+        assert bec_states.q_form("q0", f, DISP, BETA, phase=phase) == pytest.approx(q0, rel=1e-12)
+        thermal = np.exp(-0.25 * bec_states.q_form("q1", f, DISP, BETA))
+        assert bec_states.decomposition_gap(f, DISP, BETA, phase) / thermal <= 1e-11
+
+
+def test_decomposition_gap_makes_one_quadrature(monkeypatch):
+    calls = []
+    quadrature = couplings.radial_reduced_integral
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(couplings, "radial_reduced_integral", counted)
+    f = gaussian_test_function(3, center=[0.2, -0.1, 0.3], width=1.2, amplitude=0.4 - 0.3j)
+    bec_states.decomposition_gap(f, DISP, BETA, make_phase())
+    assert len(calls) == 1
 
 
 def test_fingerprint_recovery_round_trip():

@@ -91,6 +91,19 @@ def test_gram_matrix_positive_semidefinite():
         assert np.real(np.conj(v) @ G.entries @ v) > -1e-10
 
 
+@pytest.mark.parametrize("m", [0.0, -0.5])
+@pytest.mark.parametrize("kappa", [0.0, 0.5])
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_toeplitz_gram_matrix_equals_entrywise_overlaps(n, kappa, m):
+    fam = CouplingFamily(n, 3, 2.0, kappa)
+    ref = np.zeros((n, n), dtype=complex)
+    for x in range(n):
+        for y in range(x, n):
+            ref[x, y] = coupling_overlap(fam, DISP, m, x, y)
+            ref[y, x] = np.conj(ref[x, y])
+    assert np.array_equal(overlap_matrix(fam, DISP, m).entries, ref)
+
+
 def test_infrared_divergence_massless_inverse():
     gapless = quadratic_dispersion(omega0=0.0)
     fam = CouplingFamily(2, 3, 2.0, 0.0)
