@@ -375,7 +375,8 @@ def cmd_bec_states(config, emitter):
         q0 = bec_states.q_form("q0", f, disp, beta, phase=phase)
         q1 = bec_states.q_form("q1", f, disp, beta)
         gap = bec_states.decomposition_gap(f, disp, beta, phase)
-        rows.append((idx, q0, q1, bec_states.psi_bec(f, disp, beta, phase), gap))
+        # psi_bec's own expression, from the q0 and q1 already at hand
+        rows.append((idx, q0, q1, float(np.exp(-0.25 * (q0 + q1))), gap))
     emitter.csv(
         "bec_states.csv", ["index", "q0", "q1", "psi_bec", "decomposition_gap"], rows
     )

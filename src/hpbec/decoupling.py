@@ -7,7 +7,10 @@ those factors.  The module certifies numerically that conjugating the free
 boson part by V reproduces the interaction plus the density-density shift, that
 the spectrum of the dense coupled Hamiltonian H = H_e (x) 1 + 1 (x) H_b +
 alpha H_I matches the decoupled one, and that Gibbs expectations of A (x) W(f)
-factorize.  Only H itself is formed as a dense tensor-product matrix.
+factorize.  H itself is formed as dense matrices only block by block: n_x is
+diagonal, so two fermion basis states are coupled only through an off-diagonal
+entry of H_e, and H is block diagonal over the connected components of that
+entry pattern, each block being (component) (x) (whole boson space).
 
 Every inner product in this module is the discrete sum over the sampled mode
 set; mixing in continuum quadrature would inject spurious residuals into
@@ -23,13 +26,14 @@ from .bosons import TruncatedBosonSpace, mode_fields, mode_weyl
 from .errors import ContractViolation
 from .hubbard import build_hubbard_hamiltonian, site_occupations
 from .ladders import is_nonincreasing
-from .linalg import boltzmann_weights, expm_hermitian, gibbs, require_hermitian
+from .linalg import boltzmann_weights, gibbs, require_hermitian
 
-# Largest fermion x boson dimension that build_coupled_operators forms densely.
-# Only h_full is dense, for its spectrum and its Gibbs state; the dressing
-# identity works from (cap+1) x (cap+1) factors and never meets this cap.  A
-# complex matrix at the cap takes 6.4 GB, and its eigendecomposition several
-# times that.
+# Largest total fermion x boson dimension that build_coupled_operators accepts.
+# Only the blocks of h_full are dense, for their spectra and the Gibbs state;
+# the dressing identity works from (cap+1) x (cap+1) factors and never meets
+# this cap.  The cap bounds the total dimension, not the largest block: one
+# component of a hopping cluster can hold most of the sector, and a complex
+# block near the cap takes gigabytes, several times that to diagonalise.
 DIMENSION_CAP = 20000
 
 
@@ -91,31 +95,52 @@ def build_coupled_system(hubbard_sys, family, disp, box_size, coords, mu_b=0.0):
     return CoupledSystem(hubbard_sys, freqs, lam, float(mu_b))
 
 
+def fermion_blocks(h_e):
+    """Index arrays of the connected components of the graph of h_e's off-diagonal entries.
+
+    Every state takes the smallest label among its neighbours until no label
+    changes, so each component ends up labelled by its smallest index.
+    """
+    linked = (np.asarray(h_e) != 0) | np.eye(len(h_e), dtype=bool)
+    labels = np.arange(len(h_e))
+    while True:
+        spread = np.where(linked, labels, len(h_e)).min(axis=1)
+        if np.array_equal(spread, labels):
+            return tuple(np.flatnonzero(labels == root) for root in np.unique(labels))
+        labels = spread
+
+
 @dataclass(frozen=True)
 class CoupledOperators:
-    """Dense operators of one build at one level cap; only h_full has the tensor dimension."""
+    """Operators of one build at one level cap; h_full is kept as its diagonal blocks.
+
+    `blocks` holds (fermion indices i, dense block of h_full on i (x) boson space),
+    one per connected component of H_e; h_full itself is never formed.
+    """
 
     system: CoupledSystem = field(repr=False)
     boson_space: TruncatedBosonSpace
-    h_full: np.ndarray = field(repr=False)
+    blocks: tuple = field(repr=False)
     h_electron: np.ndarray = field(repr=False)
     h_electron_dressed: np.ndarray = field(repr=False)
     h_boson: np.ndarray = field(repr=False)
 
     @cached_property
     def eigh(self):
-        """(levels, vectors) of h_full: the one dense eigendecomposition of a build."""
-        return np.linalg.eigh(require_hermitian(self.h_full))
+        """Per-block (levels, vectors): the eigendecomposition of h_full, block by block."""
+        return [np.linalg.eigh(require_hermitian(h)) for _, h in self.blocks]
 
     def levels(self):
         """Ascending spectrum of h_full, from `eigh` if a Gibbs state already needed it."""
         if "eigh" in self.__dict__:
-            return self.eigh[0]
-        return np.linalg.eigvalsh(self.h_full)
+            parts = [w for w, _ in self.eigh]
+        else:
+            parts = [np.linalg.eigvalsh(h) for _, h in self.blocks]
+        return np.sort(np.concatenate(parts))
 
 
 def build_coupled_operators(sys, level_cap):
-    """Dense h_full = H_e (x) 1 + 1 (x) H_b + alpha H_I at the given cap, with its parts."""
+    """h_full = H_e (x) 1 + 1 (x) H_b + alpha H_I at the given cap, as its blocks, with its parts."""
     sector = sys.hubbard.sector
     space = TruncatedBosonSpace(sys.frequencies, int(level_cap))
     if sector.dim * space.dim > DIMENSION_CAP:
@@ -125,16 +150,17 @@ def build_coupled_operators(sys, level_cap):
     occ = site_occupations(sector)
     h_e = build_hubbard_hamiltonian(sys.hubbard)
     h_b = space.free_hamiltonian(sys.mu_b)
-    h_int = sum(
-        np.kron(np.diag(occ[:, x]), space.segal_field(sys.site_mode_couplings[x]))
-        for x in range(sector.num_sites)
-    )
+    fields = [space.segal_field(lam) for lam in sys.site_mode_couplings]
     alpha = sys.hubbard.coupling
-    h_full = np.kron(h_e, np.eye(space.dim)) + np.kron(np.eye(sector.dim), h_b) + alpha * h_int
+    blocks = []
+    for i in fermion_blocks(h_e):
+        h = np.kron(h_e[np.ix_(i, i)], np.eye(space.dim)) + np.kron(np.eye(len(i)), h_b)
+        h = h + alpha * sum(np.kron(np.diag(occ[i, x]), phi) for x, phi in enumerate(fields))
+        blocks.append((i, h))
     # density-density shift: the conjugation identity closes with alpha^2/2
     # times the m = -1/2 overlap form under this field convention
     h_e_dressed = h_e - 0.5 * alpha**2 * np.diag(mode_density_shifts(sys).sum(axis=1))
-    return CoupledOperators(sys, space, h_full, h_e, h_e_dressed, h_b)
+    return CoupledOperators(sys, space, tuple(blocks), h_e, h_e_dressed, h_b)
 
 
 def mode_amplitudes(sys):
@@ -236,7 +262,7 @@ def spectral_comparison(ops, num_levels=5):
     """Low-lying levels of h_full against those of H_e_dressed (x) 1 + 1 (x) H_b.
 
     The decoupled spectrum is the Kronecker sum of the dressed electron levels
-    and the diagonal of h_boson, so only h_full is diagonalised densely.
+    and the diagonal of h_boson, so only the blocks of h_full are diagonalised.
     """
     electron = np.linalg.eigvalsh(ops.h_electron_dressed)
     decoupled = np.sort(np.add.outer(electron, np.diag(ops.h_boson)), axis=None)[:num_levels]
@@ -282,9 +308,11 @@ class FactorizationResult:
 def factorization_check(ops, electron_op, f_modes):
     """Gibbs expectation of A (x) W(f) against its dressed product form, on one build.
 
-    lhs = Tr[(A (x) W(f)) e^{-beta H}]/Z from the eigendecomposition of h_full;
-    rhs pairs the electron factor with the density phase and the free boson
-    Weyl value, whose Gibbs state is the weight vector of the diagonal h_boson.
+    lhs = Tr[(A (x) W(f)) e^{-beta H}]/Z from the block eigendecompositions of
+    h_full; the Gibbs state is block diagonal, so only the diagonal blocks
+    A[i, i] contribute.  rhs pairs the electron factor with the density phase
+    and the free boson Weyl value, whose Gibbs state is the weight vector of the
+    diagonal h_boson.
     """
     sys = ops.system
     beta = sys.hubbard.inverse_temperature
@@ -292,17 +320,26 @@ def factorization_check(ops, electron_op, f_modes):
     f_modes = np.asarray(f_modes, dtype=complex)
     W = ops.boson_space.weyl(f_modes)
 
-    levels, vectors = ops.eigh
-    weights, _ = boltzmann_weights(levels, beta)
-    # (A (x) W) applied to the eigenvectors one tensor factor at a time
-    moved = W @ np.tensordot(A, vectors.reshape(A.shape[1], W.shape[1], -1), axes=1)
-    lhs = complex(np.einsum("ik,ik,k->", vectors.conj(), moved.reshape(vectors.shape), weights))
+    weights = _block_weights(ops, beta)
+    lhs = 0j
+    for (i, _), (_, vectors), p in zip(ops.blocks, ops.eigh, weights):
+        # (A[i, i] (x) W) applied to the eigenvectors one tensor factor at a time
+        moved = W @ np.tensordot(A[np.ix_(i, i)], vectors.reshape(len(i), W.shape[1], -1), axes=1)
+        lhs += np.einsum("ik,ik,k->", vectors.conj(), moved.reshape(vectors.shape), p)
+    lhs = complex(lhs)
 
     rho_e, _ = gibbs(ops.h_electron_dressed, beta)
     boson_weights, _ = boltzmann_weights(np.diag(ops.h_boson), beta)
     phase = density_phase_matrix(sys, f_modes)
     rhs = complex(np.trace(phase @ A @ rho_e)) * complex(np.diag(W) @ boson_weights)
     return FactorizationResult(lhs, rhs)
+
+
+def _block_weights(ops, beta):
+    """Boltzmann weights of the whole spectrum of h_full, split by block."""
+    levels = [w for w, _ in ops.eigh]
+    weights, _ = boltzmann_weights(np.concatenate(levels), beta)
+    return np.split(weights, np.cumsum([len(w) for w in levels])[:-1])
 
 
 def verify_factorization(sys, level_cap, electron_op, f_modes):
@@ -335,10 +372,16 @@ def time_invariance_gap(sys, level_cap, observable, t):
     of stationarity of the factorized state.
     """
     ops = build_coupled_operators(sys, level_cap)
-    beta = sys.hubbard.inverse_temperature
-    rho, _ = gibbs(ops.h_full, beta)
-    u = expm_hermitian(ops.h_full, prefactor=1j * t)
     X = np.asarray(observable, dtype=complex)
-    moved = complex(np.trace(u @ X @ u.conj().T @ rho))
-    still = complex(np.trace(X @ rho))
-    return abs(moved - still)
+    boson_dim = ops.boson_space.dim
+    weights = _block_weights(ops, sys.hubbard.inverse_temperature)
+    moved = still = 0j
+    # u and rho are block diagonal, so only the diagonal blocks of X contribute
+    for (i, _), (levels, vectors), p in zip(ops.blocks, ops.eigh, weights):
+        rows = (i[:, None] * boson_dim + np.arange(boson_dim)).ravel()
+        x = X[np.ix_(rows, rows)]
+        rho = (vectors * p) @ vectors.conj().T
+        u = (vectors * np.exp(1j * t * levels)) @ vectors.conj().T
+        moved += np.trace(u @ x @ u.conj().T @ rho)
+        still += np.trace(x @ rho)
+    return abs(complex(moved) - complex(still))

@@ -48,8 +48,13 @@ def site_number_operators(sector):
 
 
 def site_occupations(sector):
-    """(dim, num_sites) array of n_x on each basis state: the diagonals of n_x as vectors."""
-    return np.stack([np.diag(n) for n in site_number_operators(sector)], axis=1)
+    """(dim, num_sites) array of n_x on each basis state: the diagonals of n_x as vectors.
+
+    n_x(s) is the sum of bits 2x (spin +) and 2x + 1 (spin -) of the state integer s.
+    """
+    basis = np.asarray(sector.basis)[:, None]
+    modes = 2 * np.arange(sector.num_sites)
+    return (((basis >> modes) & 1) + ((basis >> (modes + 1)) & 1)).astype(float)
 
 
 def build_hubbard_hamiltonian(sys):
@@ -63,9 +68,9 @@ def build_hubbard_hamiltonian(sys):
                 continue
             for spin in fermions.SPINS:
                 H += t * fermions.hopping_operator(sector, x, y, spin)
-        H += sys.repulsion * (
-            fermions.number_operator(sector, x, "+") @ fermions.number_operator(sector, x, "-")
-        )
+    # n_{x,+} n_{x,-} = n_x (n_x - 1) / 2, since each spin occupation is 0 or 1
+    occ = site_occupations(sector)
+    H += np.diag(sys.repulsion * 0.5 * (occ * (occ - 1.0)).sum(axis=1))
     return require_hermitian(H, tol=1e-10)
 
 

@@ -19,6 +19,7 @@ from hpbec.hubbard import build_hubbard_system
 from hpbec.lattice import build_lattice_modes
 from hpbec.linalg import gibbs
 from hpbec.testfunctions import gaussian_test_function
+from test_decoupling import dense_h_full
 
 DISP = quadratic_dispersion()
 BETA = 1.0
@@ -67,7 +68,7 @@ def test_gibbs_factorization_randomized_pairs():
     gaps = np.zeros((len(pairs), len(LEVEL_CAPS)))
     for j, cap in enumerate(LEVEL_CAPS):
         ops = decoupling.build_coupled_operators(sys, cap)
-        rho_full, _ = gibbs(ops.h_full, BETA)
+        rho_full, _ = gibbs(dense_h_full(sys, cap), BETA)
         rho_e, _ = gibbs(ops.h_electron_dressed, BETA)
         rho_b, _ = gibbs(ops.h_boson, BETA)
         for i, (A, f) in enumerate(pairs):

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from hpbec import cli
+from hpbec import cli, couplings
 
 
 def run(args):
@@ -163,3 +163,17 @@ def test_normal_phase_condensate_extrapolates_to_zero(tmp_path):
 def test_threads_flag_is_gone():
     with pytest.raises(SystemExit):
         run(["--command", "validate", "--threads", "1"])
+
+
+def test_bec_states_makes_two_q1_quadratures_per_test_function(tmp_path, monkeypatch):
+    """One q1 for the CSV column and one inside decomposition_gap; psi_bec reuses them."""
+    calls = []
+    quadrature = couplings.radial_reduced_integral
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(couplings, "radial_reduced_integral", counted)
+    assert run(["--command", "bec-states", "--out", str(tmp_path / "r")]) == 0
+    assert len(calls) == 20

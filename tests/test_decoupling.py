@@ -41,6 +41,32 @@ def dense_field_sum(sys, space, mode_vectors):
     )
 
 
+def dense_h_full(sys, cap):
+    """H_e (x) 1 + 1 (x) H_b + alpha sum_x n_x (x) phi(lambda_x) on the full tensor space."""
+    space = dense_space(sys, cap)
+    return (
+        np.kron(build_hubbard_hamiltonian(sys.hubbard), np.eye(space.dim))
+        + np.kron(np.eye(sys.hubbard.sector.dim), space.free_hamiltonian(sys.mu_b))
+        + sys.hubbard.coupling * dense_field_sum(sys, space, sys.site_mode_couplings)
+    )
+
+
+def tensor_rows(fermion_indices, boson_dim):
+    """Indices in the full tensor space of the states fermion_indices (x) boson space."""
+    return (np.asarray(fermion_indices)[:, None] * boson_dim + np.arange(boson_dim)).ravel()
+
+
+def assembled_h_full(ops):
+    """The full tensor-space matrix whose diagonal blocks are ops.blocks, zero elsewhere."""
+    boson_dim = ops.boson_space.dim
+    dim = ops.system.hubbard.sector.dim * boson_dim
+    h = np.zeros((dim, dim), dtype=complex)
+    for i, block in ops.blocks:
+        rows = tensor_rows(i, boson_dim)
+        h[np.ix_(rows, rows)] = block
+    return h
+
+
 def dense_generator(sys, space):
     return dense_field_sum(sys, space, 1j * sys.site_mode_couplings / sys.frequencies)
 
@@ -122,7 +148,8 @@ def test_zero_coupling_trivial_dressing():
     h_free = np.kron(ops.h_electron, np.eye(ops.boson_space.dim)) + np.kron(
         np.eye(sys.hubbard.sector.dim), ops.h_boson
     )
-    assert np.linalg.norm(ops.h_full - h_free) < 1e-13
+    assert np.linalg.norm(dense_h_full(sys, 4) - h_free) < 1e-13
+    assert np.linalg.norm(assembled_h_full(ops) - h_free) < 1e-13
     rep = decoupling.verify_dressing_identity(sys, (3, 4))
     assert rep.final_residual < 1e-13
 
@@ -173,13 +200,30 @@ def test_factorization_check_matches_dense_traces():
     f = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     W = ops.boson_space.weyl(f)
     beta = sys.hubbard.inverse_temperature
-    rho_full, _ = gibbs(ops.h_full, beta)
+    rho_full, _ = gibbs(dense_h_full(sys, 5), beta)
     rho_e, _ = gibbs(ops.h_electron_dressed, beta)
     rho_b, _ = gibbs(ops.h_boson, beta)
     phase = decoupling.density_phase_matrix(sys, f)
     res = decoupling.factorization_check(ops, A, f)
     assert abs(res.lhs - np.trace(np.kron(A, W) @ rho_full)) < 1e-13
     assert abs(res.rhs - np.trace(phase @ A @ rho_e) * np.trace(W @ rho_b)) < 1e-13
+
+
+def test_factorization_check_with_off_block_entries_matches_dense_trace():
+    """A full random A on the atomic cluster, where every off-diagonal entry of A
+    is off-block: the block sum still gives the dense trace, because the Gibbs
+    state is block diagonal."""
+    sys = make_system(hopping=np.zeros((2, 2)))
+    ops = decoupling.build_coupled_operators(sys, 6)
+    assert len(ops.blocks) == sys.hubbard.sector.dim
+    rng = np.random.default_rng(13)
+    dim = sys.hubbard.sector.dim
+    A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    f = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    rho_full, _ = gibbs(dense_h_full(sys, 6), sys.hubbard.inverse_temperature)
+    res = decoupling.factorization_check(ops, A, f)
+    dense = np.trace(np.kron(A, ops.boson_space.weyl(f)) @ rho_full)
+    assert abs(res.lhs - dense) < 1e-13
 
 
 def test_dressing_residual_ladder_monotone():
@@ -195,10 +239,10 @@ def test_single_site_ground_energy_displaced_oscillator():
     family = CouplingFamily(1, 3, 2.0, 0.5)
     sys = decoupling.build_coupled_system(cluster, family, DISP, 10.0, [[1.0, 0.0, 0.0]])
     ops = decoupling.build_coupled_operators(sys, level_cap=40)
-    e0 = np.linalg.eigvalsh(ops.h_full)[0]
     lam2 = abs(sys.site_mode_couplings[0, 0]) ** 2
     expected = 3.0 - 2.0 * alpha**2 * lam2 / sys.frequencies[0]
-    assert e0 == pytest.approx(expected, abs=1e-10)
+    assert np.linalg.eigvalsh(dense_h_full(sys, 40))[0] == pytest.approx(expected, abs=1e-10)
+    assert ops.levels()[0] == pytest.approx(expected, abs=1e-10)
 
 
 def test_spectral_equivalence_small_gap():
@@ -218,13 +262,57 @@ def test_kronecker_sum_levels_match_dense_eigvalsh(coords, cap):
     assert np.abs(rep.decoupled - np.linalg.eigvalsh(h_dec)[:12]).max() < 1e-12
 
 
-def test_spectral_levels_reuse_gibbs_eigendecomposition():
+def test_spectral_levels_reuse_gibbs_eigendecomposition(monkeypatch):
     sys = make_system()
     ops = decoupling.build_coupled_operators(sys, 6)
     before = ops.levels()
     decoupling.factorization_check(ops, np.eye(sys.hubbard.sector.dim), np.zeros(2))
-    assert ops.levels() is ops.eigh[0]
-    assert np.abs(ops.levels() - before).max() < 1e-12
+
+    def no_eigvalsh(h):
+        raise AssertionError("levels() diagonalised a block again")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    after = ops.levels()
+    assert np.array_equal(after, np.sort(np.concatenate([w for w, _ in ops.eigh])))
+    assert np.abs(after - before).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "hopping,coords,cap",
+    [(HOP, COORDS, 8), (HOP, COORDS_3, 4), (np.zeros((2, 2)), COORDS, 6)],
+    ids=["hopping-2modes-cap8", "hopping-3modes-cap4", "atomic-2modes-cap6"],
+)
+def test_block_levels_match_dense_eigvalsh(hopping, coords, cap):
+    sys = make_system(hopping=hopping, coords=coords)
+    dense = np.linalg.eigvalsh(dense_h_full(sys, cap))
+    ops = decoupling.build_coupled_operators(sys, cap)
+    assert np.abs(ops.levels() - dense).max() < 1e-12
+    assert len(ops.eigh) == len(ops.blocks)  # levels() now merges the cached per-block eigh
+    assert np.abs(ops.levels() - dense).max() < 1e-12
+
+
+@pytest.mark.parametrize("hopping", [HOP, np.zeros((2, 2))], ids=["hopping", "atomic"])
+def test_dense_h_full_vanishes_between_blocks(hopping):
+    sys = make_system(hopping=hopping)
+    ops = decoupling.build_coupled_operators(sys, 4)
+    dense = dense_h_full(sys, 4)
+    same_block = np.zeros(dense.shape, dtype=bool)
+    for i, _ in ops.blocks:
+        rows = tensor_rows(i, ops.boson_space.dim)
+        same_block[np.ix_(rows, rows)] = True
+    assert np.all(dense[~same_block] == 0)
+    assert np.abs(assembled_h_full(ops) - dense).max() < 1e-13
+
+
+def test_fermion_blocks_are_the_spin_sectors_of_the_hopping_cluster():
+    cluster = build_hubbard_system(2, 2, HOP, 2.0)
+    blocks = decoupling.fermion_blocks(build_hubbard_hamiltonian(cluster))
+    assert sorted(len(i) for i in blocks) == [1, 1, 4]
+    # spin + sits on the even bits; each block is one N_up (hence one N_down) sector
+    spin_up = np.array([bin(s & 0b0101).count("1") for s in cluster.sector.basis])
+    assert sorted(sorted(set(spin_up[i])) for i in blocks) == [[0], [1], [2]]
+    atomic = build_hubbard_hamiltonian(build_hubbard_system(2, 2, np.zeros((2, 2)), 2.0))
+    assert [i.tolist() for i in decoupling.fermion_blocks(atomic)] == [[s] for s in range(6)]
 
 
 def test_decouple_verify_builds_once_per_cap(tmp_path, monkeypatch):
@@ -250,9 +338,9 @@ def test_discrete_overlap_symmetric_psd():
 def test_time_invariance_of_coupled_gibbs_state():
     sys = make_system()
     dim = sys.hubbard.sector.dim
-    ops = decoupling.build_coupled_operators(sys, level_cap=5)
+    shape = (dim * dense_space(sys, 5).dim,) * 2
     rng = np.random.default_rng(11)
-    X = rng.standard_normal(ops.h_full.shape) + 1j * rng.standard_normal(ops.h_full.shape)
+    X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     X = 0.5 * (X + X.conj().T)
     assert decoupling.time_invariance_gap(sys, 5, X, t=0.7) < 1e-9 * np.linalg.norm(X)
 

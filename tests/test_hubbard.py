@@ -29,6 +29,15 @@ def test_two_site_ground_energy_closed_form():
     assert e0 == pytest.approx((U - np.sqrt(U * U + 16 * t * t)) / 2.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("num_sites,num_electrons", [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (3, 4)])
+def test_site_occupations_are_number_operator_diagonals(num_sites, num_electrons):
+    sector = fermions.build_fermion_sector(num_sites, num_electrons)
+    expected = np.stack(
+        [np.diag(fermions.number_operator(sector, x)) for x in range(num_sites)], axis=1
+    )
+    assert np.array_equal(hubbard.site_occupations(sector), expected)
+
+
 def test_hamiltonian_commutes_with_total_number():
     sys = hubbard.build_hubbard_system(3, 2, -np.eye(3, k=1) - np.eye(3, k=-1), 1.5)
     H = hubbard.build_hubbard_hamiltonian(sys)
