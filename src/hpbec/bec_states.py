@@ -11,9 +11,9 @@ identity is exactly the pair of Bessel identities checked here.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
+from numpy.polynomial.laguerre import laggauss
 
-from . import phonon_gas
+from . import numerics, phonon_gas
 from .bessel import j0
 from .couplings import gaussian_density_integral, gaussian_pair_integral, gaussian_weighted_zero_mode
 from .errors import InfraredDivergence
@@ -133,7 +133,8 @@ def bessel_identity_check(a, b):
     """|quad - closed form| for integral_0^inf e^{-ar} J0(sqrt(br)) dr = e^{-b/4a}/a."""
     if a <= 0 or b < 0:
         raise ValueError("need a > 0 and b >= 0")
-    val, _ = quad(lambda r: np.exp(-a * r) * j0(np.sqrt(b * r)), 0.0, 60.0 / a, limit=300)
+    integrand = lambda r: np.exp(-a * r) * j0(np.sqrt(b * r))
+    val = numerics.integrate(integrand, 0.0, 60.0 / a, epsabs=1.49e-8, epsrel=1.49e-8, limit=300).value
     return abs(val - np.exp(-b / (4.0 * a)) / a)
 
 
@@ -152,7 +153,7 @@ def chi_average(func, n_radial=64, n_angular=256):
     (1, n_angular); a result that broadcasts to that grid (a constant too)
     is averaged.
     """
-    nodes, weights = np.polynomial.laguerre.laggauss(n_radial)
+    nodes, weights = laggauss(n_radial)
     thetas = np.linspace(0.0, 2.0 * np.pi, n_angular + 1)[:-1]
     values = np.broadcast_to(func(nodes[:, None], thetas[None, :]), (n_radial, n_angular))
     return complex(weights @ values.mean(axis=1))

@@ -11,9 +11,12 @@ import csv
 import hashlib
 import json
 import os
+import platform
 import sys
+from dataclasses import asdict
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import bec_states, condensation, decoupling, phonon_gas
 from .couplings import CouplingFamily
@@ -35,6 +38,8 @@ EXIT_DIVERGENCE = 3
 EXIT_VERIFICATION = 4
 
 OUT_DIR_ENV = "HPBEC_OUT_DIR"
+# The *_NUM_THREADS variables as this module is imported; numpy's BLAS reads them at numpy's import.
+THREAD_ENV = {k: v for k, v in os.environ.items() if k.endswith("_NUM_THREADS")}
 
 DEFAULT_CONFIG = {
     "dispersion": {
@@ -67,9 +72,6 @@ DEFAULT_CONFIG = {
         "mode_coords": [[1, 0, 0], [0, 1, 0]],
     },
     "bec": {
-        "test_width": 1.0,
-        "test_center": [0.0, 0.0, 0.0],
-        "test_amplitude": 1.0,
         "r": 1.0,
         "theta": 1.0471975511965976,
         "suite_size": 10,
@@ -77,7 +79,6 @@ DEFAULT_CONFIG = {
     "phase_grid": {"densities": [0.5, 1.0, 2.0], "betas": [0.5, 1.0, 2.0]},
     "seed": 12345,
     "output": {"directory": "hpbec-out"},
-    "tolerances": {"fugacity_residual": 1e-10, "critical_band": 1e-9},
 }
 
 
@@ -98,26 +99,31 @@ def fmt(x):
     return str(x)
 
 
-def deep_merge(base, override):
+def deep_merge(base, override, prefix=""):
+    """`override` merged into a copy of `base`; a key `base` lacks is an error."""
     out = copy.deepcopy(base)
     for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = deep_merge(out[key], val)
+        if key not in out:
+            raise ContractViolation(f"unknown config key {prefix + key!r}")
+        if isinstance(val, dict) and isinstance(out[key], dict):
+            out[key] = deep_merge(out[key], val, f"{prefix}{key}.")
         else:
             out[key] = val
     return out
 
 
 def apply_override(config, dotted, raw):
+    *path, leaf = dotted.split(".")
     node = config
-    parts = dotted.split(".")
-    for part in parts[:-1]:
-        node = node.setdefault(part, {})
+    for part in path:
+        node = node.get(part) if isinstance(node, dict) else None
+    if not isinstance(node, dict) or leaf not in node:
+        raise ContractViolation(f"unknown config key {dotted!r}")
     try:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    node[parts[-1]] = value
+    node[leaf] = value
 
 
 def load_config(path, overrides):
@@ -177,20 +183,10 @@ def build_cluster(config):
     )
 
 
-def build_test_function(config):
-    b = config["bec"]
-    d = int(config["dispersion"]["dimension"])
-    return gaussian_test_function(
-        d, center=np.asarray(b["test_center"], dtype=float)[:d], width=float(b["test_width"]),
-        amplitude=complex(b["test_amplitude"]),
-    )
-
-
-def resolve_density(config, disp):
-    thermo = config["thermo"]
-    if thermo.get("rho_target") is not None:
-        return float(thermo["rho_target"])
-    return 2.0 * phonon_gas.rho_crit(disp, float(thermo["beta"]), int(thermo["num_internal"]))
+def resolve_density(config, critical_density):
+    """thermo.rho_target, or twice the critical density when it is unset."""
+    target = config["thermo"]["rho_target"]
+    return 2.0 * critical_density if target is None else float(target)
 
 
 class Emitter:
@@ -232,6 +228,9 @@ class Emitter:
                 "config_sha256": digest,
                 "seed": self.config.get("seed"),
                 "artifacts": sorted(self.artifacts),
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "thread_env": THREAD_ENV,
             },
         )
 
@@ -260,16 +259,15 @@ def cmd_condense(config, emitter):
     disp = build_dispersion(config)
     beta = float(config["thermo"]["beta"])
     n_i = int(config["thermo"]["num_internal"])
-    rho = resolve_density(config, disp)
+    rc = phonon_gas.rho_fr_quadrature(disp, beta, 1.0, n_i)
+    rho = resolve_density(config, rc.value)
     seq = condensation.condensate_sequence(
-        config["sweep"]["box_sizes"], rho, beta, disp, num_internal=n_i
+        config["sweep"]["box_sizes"], rho, beta, disp, num_internal=n_i, critical_density=rc.value
     )
     report = seq.regime
     rows = [
-        (L, y, res, dens, report.phase)
-        for L, y, res, dens in zip(
-            seq.box_sizes, seq.fugacities, seq.residuals, seq.condensate_densities
-        )
+        (sol.box_size, sol.y, sol.residual, dens, report.phase)
+        for sol, dens in zip(seq.solutions, seq.condensate_densities)
     ]
     emitter.csv("condense.csv", ["L", "y_L", "residual", "N_b0_over_Ld", "phase"], rows)
     emitter.json(
@@ -282,6 +280,11 @@ def cmd_condense(config, emitter):
             "expected_limit": max(rho - report.critical_density, 0.0),
         },
     )
+    # the certificates: rho_crit's quadrature, and every solve's iterations and tail bound
+    emitter.json(
+        "diagnostics.json",
+        {"rho_crit": rc._asdict(), "fugacity_solves": [asdict(sol) for sol in seq.solutions]},
+    )
     return EXIT_OK
 
 
@@ -293,7 +296,7 @@ def cmd_phase_diagram(config, emitter):
         rc = phonon_gas.rho_crit(disp, float(beta), n_i)
         for scale in config["phase_grid"]["densities"]:
             rho = float(scale) * rc
-            rep = condensation.classify_phase(rho, float(beta), disp, n_i)
+            rep = condensation.classify_phase(rho, float(beta), disp, n_i, critical_density=rc)
             rows.append(
                 (beta, rho, rc, rep.phase, rep.normal_fugacity, rep.condensate_density)
             )
@@ -316,7 +319,7 @@ def cmd_decouple_verify(config, emitter):
     )
     caps = [int(c) for c in sweep["level_caps"]]
     dressing = decoupling.verify_dressing_identity(sys_c, caps)
-    rng = np.random.default_rng(config.get("seed"))
+    rng = default_rng(config.get("seed"))
     dim = cluster.sector.dim
     a_e = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     a_e = 0.5 * (a_e + a_e.conj().T)
@@ -352,8 +355,9 @@ def cmd_bec_states(config, emitter):
     disp = build_dispersion(config)
     beta = float(config["thermo"]["beta"])
     n_i = int(config["thermo"]["num_internal"])
-    rho = resolve_density(config, disp)
-    report = condensation.classify_phase(rho, beta, disp, n_i)
+    rc = phonon_gas.rho_crit(disp, beta, n_i)
+    rho = resolve_density(config, rc)
+    report = condensation.classify_phase(rho, beta, disp, n_i, critical_density=rc)
     if report.phase != "condensed":
         raise UnsolvableDensity("bec-states requires a condensed-phase target density")
     phase = bec_states.CondensatePhase(
@@ -363,7 +367,7 @@ def cmd_bec_states(config, emitter):
         disp.dimension,
         n_i,
     )
-    rng = np.random.default_rng(config.get("seed"))
+    rng = default_rng(config.get("seed"))
     rows = []
     for idx in range(int(config["bec"]["suite_size"])):
         f = gaussian_test_function(
@@ -396,15 +400,16 @@ def cmd_fingerprint(config, emitter):
     disp = build_dispersion(config)
     beta = float(config["thermo"]["beta"])
     n_i = int(config["thermo"]["num_internal"])
-    rho = resolve_density(config, disp)
-    report = condensation.classify_phase(rho, beta, disp, n_i)
+    rc = phonon_gas.rho_crit(disp, beta, n_i)
+    rho = resolve_density(config, rc)
+    report = condensation.classify_phase(rho, beta, disp, n_i, critical_density=rc)
     if report.phase != "condensed":
         raise UnsolvableDensity("fingerprint requires a condensed-phase target density")
     base = bec_states.CondensatePhase(
         1.0, 0.0, report.condensate_density, disp.dimension, n_i
     )
     f1, f2 = bec_states.canonical_probe_pair(base.amplitude, disp.dimension)
-    rng = np.random.default_rng(config.get("seed"))
+    rng = default_rng(config.get("seed"))
     rows = []
     for idx in range(32):
         r, theta = float(rng.uniform(0.05, 4.0)), float(rng.uniform(0.0, 2.0 * np.pi))

@@ -10,9 +10,8 @@ polishes with Newton steps using the analytic derivative.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from . import phonon_gas
+from . import numerics, phonon_gas
 from .errors import BracketError, UnsolvableDensity
 from .lattice import build_lattice_modes
 
@@ -27,6 +26,9 @@ class FugacitySolution:
     bracket_bound: float
     target_density: float
     infrared_density: float
+    brent_iterations: int  # on the bracket, before the Newton polish
+    newton_steps: int  # Newton polish steps taken after it
+    tail_bound: float  # the lattice's certified truncation tail
 
 
 def fugacity_bracket_bound(modes, target_density, infrared_density):
@@ -41,7 +43,7 @@ def fugacity_bracket_bound(modes, target_density, infrared_density):
 
 
 def solve_fugacity(box_size, target_density, beta, disp, n_ir=0.0, num_internal=1, modes=None):
-    """Unique y > 1 with f_L(y) = target_density, residual below 1e-10."""
+    """Unique y > 1 with f_L(y) = target_density, residual below RESIDUAL_TOL."""
     if modes is None:
         modes = build_lattice_modes(box_size, disp, beta, num_internal)
     vol = box_size**modes.dimension
@@ -56,25 +58,28 @@ def solve_fugacity(box_size, target_density, beta, disp, n_ir=0.0, num_internal=
         return phonon_gas.lattice_density(modes, disp, beta, y, n_ir) - target_density
 
     lo, hi = 1.0 + 1e-14, 1.0 + bound + 1.0
-    if g(lo) <= 0 or g(hi) >= 0:
+    g_lo, g_hi = g(lo), g(hi)
+    if g_lo <= 0 or g_hi >= 0:
         raise BracketError(
             f"no sign change of the fugacity equation on ({lo:g}, {hi:g})"
         )
-    y = brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    root = numerics.brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200, fa=g_lo, fb=g_hi)
+    y, res = root.root, root.residual
     # Newton polish with the analytic derivative
+    newton_steps = 0
     for _ in range(4):
-        res = g(y)
         if abs(res) <= 1e-14 * max(target_density, 1.0):
             break
-        step = res / phonon_gas.lattice_density_derivative(modes, disp, beta, y)
-        y_new = y - step
+        y_new = y - res / phonon_gas.lattice_density_derivative(modes, disp, beta, y)
         if y_new <= 1.0:
             break
-        y = y_new
-    residual = abs(g(y))
+        y, res = y_new, g(y_new)
+        newton_steps += 1
+    residual = abs(res)
     if residual > RESIDUAL_TOL:
         raise BracketError(f"fugacity residual {residual:.3e} above tolerance {RESIDUAL_TOL:g}")
-    return FugacitySolution(float(box_size), float(y), float(residual), float(bound), float(target_density), float(rho_ir))
+    return FugacitySolution(float(box_size), float(y), float(residual), float(bound), float(target_density),
+                            float(rho_ir), root.iterations, newton_steps, modes.tail_bound)
 
 
 @dataclass(frozen=True)
@@ -86,9 +91,9 @@ class PhaseReport:
     critical_density: float
 
 
-def classify_phase(target_density, beta, disp, num_internal=1, critical_tol=1e-9):
-    """Condensed/normal/critical trichotomy against the critical density."""
-    rc = phonon_gas.rho_crit(disp, beta, num_internal)
+def classify_phase(target_density, beta, disp, num_internal=1, critical_tol=1e-9, critical_density=None):
+    """Condensed/normal/critical trichotomy against rho_crit(beta), or `critical_density` if given."""
+    rc = phonon_gas.rho_crit(disp, beta, num_internal) if critical_density is None else critical_density
     if abs(target_density - rc) <= critical_tol:
         return PhaseReport("critical", 1.0, 1.0, 0.0, rc)
     if target_density > rc:
@@ -98,25 +103,26 @@ def classify_phase(target_density, beta, disp, num_internal=1, critical_tol=1e-9
         return phonon_gas.rho_fr(disp, beta, y, num_internal) - target_density
 
     hi = 2.0
-    while g(hi) > 0:
+    g_hi = g(hi)
+    while g_hi > 0:
         hi *= 4.0
         if hi > 1e18:
             raise BracketError("normal-phase fugacity bracket not found")
-    b = brentq(g, 1.0 + 1e-13, hi, xtol=1e-13, rtol=8.9e-16, maxiter=300)
+        g_hi = g(hi)
+    b = numerics.brentq(g, 1.0 + 1e-13, hi, xtol=1e-13, rtol=8.9e-16, maxiter=300, fb=g_hi).root
     return PhaseReport("normal", float(b), float(b), 0.0, rc)
 
 
 @dataclass(frozen=True)
 class CondensateSequence:
     box_sizes: tuple
-    fugacities: tuple
-    residuals: tuple
+    solutions: tuple  # one FugacitySolution per box size
     condensate_densities: tuple  # [N_i/(y_L - 1) + N_ir] / L^d
     extrapolated: float
     regime: PhaseReport  # the phase whose finite-size law the extrapolation fits
 
 
-def condensate_sequence(box_sizes, target_density, beta, disp, n_ir=0.0, num_internal=1):
+def condensate_sequence(box_sizes, target_density, beta, disp, n_ir=0.0, num_internal=1, critical_density=None):
     """Condensate density per volume along an increasing ladder of box sizes.
 
     The limit estimate fits a + b / L^p through the last three points, with
@@ -127,12 +133,11 @@ def condensate_sequence(box_sizes, target_density, beta, disp, n_ir=0.0, num_int
     box_sizes = [float(L) for L in box_sizes]
     if not box_sizes or any(b >= a for b, a in zip(box_sizes, box_sizes[1:])):
         raise ValueError("box sizes must be strictly increasing and nonempty")
-    regime = classify_phase(target_density, beta, disp, num_internal)
-    ys, residuals, densities = [], [], []
+    regime = classify_phase(target_density, beta, disp, num_internal, critical_density=critical_density)
+    solutions, densities = [], []
     for L in box_sizes:
         sol = solve_fugacity(L, target_density, beta, disp, n_ir, num_internal)
-        ys.append(sol.y)
-        residuals.append(sol.residual)
+        solutions.append(sol)
         densities.append((num_internal / (sol.y - 1.0) + n_ir) / L**disp.dimension)
     tail = min(3, len(box_sizes))
     Ls = np.asarray(box_sizes[-tail:])
@@ -144,16 +149,14 @@ def condensate_sequence(box_sizes, target_density, beta, disp, n_ir=0.0, num_int
         design = np.stack([np.ones_like(Ls), 1.0 / Ls**power], axis=1)
         coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
         limit = float(coef[0])
-    return CondensateSequence(
-        tuple(box_sizes), tuple(ys), tuple(residuals), tuple(densities), limit, regime
-    )
+    return CondensateSequence(tuple(box_sizes), tuple(solutions), tuple(densities), limit, regime)
 
 
 def critical_temperature(target_density, disp, beta_lo=1e-3, beta_hi=1e3, num_internal=1):
     """beta_c with rho_crit(beta_c) = target_density, and T_c = 1/beta_c.
 
     Monotonicity of rho_crit in beta is verified on a coarse sample before the
-    bracketed solve.
+    bracketed solve, which reuses the sample's end points.
     """
     samples = np.geomspace(beta_lo, beta_hi, 9)
     vals = [phonon_gas.rho_crit(disp, b, num_internal) for b in samples]
@@ -164,11 +167,11 @@ def critical_temperature(target_density, disp, beta_lo=1e-3, beta_hi=1e3, num_in
     def g(b):
         return phonon_gas.rho_crit(disp, b, num_internal) - target_density
 
-    glo, ghi = g(beta_lo), g(beta_hi)
+    glo, ghi = vals[0] - target_density, vals[-1] - target_density
     if glo * ghi > 0:
         raise BracketError(
             f"rho_crit spans [{min(vals):g}, {max(vals):g}] on the interval; "
             f"target {target_density:g} is outside"
         )
-    beta_c = brentq(g, beta_lo, beta_hi, xtol=1e-13, rtol=8.9e-16, maxiter=300)
+    beta_c = numerics.brentq(g, beta_lo, beta_hi, xtol=1e-13, rtol=8.9e-16, maxiter=300, fa=glo, fb=ghi).root
     return float(beta_c), 1.0 / float(beta_c)

@@ -11,15 +11,15 @@ the Gaussian reduces the angular integral to a closed form in the complex
 scalar z = sqrt(c . c) (non-conjugated dot product): 2 cosh(kz) in d = 1,
 2 pi I0(kz) in d = 2 (evaluated by a periodic trapezoid rule), and
 4 pi sinh(kz)/(kz) in d = 3.  The radial factor is handled by adaptive
-quadrature on a finite interval chosen from the Gaussian decay.
+quadrature of the complex integrand on a finite interval chosen from the
+Gaussian decay.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import toeplitz
 
+from . import numerics
 from .errors import ContractViolation, InfraredDivergence
 
 _LOG_CUTOFF = 46.0  # exp(-46) ~ 1e-20 relative tail
@@ -66,9 +66,8 @@ def radial_reduced_integral(dimension, kappa, gamma, drift, weight=None, prefact
             base = base * weight(k)
         return base
 
-    re, _ = quad(lambda k: np.real(integrand(k)), kappa, k_max, limit=300, epsabs=1e-13, epsrel=1e-12)
-    im, _ = quad(lambda k: np.imag(integrand(k)), kappa, k_max, limit=300, epsabs=1e-13, epsrel=1e-12)
-    return complex(prefactor) * complex(re, im)
+    quad = numerics.integrate(integrand, kappa, k_max, epsabs=1e-13, epsrel=1e-12, limit=300)
+    return complex(prefactor) * complex(quad.value)
 
 
 @dataclass(frozen=True)
@@ -150,7 +149,7 @@ def overlap_matrix(family, disp, m, kappa=None):
     """
     kap = family.kappa if kappa is None else kappa
     row = np.array([coupling_overlap(family, disp, m, 0, d, kap) for d in range(family.num_sites)])
-    G = toeplitz(np.conj(row), row)
+    G = numerics.hermitian_toeplitz(row)
     defect = np.abs(G - G.conj().T).max()
     if defect > 1e-10 * max(np.abs(G).max(), 1e-300):
         raise ContractViolation(f"overlap matrix lost hermiticity: defect {defect:.3e}")

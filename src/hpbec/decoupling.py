@@ -106,7 +106,8 @@ def fermion_blocks(h_e):
     while True:
         spread = np.where(linked, labels, len(h_e)).min(axis=1)
         if np.array_equal(spread, labels):
-            return tuple(np.flatnonzero(labels == root) for root in np.unique(labels))
+            roots = np.flatnonzero(labels == np.arange(len(h_e)))  # each labelled by itself
+            return tuple(np.flatnonzero(labels == root) for root in roots)
         labels = spread
 
 

@@ -5,19 +5,18 @@ strictly increasing, growing fast enough that (1+k)^d0 exp(-beta r(k)) stays
 bounded, and with an integrable inverse gap 1/(omega - omega_0) near k = 0.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
-from scipy.special import gamma as gamma_fn
 
-from .errors import InfraredDivergence
+from . import numerics
+from .errors import BracketError, InfraredDivergence
 
 
 def sphere_area(d):
     """Surface area of the unit sphere in R^d."""
-    return 2.0 * np.pi ** (d / 2.0) / gamma_fn(d / 2.0)
+    return 2.0 * np.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
 @dataclass(frozen=True)
@@ -46,16 +45,14 @@ class Dispersion:
 
     def gap_inverse(self, target):
         """Solve F(k) = target for k >= 0 (r strictly increasing)."""
-        from scipy.optimize import brentq
-
         if target <= 0:
             return 0.0
         hi = 1.0
         while self.gap(hi) < target:
             hi *= 2.0
             if hi > 1e12:
-                raise RuntimeError("dispersion gap never reaches the target")
-        return brentq(lambda k: self.gap(k) - target, 0.0, hi, xtol=1e-14, rtol=1e-14)
+                raise BracketError(f"dispersion gap never reaches the target {target:g} (k up to 1e12)")
+        return numerics.brentq(lambda k: self.gap(k) - target, 0.0, hi, xtol=1e-14, rtol=1e-14, maxiter=100).root
 
     def infrared_exponent(self, eps=1e-5):
         """Local growth exponent p with F(k) ~ k^p near 0, estimated numerically."""
@@ -81,29 +78,20 @@ def tabulated_dispersion(k_samples, r_samples, dimension=3, growth_exponent=4.0,
     """Dispersion from (k, r(k)) samples via monotone-cubic interpolation.
 
     Beyond the last sample the profile is continued with the end-point slope,
-    keeping it monotone.
+    keeping it monotone; below the first it is held at the first sample.
     """
-    k_samples = np.asarray(k_samples, dtype=float)
-    r_samples = np.asarray(r_samples, dtype=float)
-    interp = PchipInterpolator(k_samples, r_samples, extrapolate=False)
-    deriv = interp.derivative()
-    k_end, r_end = k_samples[-1], r_samples[-1]
+    interp, deriv = numerics.monotone_cubic(k_samples, r_samples)
+    k_end, r_end = float(k_samples[-1]), float(r_samples[-1])
     slope_end = float(deriv(k_end))
 
     def profile(k):
         k = np.asarray(k, dtype=float)
-        inside = interp(np.clip(k, k_samples[0], k_end))
-        return np.where(k <= k_end, inside, r_end + slope_end * (k - k_end))
+        return np.where(k <= k_end, interp(k), r_end + slope_end * (k - k_end))
 
     def derivative(k):
-        k = np.asarray(k, dtype=float)
-        inside = deriv(np.clip(k, k_samples[0], k_end))
-        return np.where(k <= k_end, inside, slope_end)
+        return np.where(np.asarray(k) <= k_end, deriv(k), slope_end)
 
     return Dispersion(profile, derivative, dimension, growth_exponent, mu_b, label="tabulated")
-
-
-DISPERSIONS = {"quadratic": quadratic_dispersion}
 
 
 @dataclass(frozen=True)
@@ -137,7 +125,7 @@ def infrared_gap_integral(disp, radius=1.0):
             f"1/(omega - omega0) not integrable at k=0: local exponent {p:.3g} >= d={disp.dimension}"
         )
     integrand = lambda k: k ** (disp.dimension - 1) / disp.gap(k)
-    val, _ = quad(integrand, 0.0, radius, limit=200)
+    val = numerics.integrate(integrand, 0.0, radius, epsabs=1.49e-8, epsrel=1.49e-8, limit=200).value
     return sphere_area(disp.dimension) * val
 
 
@@ -180,7 +168,7 @@ def validate_dispersion(disp, beta, k_max=60.0, n_grid=4001):
                 f"integral over |k|<=1 of dk/(omega-omega0) = {ir:.6g}",
             )
         )
-    except InfraredDivergence as err:
+    except (InfraredDivergence, BracketError) as err:  # divergent, or a quadrature that cannot converge
         checks.append(CheckResult("inverse gap integrable near k = 0", False, str(err)))
 
     growth_ok = disp.growth_exponent > disp.dimension

@@ -1,0 +1,208 @@
+"""Numpy-only quadrature, root finding, Toeplitz fill and monotone interpolation.
+
+Each solver returns its certificate with its result: `integrate` the error
+estimate and the number of integrand evaluations, `brentq` the function value
+at the root and the number of iterations.  Both raise BracketError when their
+budget runs out before the tolerance is met, instead of returning an
+unconverged value.
+"""
+
+from typing import NamedTuple
+
+import numpy as np
+
+from .errors import BracketError
+
+# Gauss-Kronrod 7-15 abscissae and weights on [-1, 1] (QUADPACK qk15: Piessens,
+# de Doncker-Kapenga, Ueberhuber and Kahaner, QUADPACK, Springer 1983).
+_XGK = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+])
+_WGK = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+])
+_WG = np.array([0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+                0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327])
+_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
+_KRONROD = np.concatenate([_WGK[:-1], _WGK[::-1]])
+_GAUSS = np.concatenate([_WG[:-1], _WG[::-1]])
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
+
+class Quadrature(NamedTuple):
+    value: complex  # a float for a real integrand
+    error: float
+    evaluations: int
+
+
+class Root(NamedTuple):
+    root: float
+    residual: float  # f(root), signed
+    iterations: int
+
+
+def _kronrod_panels(f, lo, hi):
+    """K15 values and QUADPACK error estimates on the panels [lo_i, hi_i]."""
+    center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    fv = np.asarray(f(center[:, None] + half[:, None] * _NODES))
+    resk, resg = fv @ _KRONROD, fv @ _GAUSS
+    width = np.abs(half)
+    resabs = width * (np.abs(fv) @ _KRONROD)
+    resasc = width * (np.abs(fv - 0.5 * resk[:, None]) @ _KRONROD)
+    err = np.abs((resk - resg) * half)
+    scaled = resasc * np.minimum(1.0, (200.0 * err / np.where(resasc > 0, resasc, 1.0)) ** 1.5)
+    err = np.where((resasc != 0) & (err != 0), scaled, err)
+    err = np.where(resabs > _TINY / (50.0 * _EPS), np.maximum(50.0 * _EPS * resabs, err), err)
+    return resk * half, err
+
+
+def integrate(f, a, b, epsabs, epsrel, limit):
+    """Globally adaptive G7-K15 quadrature of f over [a, b].
+
+    `f` maps an (intervals, 15) array of nodes to values of the same shape,
+    real or complex; it is called once per pass.  Each pass bisects the
+    largest-error panels whose removal would bring the summed error estimate
+    within max(epsabs, epsrel |value|).  Returns Quadrature(value, error,
+    evaluations); raises BracketError if the integrand is not finite at a
+    node or `limit` panels do not reach the tolerance.
+    """
+    lo, hi = np.array([float(a)]), np.array([float(b)])
+    vals, errs = _kronrod_panels(f, lo, hi)
+    evaluations = 15
+    while True:
+        value, error = vals.sum(), errs.sum()
+        if not np.isfinite(error):
+            raise BracketError(f"integrand is not finite on [{a:g}, {b:g}]")
+        tol = max(epsabs, epsrel * abs(value))
+        if error <= tol:
+            return Quadrature(value.item(), float(error), evaluations)
+        if len(lo) >= limit:
+            raise BracketError(
+                f"quadrature on [{a:g}, {b:g}] reached {limit} intervals with error "
+                f"estimate {error:.3e} above tolerance {tol:.3e}"
+            )
+        order = np.argsort(-errs)
+        count = int(np.searchsorted(np.cumsum(errs[order]), error - tol)) + 1
+        split = order[: min(count, limit - len(lo))]
+        keep = np.ones(len(lo), dtype=bool)
+        keep[split] = False
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        new_vals, new_errs = _kronrod_panels(f, new_lo, new_hi)
+        evaluations += 15 * len(new_lo)
+        lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
+        vals, errs = np.concatenate([vals[keep], new_vals]), np.concatenate([errs[keep], new_errs])
+
+
+def brentq(f, a, b, xtol, rtol, maxiter, fa=None, fb=None):
+    """Root of f on the sign-changing bracket [a, b] by Brent's method.
+
+    Brent, Algorithms for Minimization without Derivatives (1973), in the
+    step order of the common C transcription of his zeroin.  `fa`, `fb` are
+    f(a), f(b) when the caller already holds them.  Returns Root(root, f(root), iterations);
+    raises BracketError when the bracket has no sign change or `maxiter`
+    iterations do not converge.
+    """
+    xpre, xcur = float(a), float(b)
+    fpre = float(f(xpre) if fa is None else fa)
+    fcur = float(f(xcur) if fb is None else fb)
+    if fpre == 0.0:
+        return Root(xpre, 0.0, 0)
+    if fcur == 0.0:
+        return Root(xcur, 0.0, 0)
+    if np.signbit(fpre) == np.signbit(fcur):
+        raise BracketError(f"no sign change on [{a:g}, {b:g}]: f = {fpre:.3e}, {fcur:.3e}")
+    xblk = fblk = spre = scur = 0.0
+    for iteration in range(1, maxiter + 1):
+        if fpre != 0.0 and fcur != 0.0 and np.signbit(fpre) != np.signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return Root(xcur, fcur, iteration)
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    raise BracketError(f"root on [{a:g}, {b:g}] not converged in {maxiter} iterations (f = {fcur:.3e})")
+
+
+def hermitian_toeplitz(row):
+    """T[i, j] = row[j - i] above the diagonal and conj(row[i - j]) on and below it."""
+    row = np.asarray(row)
+    lag = np.subtract.outer(np.arange(len(row)), np.arange(len(row)))
+    return np.where(lag < 0, row[np.abs(lag)], np.conj(row[np.abs(lag)]))
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point end slope, clipped to keep the end monotone."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def monotone_cubic(x, y):
+    """PCHIP interpolant of samples (x, y): returns (value, derivative) functions.
+
+    Knot slopes are Fritsch-Butland weighted harmonic means of the adjacent
+    secants (zero where they change sign), with one-sided three-point end
+    slopes (SIAM J. Sci. Stat. Comput. 5, 300, 1984; end slopes as in Moler,
+    Numerical Computing with MATLAB, 2004, section 3.6).  Both functions take
+    arrays; points outside [x[0], x[-1]] are moved to the nearer end.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.full_like(x, m[0])
+    if len(x) > 2:
+        w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d[1:-1] = np.where(flat, 0.0, (w1 + w2) / (w1 / m[:-1] + w2 / m[1:]))
+        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    # cubic c0 s^3 + c1 s^2 + c2 s + c3 on each interval, s = t - x[i]
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    c0, c1, c2, c3 = t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]
+
+    def locate(k):
+        k = np.clip(np.asarray(k, dtype=float), x[0], x[-1])
+        i = np.clip(np.searchsorted(x, k, side="right") - 1, 0, len(h) - 1)
+        return i, k - x[i]
+
+    def value(k):
+        i, s = locate(k)
+        return c3[i] + s * (c2[i] + s * (c1[i] + s * c0[i]))
+
+    def derivative(k):
+        i, s = locate(k)
+        return c2[i] + s * (2.0 * c1[i] + s * 3.0 * c0[i])
+
+    return value, derivative

@@ -9,8 +9,8 @@ integrals of the Bose factor 1/(y e^{beta F(k)} - 1).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
+from . import numerics
 from .dispersion import sphere_area
 from .errors import InfraredDivergence
 
@@ -75,8 +75,8 @@ def _check_critical_integrable(disp):
         )
 
 
-def rho_fr(disp, beta, y, num_internal=1):
-    """Continuum free-gas density N_i (2pi)^{-d} integral of the Bose factor."""
+def rho_fr_quadrature(disp, beta, y, num_internal=1):
+    """rho_fr with its certificate: a numerics.Quadrature summed over both pieces."""
     if y < 1.0:
         raise ValueError("y must be >= 1")
     if y == 1.0:
@@ -85,9 +85,17 @@ def rho_fr(disp, beta, y, num_internal=1):
     integrand = lambda k: k ** (d - 1) / (y * np.exp(beta * disp.gap(k)) - 1.0)
     split = disp.gap_inverse(1.0 / beta)
     hi = disp.gap_inverse(60.0 / beta)
-    low, _ = quad(integrand, 0.0, split, limit=300, epsabs=1e-12)
-    high, _ = quad(integrand, split, hi, limit=300, epsabs=1e-12)
-    return num_internal * sphere_area(d) / (2.0 * np.pi) ** d * (low + high)
+    low = numerics.integrate(integrand, 0.0, split, epsabs=1e-12, epsrel=1.49e-8, limit=300)
+    high = numerics.integrate(integrand, split, hi, epsabs=1e-12, epsrel=1.49e-8, limit=300)
+    scale = num_internal * sphere_area(d) / (2.0 * np.pi) ** d
+    return numerics.Quadrature(
+        scale * (low.value + high.value), scale * (low.error + high.error), low.evaluations + high.evaluations
+    )
+
+
+def rho_fr(disp, beta, y, num_internal=1):
+    """Continuum free-gas density N_i (2pi)^{-d} integral of the Bose factor."""
+    return rho_fr_quadrature(disp, beta, y, num_internal).value
 
 
 def rho_crit(disp, beta, num_internal=1):

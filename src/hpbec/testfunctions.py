@@ -17,8 +17,6 @@ class GaussianTestFunction:
     center: np.ndarray = field(repr=False)
     width: float
     amplitude: complex
-    component: int = 0
-    num_components: int = 1
 
     def __post_init__(self):
         center = np.zeros(self.dimension) if self.center is None else np.asarray(
@@ -26,8 +24,6 @@ class GaussianTestFunction:
         ).reshape(self.dimension)
         if self.width <= 0:
             raise ValueError("width must be positive")
-        if not 0 <= self.component < self.num_components:
-            raise ValueError("component index out of range")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "amplitude", complex(self.amplitude))
 
@@ -78,6 +74,6 @@ class GaussianTestFunction:
         return flags
 
 
-def gaussian_test_function(dimension, center=None, width=1.0, amplitude=1.0, component=0, num_components=1):
+def gaussian_test_function(dimension, center=None, width=1.0, amplitude=1.0):
     center = np.zeros(dimension) if center is None else np.asarray(center, dtype=float)
-    return GaussianTestFunction(dimension, center, float(width), complex(amplitude), component, num_components)
+    return GaussianTestFunction(dimension, center, float(width), complex(amplitude))

@@ -1,9 +1,12 @@
+import csv
 import json
 import os
+import platform
 
+import numpy as np
 import pytest
 
-from hpbec import cli, couplings
+from hpbec import cli, couplings, numerics, phonon_gas
 
 
 def run(args):
@@ -177,3 +180,102 @@ def test_bec_states_makes_two_q1_quadratures_per_test_function(tmp_path, monkeyp
     monkeypatch.setattr(couplings, "radial_reduced_integral", counted)
     assert run(["--command", "bec-states", "--out", str(tmp_path / "r")]) == 0
     assert len(calls) == 20
+
+
+@pytest.mark.parametrize(
+    "override",
+    ["thermo.bta=2", "nosuch.key=1", "thermo.beta.value=1", "tolerances.fugacity_residual=1e-8"],
+)
+def test_unknown_override_key_is_rejected(tmp_path, override):
+    code = run(["--command", "validate", "--out", str(tmp_path / "r"), "--override", override])
+    assert code == cli.EXIT_VALIDATION
+
+
+def test_unknown_config_file_key_is_rejected(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"thermo": {"beta": 0.5, "bta": 2.0}}))
+    assert run(["--command", "validate", "--config", str(cfg), "--out", str(tmp_path / "r")]) == cli.EXIT_VALIDATION
+
+
+def test_unconverged_quadrature_maps_to_divergence_exit(tmp_path, monkeypatch, capsys):
+    """A quadrature that reaches its interval limit above tolerance fails the run."""
+    integrate = numerics.integrate
+
+    def starved(f, a, b, epsabs, epsrel, limit):
+        return integrate(f, a, b, epsabs=0.0, epsrel=0.0, limit=4)
+
+    monkeypatch.setattr(numerics, "integrate", starved)
+    assert run(["--command", "condense", "--out", str(tmp_path / "r")]) == cli.EXIT_DIVERGENCE
+    assert "reached 4 intervals" in capsys.readouterr().err
+
+
+def test_unconverged_root_maps_to_divergence_exit(tmp_path, monkeypatch, capsys):
+    brentq = numerics.brentq
+
+    def starved(f, a, b, xtol, rtol, maxiter, fa=None, fb=None):
+        return brentq(f, a, b, xtol, rtol, 2, fa, fb)
+
+    monkeypatch.setattr(numerics, "brentq", starved)
+    code = run(
+        [
+            "--command", "condense", "--out", str(tmp_path / "r"),
+            "--override", "sweep.box_sizes=[5.0, 8.0]",
+        ]
+    )
+    assert code == cli.EXIT_DIVERGENCE
+    assert "not converged in 2 iterations" in capsys.readouterr().err
+
+
+def test_saturating_dispersion_maps_to_divergence_exit(tmp_path, capsys):
+    """A tabulated profile that flattens out never reaches the cut-off gap."""
+    code = run(
+        [
+            "--command", "condense", "--out", str(tmp_path / "r"),
+            "--override", "dispersion.table=[[0, 1], [1, 2], [2, 3], [3, 3]]",
+        ]
+    )
+    assert code == cli.EXIT_DIVERGENCE
+    assert "never reaches the target" in capsys.readouterr().err
+
+
+def test_phase_diagram_computes_rho_crit_once_per_beta(tmp_path, monkeypatch):
+    betas = []
+    rho_crit = phonon_gas.rho_crit
+
+    def counted(disp, beta, num_internal=1):
+        betas.append(beta)
+        return rho_crit(disp, beta, num_internal)
+
+    monkeypatch.setattr(phonon_gas, "rho_crit", counted)
+    assert run(["--command", "phase-diagram", "--out", str(tmp_path / "r")]) == 0
+    assert betas == [0.5, 1.0, 2.0]  # one per grid beta; the 9 classifications reuse it
+
+
+def test_condense_writes_certificates(tmp_path):
+    out = tmp_path / "run"
+    code = run(
+        [
+            "--command", "condense", "--out", str(out),
+            "--override", "sweep.box_sizes=[5.0, 8.0, 12.0]",
+        ]
+    )
+    assert code == 0
+    diag = json.loads((out / "diagnostics.json").read_text())
+    rc = diag["rho_crit"]
+    closed_form = 2.612375348685488 * (4.0 * np.pi) ** -1.5  # zeta(3/2) (4 pi beta)^{-3/2}, beta = 1
+    assert abs(rc["value"] - closed_form) <= rc["error"] <= 1e-8 * closed_form
+    assert rc["evaluations"] > 0 and rc["evaluations"] % 15 == 0
+    rows = list(csv.DictReader((out / "condense.csv").open()))
+    solves = diag["fugacity_solves"]
+    assert [s["box_size"] for s in solves] == [5.0, 8.0, 12.0]
+    for solve, row in zip(solves, rows):
+        assert solve["residual"] == float(row["residual"]) <= 1e-10
+        assert solve["y"] == float(row["y_L"])
+        assert solve["brent_iterations"] >= 1
+        assert 0 <= solve["newton_steps"] <= 4
+        assert 0.0 <= solve["tail_bound"] <= 1e-6
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "diagnostics.json" in manifest["artifacts"]
+    assert manifest["numpy"] == np.__version__
+    assert manifest["python"] == platform.python_version()
+    assert manifest["thread_env"] == {k: v for k, v in os.environ.items() if k.endswith("_NUM_THREADS")}

@@ -151,3 +151,49 @@ def test_fugacity_solve_at_large_box():
     assert time.perf_counter() - t0 < 10.0
     assert sol.y - 1.0 == pytest.approx(5.1419e-7, rel=1e-4)
     assert sol.residual <= condensation.RESIDUAL_TOL
+
+
+def _count_rho_crit(monkeypatch):
+    betas = []
+    rho_crit = phonon_gas.rho_crit
+
+    def counted(disp, beta, num_internal=1):
+        betas.append(float(beta))
+        return rho_crit(disp, beta, num_internal)
+
+    monkeypatch.setattr(phonon_gas, "rho_crit", counted)
+    return betas
+
+
+def test_critical_temperature_evaluates_each_beta_once(monkeypatch):
+    """The 9-point sample's end points seed the Brent bracket: no beta twice."""
+    betas = _count_rho_crit(monkeypatch)
+    condensation.critical_temperature(0.05, DISP)
+    assert len(betas) == len(set(betas)) == 27  # 9 samples + 18 Brent steps
+
+
+def test_classify_phase_reuses_a_given_critical_density(monkeypatch):
+    rc = phonon_gas.rho_crit(DISP, 1.0)
+    betas = _count_rho_crit(monkeypatch)
+    for scale in (0.5, 1.0, 2.0):
+        given = condensation.classify_phase(scale * rc, 1.0, DISP, critical_density=rc)
+        assert given == condensation.classify_phase(scale * rc, 1.0, DISP)
+    assert betas == [1.0, 1.0, 1.0]  # only the calls without critical_density
+
+
+def test_fugacity_solve_counts_its_density_evaluations(monkeypatch):
+    """Both bracket ends once, one per Brent step after the first, one per Newton step."""
+    evals = []
+    density = phonon_gas.lattice_density
+
+    def counted(*args, **kwargs):
+        evals.append(args[3])
+        return density(*args, **kwargs)
+
+    monkeypatch.setattr(phonon_gas, "lattice_density", counted)
+    rho = 2.0 * phonon_gas.rho_crit(DISP, 1.0)
+    for L in (5.0, 10.0, 20.0):
+        evals.clear()
+        sol = condensation.solve_fugacity(L, rho, 1.0, DISP)
+        assert len(evals) == 2 + (sol.brent_iterations - 1) + sol.newton_steps
+        assert sol.tail_bound > 0.0

@@ -85,3 +85,20 @@ def test_tabulated_matches_quadratic_between_samples():
 def test_fugacity_floor():
     disp = quadratic_dispersion(mu_b=0.2)
     assert disp.fugacity_floor(2.0) == pytest.approx(np.exp(2.0 * 0.8))
+
+
+def test_unconvergeable_inverse_gap_integral_fails_its_check():
+    """F = (k^2.5 + 1) - 1 rounds to 0 below k ~ 1e-6: 1/F is infinite at the
+    nodes the k^{-1/2} singularity draws the quadrature to, so the check fails
+    with that witness instead of passing with an infinite integral."""
+    disp = Dispersion(
+        radial_profile=lambda k: np.abs(k) ** 2.5 + 1.0,
+        radial_derivative=lambda k: 2.5 * np.abs(k) ** 1.5,
+        dimension=3,
+        growth_exponent=4.0,
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        check = validate_dispersion(disp, beta=1.0).checks[2]
+    assert check.name == "inverse gap integrable near k = 0"
+    assert not check.passed
+    assert "not finite" in check.witness

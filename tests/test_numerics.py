@@ -1,0 +1,140 @@
+import json
+import os
+import subprocess
+import sys
+
+import mpmath as mp
+import numpy as np
+import pytest
+from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
+from scipy.linalg import toeplitz
+from scipy.optimize import brentq as scipy_brentq
+
+from hpbec import numerics
+from hpbec.errors import BracketError
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+# (integrand on arrays, the same on mpmath numbers, a, b)
+INTEGRANDS = {
+    "smooth": (lambda x: np.exp(-x * x) * np.cos(3.0 * x), lambda x: mp.exp(-x * x) * mp.cos(3 * x), 0.0, 5.0),
+    "complex drift": (
+        lambda k: k * k * np.exp(-0.5 * k * k + 12.0j * k),
+        lambda k: k * k * mp.exp(-k * k / 2 + 12j * k),
+        0.0,
+        9.0,
+    ),
+    "endpoint singular": (lambda k: k**-0.5 * np.exp(-k), lambda k: k ** mp.mpf(-0.5) * mp.exp(-k), 0.0, 1.0),
+    "log singular": (lambda k: np.log(k) * np.cos(k), lambda k: mp.log(k) * mp.cos(k), 0.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRANDS))
+def test_integrate_against_mpmath_and_quad(name):
+    f, f_mp, a, b = INTEGRANDS[name]
+    got = numerics.integrate(f, a, b, epsabs=1e-13, epsrel=1e-12, limit=300)
+    with mp.workdps(30):
+        exact = complex(mp.quad(f_mp, [a, (a + b) / 2, b]))
+    ref = complex(
+        quad(lambda x: np.real(f(x)), a, b, epsabs=1e-13, epsrel=1e-12, limit=300)[0],
+        quad(lambda x: np.imag(f(x)), a, b, epsabs=1e-13, epsrel=1e-12, limit=300)[0],
+    )
+    # the error estimate bounds the true error, and is itself within tolerance
+    assert abs(got.value - exact) <= got.error
+    assert got.error <= max(1e-13, 1e-12 * abs(got.value))
+    assert abs(got.value - ref) <= 1e-11 * abs(exact)
+    assert isinstance(got.value, complex) == (name == "complex drift")
+
+
+def test_integrate_calls_once_per_pass_on_panel_arrays():
+    shapes = []
+
+    def f(k):
+        shapes.append(k.shape)
+        return np.sqrt(k)
+
+    got = numerics.integrate(f, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=100)
+    assert got.value == pytest.approx(2.0 / 3.0, rel=1e-12)
+    assert all(len(s) == 2 and s[1] == 15 for s in shapes)
+    assert got.evaluations == 15 * sum(s[0] for s in shapes)
+    assert len(shapes) > 1  # the k^{1/2} end point forces refinement
+
+
+def test_integrate_raises_when_limit_is_reached():
+    with pytest.raises(BracketError, match="3 intervals"):
+        numerics.integrate(lambda k: k**-0.5, 0.0, 1.0, epsabs=1e-14, epsrel=1e-14, limit=3)
+
+
+ROOT_CASES = [
+    (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (lambda x: np.cos(x) - x, 0.0, 1.0),
+    (lambda x: np.exp(x) - 10.0, 0.0, 5.0),
+    (lambda x: np.tanh(50.0 * (x - 0.3)), -1.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("case", range(len(ROOT_CASES)))
+@pytest.mark.parametrize("xtol, rtol", [(1e-14, 8.9e-16), (1e-6, 1e-10)])
+def test_brentq_against_scipy(case, xtol, rtol):
+    f, a, b = ROOT_CASES[case]
+    ref, info = scipy_brentq(f, a, b, xtol=xtol, rtol=rtol, full_output=True)
+    got = numerics.brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=100)
+    assert got.root == ref  # same step sequence, so the same floating-point root
+    assert got.iterations == info.iterations
+    assert got.residual == f(got.root)
+    # end-point values the caller holds are used instead of two more calls
+    calls = []
+    counted = lambda x: (calls.append(x), f(x))[1]  # noqa: E731
+    again = numerics.brentq(counted, a, b, xtol=xtol, rtol=rtol, maxiter=100, fa=f(a), fb=f(b))
+    assert again == got
+    assert len(calls) == got.iterations - 1
+
+
+def test_brentq_raises_without_sign_change_or_convergence():
+    with pytest.raises(BracketError, match="no sign change"):
+        numerics.brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12, rtol=1e-12, maxiter=50)
+    with pytest.raises(BracketError, match="not converged in 5 iterations"):
+        numerics.brentq(lambda x: np.cos(x) - x, 0.0, 1.0, xtol=1e-14, rtol=8.9e-16, maxiter=5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_hermitian_toeplitz_equals_scipy(n):
+    rng = np.random.default_rng(n)
+    row = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    assert np.array_equal(numerics.hermitian_toeplitz(row), toeplitz(np.conj(row), row))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, None])
+def test_monotone_cubic_against_pchip(seed):
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.uniform(0.1, 1.0, size=12))
+    y = np.cumsum(rng.uniform(-0.5, 1.0, size=12))  # not monotone: flat-slope knots occur
+    if seed is None:  # the three-point end slope changes sign at the left end and is set to 0
+        x, y = np.arange(5.0), np.array([0.0, 0.1, 2.0, 2.1, 5.0])
+    value, derivative = numerics.monotone_cubic(x, y)
+    ref = PchipInterpolator(x, y)
+    probe = np.concatenate([x, rng.uniform(x[0], x[-1], size=200)])
+    scale = np.abs(y).max()
+    assert np.abs(value(probe) - ref(probe)).max() <= 1e-14 * scale
+    assert np.abs(derivative(probe) - ref.derivative()(probe)).max() <= 1e-13 * scale
+
+
+def test_monotone_cubic_two_points_is_linear():
+    value, derivative = numerics.monotone_cubic([0.0, 2.0], [1.0, 5.0])
+    assert value(np.array([0.5, 2.0])) == pytest.approx([2.0, 5.0], abs=1e-15)
+    assert derivative(1.0) == 2.0
+
+
+@pytest.mark.parametrize("command", ["condense", "bec-states"])
+def test_cli_runs_without_importing_scipy(command, tmp_path):
+    script = (
+        "import json, sys\n"
+        "from hpbec import cli\n"
+        f"code = cli.main({json.dumps(['--command', command, '--out', str(tmp_path / 'run')])}"
+        " + ['--override', 'sweep.box_sizes=[5.0, 8.0]', '--override', 'bec.suite_size=2'])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == [0, []]
