@@ -12,7 +12,9 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import sys
+import time
 from dataclasses import asdict
 
 import numpy as np
@@ -197,7 +199,16 @@ class Emitter:
         self.config = config
         self.command = command
         self.artifacts = []
+        self.stages = []
         os.makedirs(out_dir, exist_ok=True)
+
+    def stage(self, name, fn):
+        """Run one command function; log its wall seconds and the process's ru_maxrss after it (KiB on Linux)."""
+        start = time.perf_counter()
+        code = fn(self.config, self)
+        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        self.stages.append({"name": name, "wall_s": time.perf_counter() - start, "ru_maxrss": rss})
+        return code
 
     def csv(self, name, header, rows):
         path = os.path.join(self.out_dir, name)
@@ -231,6 +242,7 @@ class Emitter:
                 "python": platform.python_version(),
                 "numpy": np.__version__,
                 "thread_env": THREAD_ENV,
+                "stages": self.stages,
             },
         )
 
@@ -426,22 +438,6 @@ def cmd_fingerprint(config, emitter):
     return EXIT_OK
 
 
-def cmd_full_report(config, emitter):
-    code = EXIT_OK
-    for fn in (
-        cmd_validate,
-        cmd_condense,
-        cmd_phase_diagram,
-        cmd_decouple_verify,
-        cmd_bec_states,
-        cmd_fingerprint,
-    ):
-        code = fn(config, emitter)
-        if code != EXIT_OK:
-            return code
-    return code
-
-
 COMMANDS = {
     "validate": cmd_validate,
     "condense": cmd_condense,
@@ -449,7 +445,6 @@ COMMANDS = {
     "decouple-verify": cmd_decouple_verify,
     "bec-states": cmd_bec_states,
     "fingerprint": cmd_fingerprint,
-    "full-report": cmd_full_report,
 }
 
 
@@ -458,7 +453,7 @@ def main(argv=None):
         prog="hpbec",
         description="Finite Hubbard-phonon laboratory: condensation, dressing, and BEC states.",
     )
-    parser.add_argument("--command", choices=sorted(COMMANDS), required=True)
+    parser.add_argument("--command", choices=sorted([*COMMANDS, "full-report"]), required=True)
     parser.add_argument("--config", default=None, help="JSON config path (defaults applied)")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument(
@@ -475,7 +470,11 @@ def main(argv=None):
             or config["output"]["directory"]
         )
         emitter = Emitter(out_dir, config, args.command)
-        code = COMMANDS[args.command](config, emitter)
+        # full-report runs every command, in this order, into one output directory
+        for name in COMMANDS if args.command == "full-report" else (args.command,):
+            code = emitter.stage(name, COMMANDS[name])
+            if code != EXIT_OK:
+                break
         emitter.manifest()
         return code
     except (InfraredDivergence, UnsolvableDensity, BracketError, FloatingPointError) as err:

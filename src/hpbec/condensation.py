@@ -65,13 +65,13 @@ def solve_fugacity(box_size, target_density, beta, disp, n_ir=0.0, num_internal=
         )
     root = numerics.brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200, fa=g_lo, fb=g_hi)
     y, res = root.root, root.residual
-    # Newton polish with the analytic derivative
+    # Newton polish with the analytic derivative, until a step rounds to no change of y
     newton_steps = 0
     for _ in range(4):
         if abs(res) <= 1e-14 * max(target_density, 1.0):
             break
         y_new = y - res / phonon_gas.lattice_density_derivative(modes, disp, beta, y)
-        if y_new <= 1.0:
+        if y_new <= 1.0 or y_new == y:
             break
         y, res = y_new, g(y_new)
         newton_steps += 1

@@ -12,13 +12,12 @@ coordinates.  The counts come from shift-and-add convolutions of square
 indicators (Grosswald, Representations of Integers as Sums of Squares, 1985),
 in O(sqrt(m_max) m_max) time and O(m_max) = O(L^2) memory, so no (2n+1)^d
 cube is enumerated: the ~1e9 modes of L = 640 are counted in under a second.
-Per-mode coordinates, needed only by test functions that are not radial, are
-enumerated on first use with the same cut.
+The same shift-and-add sums a weight that factors over coordinates, such as a
+Gaussian's |f(k)|^2, shell by shell (`shell_sums`), so no mode is visited.
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -62,60 +61,54 @@ class LatticeModes:
         """Nonzero modes per shell (none on the m = 0 shell)."""
         return self.counts[:, : self.dimension].sum(axis=1)
 
-    @cached_property
-    def coords(self):
-        """(n_modes, d) integer multi-indices, enumerated on first use."""
-        m_max = int(self.shells[-1])
-        n_axis = math.isqrt(m_max)
-        axes = [np.arange(-n_axis, n_axis + 1, dtype=np.int32)] * self.dimension
-        grids = np.meshgrid(*axes, indexing="ij")
-        coords = np.stack([g.ravel() for g in grids], axis=1)
-        keep = np.square(coords, dtype=np.int64).sum(axis=1) <= m_max
-        return np.ascontiguousarray(coords[keep])
-
-    @property
-    def momenta(self):
-        return self.coords.astype(float) * self.spacing
-
-    def norms(self):
-        return np.linalg.norm(self.momenta, axis=1)
-
-    def zero_mask(self):
-        return np.all(self.coords == 0, axis=1)
-
-    def all_nonzero_mask(self):
-        """Modes with every coordinate nonzero (interior modes)."""
-        return np.all(self.coords != 0, axis=1)
-
-    def boundary_mask(self):
-        """Nonzero modes with at least one vanishing coordinate."""
-        return ~self.zero_mask() & ~self.all_nonzero_mask()
-
     def cell_volume(self):
         return self.spacing**self.dimension
+
+    def shell_sums(self, axis_weights):
+        """Per shell, the sum over its modes n of prod_i w_i(n_i spacing); `axis_weights`
+        maps the axis momenta n * spacing, n = -N..N with N = isqrt(m_max), to the
+        (d, 2N + 1) array whose row i is w_i."""
+        m_max = int(self.shells[-1])
+        n_axis = math.isqrt(m_max)
+        w = np.asarray(axis_weights(np.arange(-n_axis, n_axis + 1) * self.spacing), dtype=float)
+        if w.shape != (self.dimension, 2 * n_axis + 1):
+            raise ValueError(f"axis weights have shape {w.shape}, expected {(self.dimension, 2 * n_axis + 1)}")
+        series = (np.arange(m_max + 1) == 0).astype(float)  # the point n = 0
+        for row in w:  # n_i = 0 keeps the shell; n_i = +-a moves it by a^2, weighing w[a] + w[-a]
+            series = _add_axis(series, row[n_axis], row[n_axis + 1 :] + row[n_axis - 1 :: -1])
+        return series[self.shells]
+
+
+def _add_axis(series, zero, pairs):
+    """One more coordinate on a series over m = |n|^2, by shift-and-add (exact for integers):
+    out[m] = zero * series[m] + sum_a pairs[a - 1] * series[m - a^2]."""
+    size = len(series)
+    top = np.flatnonzero(series)[-1] + 1 if series.any() else 0  # series[top:] is zero
+    out = zero * series
+    for a, w in enumerate(pairs, start=1):
+        s = a * a
+        n = min(top, size - s)
+        if n <= 0:
+            break
+        # unit weights (the shell counts) are added without a multiply
+        out[s : s + n] += series[:n] if w == 1 else w * series[:n]
+    return out
 
 
 def _shell_counts(m_max, d):
     """Occupied m <= m_max and the modes of Z^d on |n|^2 = m by zero count.
 
-    nonzero[j][m] counts the points of (Z \\ {0})^j on the sphere |n|^2 = m;
-    one more nonzero coordinate +-a shifts it by a^2, so each step is a
+    positive[j][m] counts the points of (Z_{>0})^j on the sphere |n|^2 = m;
+    one more positive coordinate a shifts it by a^2, so each step is a
     shift-and-add over the squares a^2 <= m_max, exact in int64.  A mode with
-    z zero coordinates chooses which z axes vanish:
-    counts[m, z] = C(d, z) nonzero[d - z][m].
+    z zero coordinates chooses which z axes vanish and the signs of the others:
+    counts[m, z] = C(d, z) 2^(d - z) positive[d - z][m].
     """
-    squares = np.arange(1, math.isqrt(m_max) + 1) ** 2
-    point = np.zeros(m_max + 1, dtype=np.int64)
-    point[0] = 1
-    line = np.zeros(m_max + 1, dtype=np.int64)
-    line[squares] = 2
-    nonzero = [point, line]
-    for _ in range(2, d + 1):
-        prev, nxt = nonzero[-1], np.zeros(m_max + 1, dtype=np.int64)
-        for s in squares:
-            nxt[s:] += prev[: m_max + 1 - s]
-        nonzero.append(2 * nxt)
-    counts = np.stack([math.comb(d, z) * nonzero[d - z] for z in range(d + 1)], axis=1)
+    ones = np.ones(math.isqrt(m_max), dtype=np.int64)
+    positive = [(np.arange(m_max + 1) == 0).astype(np.int64)]  # the point n = 0
+    for _ in range(d):
+        positive.append(_add_axis(positive[-1], 0, ones))
+    counts = np.stack([math.comb(d, z) * 2 ** (d - z) * positive[d - z] for z in range(d + 1)], axis=1)
     occupied = np.flatnonzero(counts.any(axis=1))
     return occupied, counts[occupied]
 

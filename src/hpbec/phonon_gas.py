@@ -1,9 +1,9 @@
 """Bose gas mode sums and continuum densities for a radial dispersion.
 
 Finite-volume quantities are sums over the truncated lattice mode set, taken
-shell by shell (one Bose factor per occupied |n|^2, weighted by its mode
-counts); the continuum density rho_fr and the critical density are radial
-integrals of the Bose factor 1/(y e^{beta F(k)} - 1).
+shell by shell (one kernel per occupied |n|^2, weighted by its mode counts or
+its sum of |f|^2); the continuum density rho_fr and the critical density are
+radial integrals of the Bose factor 1/(y e^{beta F(k)} - 1).
 """
 
 from dataclasses import dataclass
@@ -115,17 +115,17 @@ def finite_volume_characteristic(modes, f, y, beta, disp):
     """Finite-volume Weyl quadratic form I_L(f) = I1 + I2 and exp(-I_L/4).
 
     I1 carries the zero mode with the condensate factor (y+1)/(y-1); I2 sums
-    the remaining modes with cell volume (2pi/L)^d.
+    the remaining shells, cell |A|^2 sum_{m>0} S_f(m) (y e + 1)/(y e - 1) with
+    e = e^{beta F} and S_f(m) the shell sum of the Gaussian's per-axis factors.
     """
     if y <= 1.0:
         raise ValueError("y must exceed 1")
     cell = modes.cell_volume()
     i1 = cell * abs(f.zero_mode) ** 2 * (y + 1.0) / (y - 1.0)
-    off = ~modes.zero_mask()
-    momenta = modes.momenta[off]
-    gaps = np.asarray(disp.gap(np.linalg.norm(momenta, axis=1)), dtype=float)
+    # shell 0 is the zero mode alone, which I1 carries
+    weights = modes.shell_sums(f.axis_factors)[1:]
+    gaps = np.asarray(disp.gap(modes.shell_norms()[1:]), dtype=float)
     e = np.exp(beta * gaps)
-    vals = np.abs(f.values(momenta)) ** 2
-    i2 = cell * float((vals * (y * e + 1.0) / (y * e - 1.0)).sum())
+    i2 = cell * abs(f.amplitude) ** 2 * float(weights @ ((y * e + 1.0) / (y * e - 1.0)))
     total = i1 + i2
     return CharacteristicRecord(float(i1), float(i2), float(total), float(np.exp(-total / 4.0)))

@@ -37,6 +37,13 @@ class GaussianTestFunction:
         d2 = np.sum(np.square(k - self.center), axis=-1)
         return self.amplitude * np.exp(-d2 / (2.0 * self.width**2))
 
+    def axis_factors(self, axis_k):
+        """Row i: exp(-(k - c_i)^2 / sigma^2) on the 1-D grid axis_k; |f(k)|^2 = |A|^2 prod_i row_i(k_i)."""
+        k = np.asarray(axis_k, dtype=float)
+        if k.ndim != 1:
+            raise ValueError(f"axis momenta have shape {k.shape}, expected a 1-D grid")
+        return np.exp(-np.square(k - self.center[:, None]) / self.width**2)
+
     @property
     def zero_mode(self):
         """(2pi)^{-d/2} * integral f(k) dk = A sigma^d, exact."""

@@ -19,6 +19,7 @@ from hpbec.hubbard import build_hubbard_system
 from hpbec.lattice import build_lattice_modes
 from hpbec.linalg import gibbs
 from hpbec.testfunctions import gaussian_test_function
+from lattice_ball import ball
 from test_decoupling import dense_h_full
 
 DISP = quadratic_dispersion()
@@ -107,8 +108,9 @@ def test_fugacity_equation_randomized_fixtures():
         worst_residual = max(worst_residual, sol.residual)
         all_bounded &= 0.0 < sol.y - 1.0 <= sol.bracket_bound
         # independent grid scan for uniqueness of the sign change
-        u = np.exp(-beta * np.asarray(DISP.gap(modes.norms()), dtype=float))
-        u = u[~modes.zero_mask()]
+        coords = ball(modes)
+        u = np.exp(-beta * np.asarray(DISP.gap(np.linalg.norm(coords * modes.spacing, axis=1)), dtype=float))
+        u = u[np.any(coords != 0, axis=1)]
         ys = np.linspace(1.0 + 1e-9, 1.0 + sol.bracket_bound + 1.0, 801)
         vals = np.array(
             [(1.0 / (y - 1.0) + np.sum(u / (y - u))) / L**3 - rho for y in ys]

@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -269,6 +272,28 @@ def test_combined_limit_normal_regime():
     assert all(0.0 < abs(v) <= 1.0 for v in out.finite_values)
     assert out.gaps[-1] < out.gaps[0]
     assert out.gaps[-1] < 2e-2
+
+
+def test_combined_limit_reaches_large_boxes():
+    """L = 10..640 in the condensed phase: the gaps halve per doubling (O(1/L)),
+    and the shell-summed Weyl form keeps the whole ladder within seconds and
+    O(L^2) memory (the per-mode cube at L = 640 holds ~1e9 modes)."""
+    from hpbec import condensation
+
+    rc = phonon_gas.rho_crit(DISP, BETA)
+    rep = condensation.classify_phase(2.0 * rc, BETA, DISP, critical_density=rc)
+    f = gaussian_test_function(3, center=[0.3, -0.2, 0.1], width=0.9, amplitude=0.6 + 0.2j)
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    out = bec_states.combined_limit((10.0, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0), f, DISP, BETA, 2.0 * rc, rep)
+    seconds = time.perf_counter() - t0
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert seconds < 5.0
+    assert peak < 150 * 2**20
+    assert out.monotone
+    assert out.gaps[-2] / out.gaps[-1] == pytest.approx(2.0, rel=0.05)
+    assert out.gaps[-1] < 2.5e-4
 
 
 def test_invalid_phase_parameters():

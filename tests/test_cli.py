@@ -279,3 +279,16 @@ def test_condense_writes_certificates(tmp_path):
     assert manifest["numpy"] == np.__version__
     assert manifest["python"] == platform.python_version()
     assert manifest["thread_env"] == {k: v for k, v in os.environ.items() if k.endswith("_NUM_THREADS")}
+
+
+@pytest.mark.parametrize("command", ["full-report", "validate"])
+def test_manifest_records_one_stage_per_command_run(tmp_path, command):
+    out = tmp_path / "run"
+    assert run(["--command", command, "--out", str(out)]) == 0
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    expected = list(cli.COMMANDS) if command == "full-report" else [command]
+    assert [s["name"] for s in stages] == expected
+    assert len(cli.COMMANDS) == 6
+    assert all(s["wall_s"] > 0.0 for s in stages)
+    rss = [s["ru_maxrss"] for s in stages]
+    assert rss[0] > 0.0 and rss == sorted(rss)  # a peak never falls

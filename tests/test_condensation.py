@@ -181,6 +181,19 @@ def test_classify_phase_reuses_a_given_critical_density(monkeypatch):
     assert betas == [1.0, 1.0, 1.0]  # only the calls without critical_density
 
 
+@pytest.mark.parametrize("box_size", [40.0, 80.0, 160.0])
+def test_newton_polish_stops_once_a_step_no_longer_moves_y(box_size):
+    """Past L = 40 the residual floor (about rho0^2 L^3 eps) sits above the polish's
+    1e-14 stop, so the polish ends when its step rounds to no change of y."""
+    rho = 2.0 * phonon_gas.rho_crit(DISP, 1.0)
+    modes = build_lattice_modes(box_size, DISP, 1.0)
+    sol = condensation.solve_fugacity(box_size, rho, 1.0, DISP, modes=modes)
+    assert sol.newton_steps <= 1
+    res = phonon_gas.lattice_density(modes, DISP, 1.0, sol.y) - rho
+    step = res / phonon_gas.lattice_density_derivative(modes, DISP, 1.0, sol.y)
+    assert sol.y - step == sol.y or abs(res) <= 1e-14 * max(rho, 1.0)
+
+
 def test_fugacity_solve_counts_its_density_evaluations(monkeypatch):
     """Both bracket ends once, one per Brent step after the first, one per Newton step."""
     evals = []

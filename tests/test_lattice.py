@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 
@@ -8,20 +9,38 @@ from hpbec import cli, lattice
 from hpbec.dispersion import quadratic_dispersion, tabulated_dispersion
 from hpbec.errors import BracketError
 from hpbec.lattice import build_lattice_modes
+from lattice_ball import ball
 
 DISP = quadratic_dispersion()
 
 
+def _zero_mask(coords):
+    return np.all(coords == 0, axis=1)
+
+
+def _all_nonzero_mask(coords):
+    """Modes with every coordinate nonzero (interior modes)."""
+    return np.all(coords != 0, axis=1)
+
+
+def _boundary_mask(coords):
+    """Nonzero modes with at least one vanishing coordinate."""
+    return ~_zero_mask(coords) & ~_all_nonzero_mask(coords)
+
+
 def test_contains_zero_mode():
     modes = build_lattice_modes(8.0, DISP, 1.0)
-    assert modes.zero_mask().sum() == 1
-    assert np.all(modes.coords[modes.zero_mask()] == 0)
+    coords = ball(modes)
+    assert _zero_mask(coords).sum() == 1
+    assert np.all(coords[_zero_mask(coords)] == 0)
+    assert modes.shells[0] == 0 and modes.counts[0, modes.dimension] == 1
 
 
 def test_closed_under_sign_flips():
     modes = build_lattice_modes(6.0, DISP, 1.0)
-    coord_set = {tuple(c) for c in modes.coords}
-    for c in modes.coords[:500]:
+    coords = ball(modes)
+    coord_set = {tuple(c) for c in coords}
+    for c in coords[:500]:
         for axis in range(3):
             flipped = list(c)
             flipped[axis] = -flipped[axis]
@@ -36,20 +55,25 @@ def test_truncation_tail_bound_invariant():
 
 def test_masks_partition_modes():
     modes = build_lattice_modes(7.0, DISP, 1.0)
-    z = modes.zero_mask()
-    interior = modes.all_nonzero_mask()
-    boundary = modes.boundary_mask()
+    coords = ball(modes)
+    z = _zero_mask(coords)
+    interior = _all_nonzero_mask(coords)
+    boundary = _boundary_mask(coords)
     assert not np.any(z & interior)
     assert not np.any(z & boundary)
     assert not np.any(interior & boundary)
     assert np.all(z | interior | boundary)
+    assert interior.sum() == modes.interior_counts().sum()
+    assert boundary.sum() == modes.boundary_counts().sum()
 
 
 def test_one_dimensional_has_no_boundary_modes():
     disp1 = quadratic_dispersion(dimension=1)
     modes = build_lattice_modes(20.0, disp1, 1.0)
-    assert modes.boundary_mask().sum() == 0
-    assert modes.all_nonzero_mask().sum() == modes.num_modes - 1
+    coords = ball(modes)
+    assert _boundary_mask(coords).sum() == 0
+    assert _all_nonzero_mask(coords).sum() == modes.num_modes - 1
+    assert modes.boundary_counts().sum() == 0
 
 
 def test_spacing_and_cell_volume():
@@ -59,8 +83,21 @@ def test_spacing_and_cell_volume():
 
 
 def test_momenta_consistent_with_coords():
+    """The axis grid of the shell sums and the shell norms are the coordinates times the spacing."""
     modes = build_lattice_modes(9.0, DISP, 1.0)
-    assert np.allclose(modes.momenta, modes.coords * modes.spacing)
+    coords = ball(modes)
+    n_axis = np.abs(coords).max()
+    grids = []
+
+    def unit_weights(k):
+        grids.append(k)
+        return np.ones((modes.dimension, k.size))
+
+    modes.shell_sums(unit_weights)
+    assert np.allclose(grids[0], np.arange(-n_axis, n_axis + 1) * modes.spacing)
+    norms = np.linalg.norm(coords * modes.spacing, axis=1)
+    shell_of = np.searchsorted(modes.shells, np.square(coords).sum(axis=1))
+    assert np.allclose(norms, modes.shell_norms()[shell_of])
 
 
 def test_mode_count_grows_like_volume():
@@ -82,16 +119,6 @@ def _tabulated(dimension):
     return tabulated_dispersion(ks, 1.0 + ks**2 * (1.0 + 0.2 * ks), dimension=dimension)
 
 
-def _cube(modes):
-    """Every mode of the cube that the per-mode cut |k| <= cut_radius keeps, in cube order."""
-    d = modes.dimension
-    n_axis = int(np.ceil(modes.cut_radius / modes.spacing))
-    axes = [np.arange(-n_axis, n_axis + 1)] * d
-    coords = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
-    keep = np.linalg.norm(coords.astype(float), axis=1) * modes.spacing <= modes.cut_radius
-    return coords[keep]
-
-
 SHELL_CASES = [
     (40.0, quadratic_dispersion(dimension=1)),
     (16.0, quadratic_dispersion(dimension=2)),
@@ -105,7 +132,7 @@ SHELL_CASES = [
 @pytest.mark.parametrize("box_size,disp", SHELL_CASES)
 def test_shell_counts_match_cube_enumeration(box_size, disp):
     modes = build_lattice_modes(box_size, disp, 1.0)
-    cube = _cube(modes)
+    cube = ball(modes)
     m = np.square(cube).sum(axis=1)
     z = np.count_nonzero(cube == 0, axis=1)
     brute = np.zeros((m.max() + 1, modes.dimension + 1), dtype=np.int64)
@@ -118,9 +145,23 @@ def test_shell_counts_match_cube_enumeration(box_size, disp):
 
 @pytest.mark.parametrize("box_size,disp", SHELL_CASES)
 def test_lazy_coords_use_the_shell_cut(box_size, disp):
+    """Coordinates enumerated from the shell cut |n|^2 <= m_max are the per-mode cut's ball."""
     modes = build_lattice_modes(box_size, disp, 1.0)
-    assert modes.coords.shape == (modes.num_modes, modes.dimension)
-    assert np.array_equal(modes.coords, _cube(modes))
+    n_axis = math.isqrt(int(modes.shells[-1]))
+    grids = np.meshgrid(*[np.arange(-n_axis, n_axis + 1)] * modes.dimension, indexing="ij")
+    coords = np.stack([g.ravel() for g in grids], axis=1)
+    coords = coords[np.square(coords).sum(axis=1) <= modes.shells[-1]]
+    assert coords.shape == (modes.num_modes, modes.dimension)
+    assert np.array_equal(coords, ball(modes))
+
+
+@pytest.mark.parametrize("box_size,disp", SHELL_CASES)
+def test_shell_sums_of_unit_weights_are_the_shell_counts(box_size, disp):
+    modes = build_lattice_modes(box_size, disp, 1.0)
+    d = modes.dimension
+    assert np.array_equal(modes.shell_sums(lambda k: np.ones((d, k.size))), modes.counts.sum(axis=1))
+    with pytest.raises(ValueError):
+        modes.shell_sums(lambda k: np.ones((d, k.size - 1)))
 
 
 def test_shell_build_reaches_large_boxes_without_a_cube():
@@ -134,7 +175,7 @@ def test_shell_build_reaches_large_boxes_without_a_cube():
     assert modes.num_modes > 9e8
     assert seconds < 5.0
     assert peak < 100 * 2**20  # the cube's coordinates alone would take ~25 GB
-    assert "coords" not in vars(modes)
+    assert not hasattr(modes, "coords")
 
 
 def test_non_converging_truncation_raises(monkeypatch, tmp_path):

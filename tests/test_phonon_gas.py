@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpbec import phonon_gas
 from hpbec.dispersion import quadratic_dispersion
 from hpbec.errors import InfraredDivergence
 from hpbec.lattice import build_lattice_modes
 from hpbec.testfunctions import gaussian_test_function
+from lattice_ball import ball
+from test_lattice import SHELL_CASES
 
 DISP = quadratic_dispersion()
 
@@ -74,7 +78,7 @@ def test_boson_number_scalar_bose_factor():
     """One off-zero mode with F = 1 at beta = 1, y = e contributes 1/(e^2 - 1)."""
     modes = build_lattice_modes(2.0 * np.pi, DISP, 1.0)  # spacing 1, F(spacing) = 1
     rec = phonon_gas.boson_number_finite(modes, DISP, 1.0, y=np.e)
-    norms = modes.norms()
+    norms = _per_mode_norms(modes)
     single = np.isclose(norms, 1.0)
     assert single.sum() == 6  # +-e_i in d = 3
     per_mode = 1.0 / (np.e * np.e - 1.0)
@@ -168,8 +172,82 @@ def test_characteristic_i2_converges_to_limit_integral():
     assert gaps[-1] < 1e-2
 
 
+def test_characteristic_i2_keeps_converging_through_large_boxes():
+    """The I2 gap to the continuum integral keeps falling through L = 80 and 160.
+
+    For a smooth kernel the lattice sum converges faster than any power, so
+    what is left is the zero mode that I2 leaves to I1: the gap is that cell's
+    term, cell |f(0)|^2 (y + 1)/(y - 1).
+    """
+    from hpbec.couplings import gaussian_density_integral
+
+    y = 2.0
+    f = gaussian_test_function(3, center=[0.4, 0.0, 0.0], width=0.8)
+
+    def kernel(k):
+        scaled = y * np.exp(np.asarray(DISP.gap(k), dtype=float))
+        return (scaled + 1.0) / (scaled - 1.0)
+
+    limit = gaussian_density_integral(f, kernel)
+    gaps = []
+    for L in (40.0, 80.0, 160.0):
+        modes = build_lattice_modes(L, DISP, 1.0)
+        rec = phonon_gas.finite_volume_characteristic(modes, f, y, 1.0, DISP)
+        gaps.append((limit - rec.i2) / limit)
+        zero_cell = modes.cell_volume() * abs(f.values(np.zeros(3))) ** 2 * (y + 1.0) / (y - 1.0)
+        assert gaps[-1] == pytest.approx(zero_cell / limit, rel=1e-9)
+    assert all(a > b for a, b in zip(gaps, gaps[1:]))
+    assert gaps[-1] < 5e-5
+
+
+def _brute_i2(modes, f, y, beta, disp):
+    """I2 as an exact math.fsum over every nonzero mode of the ball."""
+    k = ball(modes) * modes.spacing
+    k = k[np.any(k != 0, axis=1)]
+    e = np.exp(beta * np.asarray(disp.gap(np.linalg.norm(k, axis=1)), dtype=float))
+    terms = np.abs(f.values(k)) ** 2 * (y * e + 1.0) / (y * e - 1.0)
+    return modes.cell_volume() * math.fsum(terms)
+
+
+@pytest.mark.parametrize("box_size,disp", SHELL_CASES)
+@pytest.mark.parametrize("center", [[0.4, 0.0, 0.0], [0.3, -0.5, 0.2]], ids=["on_axis", "off_axis"])
+def test_shell_characteristic_matches_per_mode_sum(box_size, disp, center):
+    """Shell-summed I2 against the brute-force ball, narrow to wide Gaussians, y near 1 and above."""
+    beta = 0.8
+    d = disp.dimension
+    modes = build_lattice_modes(box_size, disp, beta)
+    for width in (0.05, 0.3, 1.0, 2.0):
+        f = gaussian_test_function(d, center=center[:d], width=width, amplitude=0.7 - 0.4j)
+        for y in (1.0 + 1e-6, 1.3):
+            rec = phonon_gas.finite_volume_characteristic(modes, f, y, beta, disp)
+            assert rec.i2 == pytest.approx(_brute_i2(modes, f, y, beta, disp), rel=1e-13)
+    silent = gaussian_test_function(d, center=center[:d], amplitude=0.0)
+    assert phonon_gas.finite_volume_characteristic(modes, silent, 1.3, beta, disp).i2 == 0.0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    box_size=st.floats(5.0, 12.0),
+    center=st.lists(st.floats(-1.5, 1.5), min_size=3, max_size=3),
+    width=st.floats(0.05, 2.0),
+    y=st.floats(1.0 + 1e-6, 2.0),
+)
+def test_shell_characteristic_matches_per_mode_sum_property(box_size, center, width, y):
+    """Random centre, width, fugacity and L <= 12.  From L = 5 up the nearest nonzero
+    mode lies within one spacing of any centre, so even at width 0.05 the largest
+    term stays a normal double and the relative comparison is meaningful."""
+    modes = build_lattice_modes(box_size, DISP, 1.0)
+    f = gaussian_test_function(3, center=center, width=width)
+    rec = phonon_gas.finite_volume_characteristic(modes, f, y, 1.0, DISP)
+    assert rec.i2 == pytest.approx(_brute_i2(modes, f, y, 1.0, DISP), rel=1e-13)
+
+
+def _per_mode_norms(modes):
+    return np.linalg.norm(ball(modes) * modes.spacing, axis=1)
+
+
 def _per_mode_gaps(modes, disp):
-    return np.asarray(disp.gap(modes.norms()), dtype=float)
+    return np.asarray(disp.gap(_per_mode_norms(modes)), dtype=float)
 
 
 @pytest.mark.parametrize(
@@ -182,7 +260,7 @@ def test_shell_sums_match_per_mode_sums(box_size, disp, y):
     beta = 0.8
     modes = build_lattice_modes(box_size, disp, beta)
     gaps = _per_mode_gaps(modes, disp)
-    zeros = np.count_nonzero(modes.coords == 0, axis=1)
+    zeros = np.count_nonzero(ball(modes) == 0, axis=1)
     d = modes.dimension
     w = np.exp(-beta * gaps) / y
     bose = w / (1.0 - w)

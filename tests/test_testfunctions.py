@@ -50,3 +50,16 @@ def test_invalid_parameters():
     f = gaussian_test_function(3)
     with pytest.raises(ValueError):
         f.values(np.zeros((4, 2)))
+
+
+def test_axis_factors_multiply_to_the_squared_modulus():
+    f = gaussian_test_function(3, center=[0.2, 0.0, -0.1], width=0.8, amplitude=1.5 - 0.5j)
+    ax = np.linspace(-2.0, 2.0, 9)
+    rows = f.axis_factors(ax)
+    assert rows.shape == (3, 9)
+    idx = np.stack(np.meshgrid(*[np.arange(9)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    product = rows[0, idx[:, 0]] * rows[1, idx[:, 1]] * rows[2, idx[:, 2]]
+    expected = np.abs(f.values(ax[idx])) ** 2 / abs(f.amplitude) ** 2
+    assert np.allclose(product, expected, rtol=1e-14, atol=0.0)
+    with pytest.raises(ValueError):
+        f.axis_factors(ax[:, None])
