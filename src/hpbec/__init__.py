@@ -49,16 +49,9 @@ from .errors import (
     VerificationFailure,
 )
 from .fermions import FermionSector, build_fermion_sector
-from .hubbard import (
-    HubbardSystem,
-    build_effective_hamiltonian,
-    build_hubbard_hamiltonian,
-    build_hubbard_system,
-    dressed_phase_expectation,
-    electron_expectation,
-)
+from .hubbard import HubbardSystem, build_hubbard_hamiltonian, build_hubbard_system
 from .lattice import LatticeModes, build_lattice_modes
-from .linalg import expm_hermitian, gibbs, gibbs_expectation
+from .linalg import expm_hermitian, gibbs
 from .phonon_gas import (
     boson_number_finite,
     finite_volume_characteristic,

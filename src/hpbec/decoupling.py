@@ -158,9 +158,7 @@ def build_coupled_operators(sys, level_cap):
         h = np.kron(h_e[np.ix_(i, i)], np.eye(space.dim)) + np.kron(np.eye(len(i)), h_b)
         h = h + alpha * sum(np.kron(np.diag(occ[i, x]), phi) for x, phi in enumerate(fields))
         blocks.append((i, h))
-    # density-density shift: the conjugation identity closes with alpha^2/2
-    # times the m = -1/2 overlap form under this field convention
-    h_e_dressed = h_e - 0.5 * alpha**2 * np.diag(mode_density_shifts(sys).sum(axis=1))
+    h_e_dressed = h_e - np.diag(dressing_shifts(sys).sum(axis=1))
     return CoupledOperators(sys, space, tuple(blocks), h_e, h_e_dressed, h_b)
 
 
@@ -178,6 +176,15 @@ def mode_density_shifts(sys):
     return np.abs(mode_amplitudes(sys)) ** 2 / sys.frequencies
 
 
+def dressing_shifts(sys):
+    """(alpha^2/2) |l_sj|^2 / omega_j: each mode's share of the shift V takes off H_e.
+
+    The conjugation identity closes with alpha^2/2 times the m = -1/2 overlap
+    form under this field convention; this is the one place that factor lives.
+    """
+    return 0.5 * sys.hubbard.coupling**2 * mode_density_shifts(sys)
+
+
 def dressing_factors(sys, level_cap):
     """V = e^{i alpha S} as its factors U[s, j] = exp(i alpha phi(g_sj)), g_s = i l_s / omega.
 
@@ -192,17 +199,17 @@ def dressing_factors(sys, level_cap):
     return mode_weyl(sys.hubbard.coupling * g, level_cap)
 
 
-def _interior_norm(blocks, level_cap):
+def _interior_norm(blocks, bound):
     """Frobenius norm of the operator whose block s is sum_j blocks[s, j] (x) 1,
-    restricted to boson occupations at most cap/2.
+    restricted to boson occupations at most `bound`.
 
     The interior projector is a product over modes, so block s restricts to
     sum_j A_j (x) 1 with A_j the top-left k x k corner of blocks[s, j],
-    k = cap//2 + 1.  Splitting A_j = A0_j + c_j 1 into a traceless part and a
+    k = bound + 1.  Splitting A_j = A0_j + c_j 1 into a traceless part and a
     multiple of the identity makes all terms mutually orthogonal:
     ||.||^2 = k^(M-1) sum_j ||A0_j||^2 + k^M |sum_j c_j|^2, with no terms to cancel.
     """
-    k = level_cap // 2 + 1
+    k = bound + 1
     num_modes = blocks.shape[1]
     corner = blocks[..., :k, :k]
     c = np.trace(corner, axis1=-2, axis2=-1) / k
@@ -227,8 +234,9 @@ def verify_dressing_identity(sys, level_caps):
     """Residual of V (1 (x) H_b) V^{-1} = 1 (x) H_b + alpha H_I + (alpha^2/2) R (x) 1.
 
     The residual is the relative Frobenius norm restricted to boson occupations
-    at most cap/2 (the truncation edge of a displaced ladder is always wrong),
-    and must be monotone nonincreasing along the cap ladder.  It is computed
+    at most min(caps)/2 (the truncation edge of a displaced ladder is always
+    wrong).  Every cap is measured on that one interior, so the ladder tracks
+    the truncation alone and must be monotone nonincreasing.  It is computed
     block by block and mode by mode: on fermion basis state s both sides are
     sums over modes j of single-mode operators, U[s, j] (w_j N) U[s, j]^dagger
     on the left and w_j N + alpha phi(l_sj) + (alpha^2/2) |l_sj|^2 / omega_j on
@@ -236,15 +244,16 @@ def verify_dressing_identity(sys, level_caps):
     """
     alpha = sys.hubbard.coupling
     amplitudes = mode_amplitudes(sys)
-    shifts = 0.5 * alpha**2 * mode_density_shifts(sys)[..., None, None]
+    shifts = dressing_shifts(sys)[..., None, None]
     energies = (sys.frequencies - sys.mu_b)[:, None, None]
+    bound = min(level_caps) // 2
     residuals = []
     for cap in level_caps:
         u = dressing_factors(sys, cap)
         h_b = energies * np.diag(np.arange(cap + 1.0))
         lhs = u @ h_b @ np.conj(np.swapaxes(u, -1, -2))
         rhs = h_b + alpha * mode_fields(amplitudes, cap) + shifts * np.eye(cap + 1)
-        residuals.append(_interior_norm(lhs - rhs, cap) / max(_interior_norm(rhs, cap), 1e-300))
+        residuals.append(_interior_norm(lhs - rhs, bound) / max(_interior_norm(rhs, bound), 1e-300))
     return DressingReport(tuple(level_caps), tuple(residuals), is_nonincreasing(residuals))
 
 
@@ -286,14 +295,13 @@ def discrete_phase_weights(sys, f_modes):
     return np.real(sys.site_mode_couplings @ (np.conj(f_modes) / sys.frequencies))
 
 
-def density_phase_matrix(sys, f_modes, sign=-1.0):
-    """Diagonal sector matrix exp(i sign alpha n_tilde(f)) with discrete weights.
+def density_phase(sys, f_modes):
+    """Diagonal of exp(-i alpha n_tilde(f)) on the sector, n_tilde(f) = sum_x w_x n_x.
 
-    The conjugation convention fixed by the dressing identity pairs the Weyl
-    factor with the minus sign; the plus sign is exposed for comparison runs.
+    The minus sign is the one the dressing identity fixes for the Weyl factor.
     """
     n_tilde = site_occupations(sys.hubbard.sector) @ discrete_phase_weights(sys, f_modes)
-    return np.diag(np.exp(1j * sign * sys.hubbard.coupling * n_tilde))
+    return np.exp(-1j * sys.hubbard.coupling * n_tilde)
 
 
 @dataclass(frozen=True)
@@ -331,8 +339,8 @@ def factorization_check(ops, electron_op, f_modes):
 
     rho_e, _ = gibbs(ops.h_electron_dressed, beta)
     boson_weights, _ = boltzmann_weights(np.diag(ops.h_boson), beta)
-    phase = density_phase_matrix(sys, f_modes)
-    rhs = complex(np.trace(phase @ A @ rho_e)) * complex(np.diag(W) @ boson_weights)
+    phase = density_phase(sys, f_modes)
+    rhs = complex(np.trace(phase[:, None] * A @ rho_e)) * complex(np.diag(W) @ boson_weights)
     return FactorizationResult(lhs, rhs)
 
 

@@ -7,7 +7,6 @@ the ascending list of all integers with the required popcount.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -37,13 +36,6 @@ class FermionSector:
     def dim(self):
         return len(self.basis)
 
-    def index_of(self, state):
-        return self._lookup()[state]
-
-    @lru_cache(maxsize=None)
-    def _lookup(self):
-        return {s: i for i, s in enumerate(self.basis)}
-
 
 def build_fermion_sector(num_sites, num_electrons):
     if num_sites < 1:
@@ -59,10 +51,9 @@ def build_fermion_sector(num_sites, num_electrons):
     return sector
 
 
-def _jw_sign(state, mode):
-    # parity of occupied modes strictly below `mode`
-    mask = (1 << mode) - 1
-    return -1.0 if bin(state & mask).count("1") % 2 else 1.0
+def _occupied_below(states, mode):
+    """Number of occupied modes strictly below `mode` in each state integer."""
+    return ((states[:, None] >> np.arange(mode)) & 1).sum(axis=1)
 
 
 def number_operator(sector, site, spin=None):
@@ -82,16 +73,16 @@ def hopping_operator(sector, x, y, spin):
         if not 0 <= site < sector.num_sites:
             raise ValueError(f"site {site} outside lattice of {sector.num_sites} sites")
     mx, my = mode_index(x, spin), mode_index(y, spin)
+    basis = np.asarray(sector.basis)
+    emptied = basis & ~(1 << my)
+    # columns whose state has mode my occupied and, once it is emptied, mode mx free
+    cols = np.flatnonzero((((basis >> my) & 1) == 1) & (((emptied >> mx) & 1) == 0))
+    emptied = emptied[cols]
+    # Jordan-Wigner sign: c_my passes the modes below my, then c+_mx those below mx
+    flips = _occupied_below(basis[cols], my) + _occupied_below(emptied, mx)
+    rows = np.searchsorted(basis, emptied | (1 << mx))
     A = np.zeros((sector.dim, sector.dim))
-    for j, s in enumerate(sector.basis):
-        if not (s >> my) & 1:
-            continue
-        sgn = _jw_sign(s, my)
-        s1 = s & ~(1 << my)
-        if (s1 >> mx) & 1:
-            continue
-        sgn *= _jw_sign(s1, mx)
-        A[sector.index_of(s1 | (1 << mx)), j] = sgn
+    A[rows, cols] = 1.0 - 2.0 * (flips % 2)
     return A
 
 

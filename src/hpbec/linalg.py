@@ -80,12 +80,3 @@ def gibbs(H, beta):
     rho = 0.5 * (rho + rho.conj().T)
     return rho, Z
 
-
-def gibbs_expectation(H, A, beta):
-    """Tr[A exp(-beta H)] / Tr[exp(-beta H)] for Hermitian H."""
-    rho, _ = gibbs(H, beta)
-    A = as_matrix(A)
-    if A.shape != rho.shape:
-        raise ContractViolation("operator dimension does not match the Hamiltonian")
-    val = np.trace(A @ rho)
-    return complex(val)

@@ -75,8 +75,8 @@ def test_gibbs_factorization_randomized_pairs():
         for i, (A, f) in enumerate(pairs):
             W = ops.boson_space.weyl(f)
             lhs = complex(np.trace(np.kron(A, W) @ rho_full))
-            phase = decoupling.density_phase_matrix(sys, f)
-            rhs = complex(np.trace(phase @ A @ rho_e)) * complex(np.trace(W @ rho_b))
+            phase = decoupling.density_phase(sys, f)
+            rhs = complex(np.trace(phase[:, None] * A @ rho_e)) * complex(np.trace(W @ rho_b))
             gaps[i, j] = abs(lhs - rhs)
     # with hopping on, the gaps plateau because the reference omits the
     # Lang-Firsov dressing of the hopping term, which does not commute with n_x;

@@ -5,11 +5,12 @@ import pytest
 
 from hpbec import cli, decoupling
 from hpbec.bosons import TruncatedBosonSpace
-from hpbec.couplings import CouplingFamily
+from hpbec.couplings import CouplingFamily, cross_overlap, overlap_matrix
 from hpbec.dispersion import quadratic_dispersion
 from hpbec.errors import ContractViolation
 from hpbec.hubbard import build_hubbard_hamiltonian, build_hubbard_system, site_occupations
 from hpbec.linalg import expm_hermitian, gibbs, unitary_defect
+from hpbec.testfunctions import gaussian_test_function
 
 DISP = quadratic_dispersion()
 HOP = np.array([[0.0, -1.0], [-1.0, 0.0]])
@@ -86,8 +87,9 @@ def assembled_dressing(factors):
     return V
 
 
-def dense_dressing_residual(sys, cap):
-    """Restricted relative residual of the dressing identity from dense matrices."""
+def dense_dressing_residual(sys, cap, bound):
+    """Relative residual of the dressing identity from dense matrices, restricted
+    to boson occupations at most `bound`."""
     space = dense_space(sys, cap)
     dim_e = sys.hubbard.sector.dim
     alpha = sys.hubbard.coupling
@@ -102,7 +104,7 @@ def dense_dressing_residual(sys, cap):
         + alpha * dense_field_sum(sys, space, sys.site_mode_couplings)
         + 0.5 * alpha**2 * np.kron(np.diag(shift), np.eye(space.dim))
     )
-    interior = np.tile(np.all(space.occupations() <= cap // 2, axis=1), dim_e)
+    interior = np.tile(np.all(space.occupations() <= bound, axis=1), dim_e)
     restrict = np.ix_(interior, interior)
     return np.linalg.norm((lhs - rhs)[restrict]) / np.linalg.norm(rhs[restrict])
 
@@ -137,7 +139,7 @@ def test_factored_dressing_matches_dense_exponential(coords, cap):
 def test_per_mode_residual_matches_dense_restricted_residual(sys, caps):
     rep = decoupling.verify_dressing_identity(sys, caps)
     for cap, residual in zip(caps, rep.residuals):
-        assert abs(residual - dense_dressing_residual(sys, cap)) < 1e-14
+        assert abs(residual - dense_dressing_residual(sys, cap, min(caps) // 2)) < 1e-14
 
 
 def test_zero_coupling_trivial_dressing():
@@ -165,6 +167,46 @@ def test_density_shift_matches_overlap_form():
     ops = decoupling.build_coupled_operators(sys, 2)
     dressed = build_hubbard_hamiltonian(sys.hubbard) - 0.5 * sys.hubbard.coupling**2 * np.diag(expected)
     assert np.abs(ops.h_electron_dressed - dressed).max() < 1e-14
+
+    def shift(alpha):
+        scaled = decoupling.build_coupled_operators(make_system(alpha=alpha, coords=COORDS_3), 2)
+        return scaled.h_electron_dressed - scaled.h_electron
+
+    # the shift scales exactly as alpha^2
+    assert np.linalg.norm(shift(0.4) - 4.0 * shift(0.2)) < 1e-14 * np.linalg.norm(ops.h_electron)
+
+
+def test_discrete_shift_and_phase_weights_reach_the_continuum_overlaps():
+    """On the cube of modes |n_i| <= ceil(12 L / 2 pi) the discrete sums are Riemann
+    sums of the m = -1/2 continuum overlaps: sum_j |l_sj|^2 / omega_j tends to
+    sum_xy G_xy n_x n_y and the discrete phase weights to Re <omega^-1/2 f,
+    omega^-1/2 lambda_x>.  With kappa = 0 the integrands are smooth Gaussians,
+    so the errors fall spectrally in L."""
+    family = CouplingFamily(2, 3, 2.0, 0.0)
+    cluster = build_hubbard_system(2, 2, HOP, 2.0, coupling=0.2)
+    f = gaussian_test_function(3, center=[0.3, -0.2, 0.1], width=0.9, amplitude=0.7 + 0.4j)
+    occ = site_occupations(cluster.sector)
+    shift = np.einsum("sx,xy,sy->s", occ, overlap_matrix(family, DISP, -0.5).entries, occ).real
+    weights = np.real([cross_overlap(family, DISP, -0.5, f, x) for x in range(2)])
+    errors = []
+    for box in (6.0, 12.0, 24.0):
+        half = np.ceil(12.0 * box / (2.0 * np.pi))
+        n = np.arange(-half, half + 1)
+        coords = np.stack(np.meshgrid(n, n, n, indexing="ij"), axis=-1).reshape(-1, 3)
+        sys = decoupling.build_coupled_system(cluster, family, DISP, box, coords)
+        spacing = 2.0 * np.pi / box
+        f_modes = f.values(coords * spacing) * spacing**1.5
+        discrete_shift = decoupling.mode_density_shifts(sys).sum(axis=1)
+        discrete_weights = decoupling.discrete_phase_weights(sys, f_modes)
+        errors.append(
+            [
+                np.abs(discrete_shift - shift).max() / np.abs(shift).max(),
+                np.abs(discrete_weights - weights).max() / np.abs(weights).max(),
+            ]
+        )
+    errors = np.array(errors)
+    assert np.all(np.diff(errors, axis=0) < 0)
+    assert errors[-1].max() <= 1e-9
 
 
 def test_dressing_identity_scaling_ceiling():
@@ -203,10 +245,10 @@ def test_factorization_check_matches_dense_traces():
     rho_full, _ = gibbs(dense_h_full(sys, 5), beta)
     rho_e, _ = gibbs(ops.h_electron_dressed, beta)
     rho_b, _ = gibbs(ops.h_boson, beta)
-    phase = decoupling.density_phase_matrix(sys, f)
+    phase = decoupling.density_phase(sys, f)
     res = decoupling.factorization_check(ops, A, f)
     assert abs(res.lhs - np.trace(np.kron(A, W) @ rho_full)) < 1e-13
-    assert abs(res.rhs - np.trace(phase @ A @ rho_e) * np.trace(W @ rho_b)) < 1e-13
+    assert abs(res.rhs - np.trace(phase[:, None] * A @ rho_e) * np.trace(W @ rho_b)) < 1e-13
 
 
 def test_factorization_check_with_off_block_entries_matches_dense_trace():
@@ -227,9 +269,10 @@ def test_factorization_check_with_off_block_entries_matches_dense_trace():
 
 
 def test_dressing_residual_ladder_monotone():
-    rep = decoupling.verify_dressing_identity(make_system(), (4, 6, 8))
-    assert rep.monotone
-    assert rep.final_residual < 1e-2
+    for caps in [(4, 6, 8), (3, 4, 5)]:
+        rep = decoupling.verify_dressing_identity(make_system(), caps)
+        assert rep.monotone, (caps, rep.residuals)
+        assert rep.final_residual < 1e-2
 
 
 def test_single_site_ground_energy_displaced_oscillator():
@@ -241,6 +284,9 @@ def test_single_site_ground_energy_displaced_oscillator():
     ops = decoupling.build_coupled_operators(sys, level_cap=40)
     lam2 = abs(sys.site_mode_couplings[0, 0]) ** 2
     expected = 3.0 - 2.0 * alpha**2 * lam2 / sys.frequencies[0]
+    # n^2 = 4 at double occupancy, so the dressed H_e is U - 4 (alpha^2/2) R_00
+    R = sys.discrete_overlap(-0.5)
+    assert ops.h_electron_dressed[0, 0].real == pytest.approx(3.0 - 4.0 * 0.5 * alpha**2 * R[0, 0], rel=1e-12)
     assert np.linalg.eigvalsh(dense_h_full(sys, 40))[0] == pytest.approx(expected, abs=1e-10)
     assert ops.levels()[0] == pytest.approx(expected, abs=1e-10)
 
@@ -346,11 +392,13 @@ def test_time_invariance_of_coupled_gibbs_state():
 
 
 def test_phase_matrix_unimodular_diagonal():
+    """The diagonal phase matrix, kept as its diagonal: unimodular, and 1 at alpha = 0."""
     sys = make_system()
     f = np.array([0.3 + 0.2j, -0.1 + 0.4j])
-    P = decoupling.density_phase_matrix(sys, f)
-    assert np.allclose(P, np.diag(np.diag(P)))
-    assert np.allclose(np.abs(np.diag(P)), 1.0)
+    phase = decoupling.density_phase(sys, f)
+    assert phase.shape == (sys.hubbard.sector.dim,)
+    assert np.allclose(np.abs(phase), 1.0)
+    assert np.array_equal(decoupling.density_phase(make_system(alpha=0.0), f), np.ones(sys.hubbard.sector.dim))
 
 
 def test_phase_weight_shape_contract():

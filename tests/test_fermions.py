@@ -62,21 +62,21 @@ def test_car_exhaustive_on_full_fock_space(num_sites):
 
 def test_hopping_operator_consistent_with_full_space_build():
     """Sector hopping blocks agree with the full-space JW build restricted to
-    the fixed-number subspace."""
-    num_sites, num_electrons = 2, 2
-    sector = fermions.build_fermion_sector(num_sites, num_electrons)
-    ops = fermions.full_space_creation_operators(num_sites)
-    # full-space basis state for integer s is the computational vector e_s
-    idx = list(sector.basis)
-    for x in range(num_sites):
-        for y in range(num_sites):
-            for spin in fermions.SPINS:
-                mx = fermions.mode_index(x, spin)
-                my = fermions.mode_index(y, spin)
-                full = ops[mx] @ ops[my].conj().T
-                restricted = full[np.ix_(idx, idx)]
-                block = fermions.hopping_operator(sector, x, y, spin)
-                assert np.abs(block - restricted).max() < 1e-13
+    the fixed-number subspace, on every (sites, electrons) sector listed."""
+    for num_sites, num_electrons in [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (3, 4)]:
+        sector = fermions.build_fermion_sector(num_sites, num_electrons)
+        ops = fermions.full_space_creation_operators(num_sites)
+        # full-space basis state for integer s is the computational vector e_s
+        idx = list(sector.basis)
+        for x in range(num_sites):
+            for y in range(num_sites):
+                for spin in fermions.SPINS:
+                    mx = fermions.mode_index(x, spin)
+                    my = fermions.mode_index(y, spin)
+                    full = ops[mx] @ ops[my].conj().T
+                    restricted = full[np.ix_(idx, idx)]
+                    block = fermions.hopping_operator(sector, x, y, spin)
+                    assert np.abs(block - restricted).max() < 1e-13, (num_sites, num_electrons, x, y, spin)
 
 
 def test_hopping_adjoint_symmetry():

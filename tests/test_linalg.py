@@ -6,7 +6,6 @@ from hpbec.linalg import (
     boltzmann_weights,
     expm_hermitian,
     gibbs,
-    gibbs_expectation,
     hermiticity_defect,
     unitary_defect,
 )
@@ -81,11 +80,6 @@ def test_expm_hermitian_matches_scipy():
 
     H = random_hermitian(5, seed=13)
     assert np.abs(expm_hermitian(H, -0.7) - expm(-0.7 * H)).max() < 1e-11
-
-
-def test_gibbs_expectation_identity():
-    H = random_hermitian(4, seed=2)
-    assert gibbs_expectation(H, np.eye(4), 1.0) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_hermiticity_defect_scale_invariant():
