@@ -336,7 +336,7 @@ def cmd_decouple_verify(config, emitter):
     a_e = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     a_e = 0.5 * (a_e + a_e.conj().T)
     f_modes = rng.standard_normal(sys_c.num_modes) + 1j * rng.standard_normal(sys_c.num_modes)
-    # one dense build per cap; the last one's eigendecomposition serves both its
+    # one build per cap; the last one's eigendecomposition serves both its
     # Gibbs state and the spectral comparison
     builds = [decoupling.build_coupled_operators(sys_c, cap) for cap in caps]
     fact = decoupling.factorization_ladder(builds, a_e, f_modes)
@@ -356,6 +356,15 @@ def cmd_decouple_verify(config, emitter):
             "spectral_levels_coupled": [float(x) for x in spectral.coupled],
             "spectral_levels_decoupled": [float(x) for x in spectral.decoupled],
             "spectral_max_gap": spectral.max_gap,
+            # per cap: the dense blocks of h_full and the states diagonalised mode by mode
+            "coupled_blocks": [
+                {
+                    "level_cap": cap,
+                    "dense_block_dims": [len(h) for _, h in ops.blocks],
+                    "states_mode_by_mode": len(ops.singles),
+                }
+                for cap, ops in zip(caps, builds)
+            ],
         },
     )
     if not (dressing.monotone and fact.monotone):

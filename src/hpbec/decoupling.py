@@ -5,12 +5,15 @@ the unitary V = e^{i alpha S} is block diagonal over fermion basis states, and
 each block is a Kronecker product of single-mode exponentials; V is kept as
 those factors.  The module certifies numerically that conjugating the free
 boson part by V reproduces the interaction plus the density-density shift, that
-the spectrum of the dense coupled Hamiltonian H = H_e (x) 1 + 1 (x) H_b +
-alpha H_I matches the decoupled one, and that Gibbs expectations of A (x) W(f)
-factorize.  H itself is formed as dense matrices only block by block: n_x is
-diagonal, so two fermion basis states are coupled only through an off-diagonal
-entry of H_e, and H is block diagonal over the connected components of that
-entry pattern, each block being (component) (x) (whole boson space).
+the spectrum of the coupled Hamiltonian H = H_e (x) 1 + 1 (x) H_b + alpha H_I
+matches the decoupled one, and that Gibbs expectations of A (x) W(f) factorize.
+H itself is never formed: n_x is diagonal, so two fermion basis states are
+coupled only through an off-diagonal entry of H_e, and H is block diagonal over
+the connected components of that entry pattern, each block being (component)
+(x) (whole boson space).  A state s coupled to no other has the van Hove block
+h_e[s, s] + sum_j (w_j N_j + alpha phi_j(l_sj)), a Kronecker sum of
+(cap+1) x (cap+1) single-mode Hamiltonians, and is diagonalised mode by mode;
+only components of two or more states are kept as dense blocks.
 
 Every inner product in this module is the discrete sum over the sampled mode
 set; mixing in continuum quadrature would inject spurious residuals into
@@ -18,7 +21,7 @@ identities that hold exactly per mode.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -29,11 +32,12 @@ from .ladders import is_nonincreasing
 from .linalg import boltzmann_weights, gibbs, require_hermitian
 
 # Largest total fermion x boson dimension that build_coupled_operators accepts.
-# Only the blocks of h_full are dense, for their spectra and the Gibbs state;
-# the dressing identity works from (cap+1) x (cap+1) factors and never meets
-# this cap.  The cap bounds the total dimension, not the largest block: one
-# component of a hopping cluster can hold most of the sector, and a complex
-# block near the cap takes gigabytes, several times that to diagonalise.
+# Only the blocks of h_full on components of two or more states are dense, for
+# their spectra and the Gibbs state; single states and the dressing identity
+# work from (cap+1) x (cap+1) factors.  The cap bounds the total dimension, not
+# the largest block: one component of a hopping cluster can hold most of the
+# sector, and a complex block near the cap takes gigabytes, several times that
+# to diagonalise.
 DIMENSION_CAP = 20000
 
 
@@ -111,16 +115,31 @@ def fermion_blocks(h_e):
         labels = spread
 
 
+def kronecker_sum(levels):
+    """Levels of sum_j 1 (x) .. h_j .. (x) 1 from the per-mode levels[..., j, :], mode 0 slowest."""
+    out = levels[..., 0, :]
+    for j in range(1, levels.shape[-2]):
+        out = out[..., :, None] + levels[..., j, None, :]
+        out = out.reshape(*out.shape[:-2], out.shape[-2] * out.shape[-1])
+    return out
+
+
 @dataclass(frozen=True)
 class CoupledOperators:
     """Operators of one build at one level cap; h_full is kept as its diagonal blocks.
 
-    `blocks` holds (fermion indices i, dense block of h_full on i (x) boson space),
-    one per connected component of H_e; h_full itself is never formed.
+    A fermion basis state coupled to no other by H_e is a single state: its block
+    of h_full is the Kronecker sum h_e[s, s] + sum_j mode_hamiltonians[k, j] (x) 1,
+    with s = singles[k] and the offset h_e[s, s] in single_offsets[k].  `blocks`
+    holds (fermion indices i, dense block of h_full on i (x) boson space) for each
+    component of two or more states.  h_full itself is never formed.
     """
 
     system: CoupledSystem = field(repr=False)
     boson_space: TruncatedBosonSpace
+    singles: np.ndarray = field(repr=False)  # (n_single,) fermion indices
+    single_offsets: np.ndarray = field(repr=False)  # (n_single,) h_e[s, s]
+    mode_hamiltonians: np.ndarray = field(repr=False)  # (n_single, M, cap + 1, cap + 1)
     blocks: tuple = field(repr=False)
     h_electron: np.ndarray = field(repr=False)
     h_electron_dressed: np.ndarray = field(repr=False)
@@ -128,16 +147,41 @@ class CoupledOperators:
 
     @cached_property
     def eigh(self):
-        """Per-block (levels, vectors): the eigendecomposition of h_full, block by block."""
+        """Per-block (levels, vectors): the eigendecomposition of the dense blocks, block by block."""
         return [np.linalg.eigh(require_hermitian(h)) for _, h in self.blocks]
 
+    @cached_property
+    def mode_eigh(self):
+        """(levels, vectors) of every single-mode Hamiltonian, from one stacked eigh."""
+        for h in self.mode_hamiltonians.reshape(-1, *self.mode_hamiltonians.shape[-2:]):
+            require_hermitian(h)
+        return np.linalg.eigh(self.mode_hamiltonians)
+
+    def single_levels(self):
+        """(n_single, boson dim) spectra of the single-state blocks, in Kronecker order."""
+        return self.single_offsets[:, None] + kronecker_sum(self.mode_eigh[0])
+
     def levels(self):
-        """Ascending spectrum of h_full, from `eigh` if a Gibbs state already needed it."""
+        """Ascending spectrum of h_full; the dense blocks' part from `eigh` if a Gibbs state already needed it."""
         if "eigh" in self.__dict__:
             parts = [w for w, _ in self.eigh]
         else:
             parts = [np.linalg.eigvalsh(h) for _, h in self.blocks]
-        return np.sort(np.concatenate(parts))
+        return np.sort(np.concatenate([self.single_levels().ravel(), *parts]))
+
+
+def free_mode_hamiltonians(sys, level_cap):
+    """w_j N with w_j = omega_j - mu_b: the single-mode terms of H_b, shape (M, cap + 1, cap + 1)."""
+    return (sys.frequencies - sys.mu_b)[:, None, None] * np.diag(np.arange(level_cap + 1.0))
+
+
+def mode_hamiltonians(sys, amplitudes, level_cap):
+    """w_j N + alpha phi(amplitudes[..., j]), one per mode.
+
+    With amplitudes l_s = mode_amplitudes(sys)[s] these are the single-mode terms
+    of 1 (x) H_b + alpha H_I on fermion basis state s.
+    """
+    return free_mode_hamiltonians(sys, level_cap) + sys.hubbard.coupling * mode_fields(amplitudes, level_cap)
 
 
 def build_coupled_operators(sys, level_cap):
@@ -148,18 +192,24 @@ def build_coupled_operators(sys, level_cap):
         raise ContractViolation(
             f"tensor dimension {sector.dim * space.dim} exceeds cap {DIMENSION_CAP}"
         )
-    occ = site_occupations(sector)
     h_e = build_hubbard_hamiltonian(sys.hubbard)
     h_b = space.free_hamiltonian(sys.mu_b)
-    fields = [space.segal_field(lam) for lam in sys.site_mode_couplings]
-    alpha = sys.hubbard.coupling
+    components = fermion_blocks(h_e)
+    singles = np.array([i[0] for i in components if len(i) == 1], dtype=int)
+    coupled = [i for i in components if len(i) > 1]
+    single_modes = mode_hamiltonians(sys, mode_amplitudes(sys)[singles], space.level_cap)
     blocks = []
-    for i in fermion_blocks(h_e):
-        h = np.kron(h_e[np.ix_(i, i)], np.eye(space.dim)) + np.kron(np.eye(len(i)), h_b)
-        h = h + alpha * sum(np.kron(np.diag(occ[i, x]), phi) for x, phi in enumerate(fields))
-        blocks.append((i, h))
+    if coupled:
+        occ = site_occupations(sector)
+        fields = [space.segal_field(lam) for lam in sys.site_mode_couplings]
+        alpha = sys.hubbard.coupling
+        for i in coupled:
+            h = np.kron(h_e[np.ix_(i, i)], np.eye(space.dim)) + np.kron(np.eye(len(i)), h_b)
+            h = h + alpha * sum(np.kron(np.diag(occ[i, x]), phi) for x, phi in enumerate(fields))
+            blocks.append((i, h))
     h_e_dressed = h_e - np.diag(dressing_shifts(sys).sum(axis=1))
-    return CoupledOperators(sys, space, tuple(blocks), h_e, h_e_dressed, h_b)
+    offsets = h_e[singles, singles].real
+    return CoupledOperators(sys, space, singles, offsets, single_modes, tuple(blocks), h_e, h_e_dressed, h_b)
 
 
 def mode_amplitudes(sys):
@@ -240,19 +290,18 @@ def verify_dressing_identity(sys, level_caps):
     block by block and mode by mode: on fermion basis state s both sides are
     sums over modes j of single-mode operators, U[s, j] (w_j N) U[s, j]^dagger
     on the left and w_j N + alpha phi(l_sj) + (alpha^2/2) |l_sj|^2 / omega_j on
-    the right, with w_j = omega_j - mu_b, so no tensor-product matrix is formed.
+    the right (`mode_hamiltonians` plus the shift), with w_j = omega_j - mu_b,
+    so no tensor-product matrix is formed.
     """
-    alpha = sys.hubbard.coupling
     amplitudes = mode_amplitudes(sys)
     shifts = dressing_shifts(sys)[..., None, None]
-    energies = (sys.frequencies - sys.mu_b)[:, None, None]
     bound = min(level_caps) // 2
     residuals = []
     for cap in level_caps:
         u = dressing_factors(sys, cap)
-        h_b = energies * np.diag(np.arange(cap + 1.0))
+        h_b = free_mode_hamiltonians(sys, cap)
         lhs = u @ h_b @ np.conj(np.swapaxes(u, -1, -2))
-        rhs = h_b + alpha * mode_fields(amplitudes, cap) + shifts * np.eye(cap + 1)
+        rhs = mode_hamiltonians(sys, amplitudes, cap) + shifts * np.eye(cap + 1)
         residuals.append(_interior_norm(lhs - rhs, bound) / max(_interior_norm(rhs, bound), 1e-300))
     return DressingReport(tuple(level_caps), tuple(residuals), is_nonincreasing(residuals))
 
@@ -317,38 +366,61 @@ class FactorizationResult:
 def factorization_check(ops, electron_op, f_modes):
     """Gibbs expectation of A (x) W(f) against its dressed product form, on one build.
 
-    lhs = Tr[(A (x) W(f)) e^{-beta H}]/Z from the block eigendecompositions of
-    h_full; the Gibbs state is block diagonal, so only the diagonal blocks
-    A[i, i] contribute.  rhs pairs the electron factor with the density phase
-    and the free boson Weyl value, whose Gibbs state is the weight vector of the
-    diagonal h_boson.
+    lhs = Tr[(A (x) W(f)) e^{-beta H}]/Z; the Gibbs state is block diagonal, so
+    only the diagonal blocks A[i, i] contribute.  A dense block is traced over its
+    eigenvectors.  A single state s is a Kronecker sum over modes, so its trace is
+    a product: Tr[W e^{-beta h_s}] = e^{-beta h_e[s, s]} prod_j sum_k
+    e^{-beta w_sjk} <v_sjk|W_j|v_sjk>, with (w_sjk, v_sjk) the eigenpairs of mode
+    j's Hamiltonian and W_j its Weyl factor.  rhs pairs the electron factor with
+    the density phase and the free boson Weyl value, whose Gibbs state is the
+    weight vector of the diagonal h_boson.
     """
     sys = ops.system
     beta = sys.hubbard.inverse_temperature
     A = np.asarray(electron_op, dtype=complex)
     f_modes = np.asarray(f_modes, dtype=complex)
-    W = ops.boson_space.weyl(f_modes)
+    phase = density_phase(sys, f_modes)  # checks the shape of f_modes
+    weyl = mode_weyl(f_modes, ops.boson_space.level_cap)
 
-    weights = _block_weights(ops, beta)
+    block_factors, single_factors, mode_factors, Z = _boltzmann_factors(ops, beta)
     lhs = 0j
-    for (i, _), (_, vectors), p in zip(ops.blocks, ops.eigh, weights):
-        # (A[i, i] (x) W) applied to the eigenvectors one tensor factor at a time
-        moved = W @ np.tensordot(A[np.ix_(i, i)], vectors.reshape(len(i), W.shape[1], -1), axes=1)
-        lhs += np.einsum("ik,ik,k->", vectors.conj(), moved.reshape(vectors.shape), p)
-    lhs = complex(lhs)
+    if ops.blocks:
+        W = ops.boson_space.weyl(f_modes)
+        for (i, _), (_, vectors), p in zip(ops.blocks, ops.eigh, block_factors):
+            # (A[i, i] (x) W) applied to the eigenvectors one tensor factor at a time
+            moved = W @ np.tensordot(A[np.ix_(i, i)], vectors.reshape(len(i), W.shape[1], -1), axes=1)
+            lhs += np.einsum("ik,ik,k->", vectors.conj(), moved.reshape(vectors.shape), p)
+    _, mode_vectors = ops.mode_eigh
+    expectations = np.einsum("sjak,jab,sjbk->sjk", mode_vectors.conj(), weyl, mode_vectors)
+    traces = single_factors * np.prod(np.sum(mode_factors * expectations, axis=-1), axis=-1)
+    lhs += A[ops.singles, ops.singles] @ traces
+    lhs = complex(lhs / Z)
 
     rho_e, _ = gibbs(ops.h_electron_dressed, beta)
     boson_weights, _ = boltzmann_weights(np.diag(ops.h_boson), beta)
-    phase = density_phase(sys, f_modes)
-    rhs = complex(np.trace(phase[:, None] * A @ rho_e)) * complex(np.diag(W) @ boson_weights)
+    weyl_diagonal = reduce(np.kron, np.diagonal(weyl, axis1=-2, axis2=-1))  # diag(W), mode by mode
+    rhs = complex(np.trace(phase[:, None] * A @ rho_e)) * complex(weyl_diagonal @ boson_weights)
     return FactorizationResult(lhs, rhs)
 
 
-def _block_weights(ops, beta):
-    """Boltzmann weights of the whole spectrum of h_full, split by block."""
-    levels = [w for w, _ in ops.eigh]
-    weights, _ = boltzmann_weights(np.concatenate(levels), beta)
-    return np.split(weights, np.cumsum([len(w) for w in levels])[:-1])
+def _boltzmann_factors(ops, beta):
+    """Factors e^{-beta (E - E_min)} of the spectrum of h_full, by part, and their sum Z.
+
+    E_min is the lowest level of the whole spectrum, so every factor is at most 1,
+    as in `boltzmann_weights`.  A dense block gets one factor per level.  Single
+    state k gets the factor of its lowest level, single[k], and per mode j the
+    factors of w_kj - min(w_kj), modes[k, j]; its level (n_1, .., n_M) has the
+    factor single[k] * prod_j modes[k, j, n_j].
+    """
+    mode_levels, _ = ops.mode_eigh
+    mode_floor = mode_levels[..., 0]  # eigh returns ascending levels
+    single_floor = ops.single_offsets + mode_floor.sum(axis=-1)
+    lowest = np.concatenate([single_floor, [w[0] for w, _ in ops.eigh]]).min()
+    blocks = [np.exp(-beta * (w - lowest)) for w, _ in ops.eigh]
+    single = np.exp(-beta * (single_floor - lowest))
+    modes = np.exp(-beta * (mode_levels - mode_floor[..., None]))
+    Z = sum(p.sum() for p in blocks) + single @ np.prod(modes.sum(axis=-1), axis=-1)
+    return blocks, single, modes, Z
 
 
 def verify_factorization(sys, level_cap, electron_op, f_modes):
@@ -378,18 +450,25 @@ def time_invariance_gap(sys, level_cap, observable, t):
     """|Tr[e^{itH} X e^{-itH} rho] - Tr[X rho]| for the coupled Gibbs state.
 
     Exact by trace cyclicity at any truncation; the finite-volume counterpart
-    of stationarity of the factorized state.
+    of stationarity of the factorized state.  The eigenvectors of a single state
+    are formed here as Kronecker products of its per-mode eigenvectors.
     """
     ops = build_coupled_operators(sys, level_cap)
     X = np.asarray(observable, dtype=complex)
     boson_dim = ops.boson_space.dim
-    weights = _block_weights(ops, sys.hubbard.inverse_temperature)
+    block_factors, single_factors, mode_factors, Z = _boltzmann_factors(ops, sys.hubbard.inverse_temperature)
+    parts = [(i, levels, vectors, p) for (i, _), (levels, vectors), p in zip(ops.blocks, ops.eigh, block_factors)]
+    _, mode_vectors = ops.mode_eigh
+    for s, levels, vectors, p, modes in zip(
+        ops.singles, ops.single_levels(), mode_vectors, single_factors, mode_factors
+    ):
+        parts.append((np.array([s]), levels, reduce(np.kron, vectors), p * reduce(np.kron, modes)))
     moved = still = 0j
     # u and rho are block diagonal, so only the diagonal blocks of X contribute
-    for (i, _), (levels, vectors), p in zip(ops.blocks, ops.eigh, weights):
+    for i, levels, vectors, p in parts:
         rows = (i[:, None] * boson_dim + np.arange(boson_dim)).ravel()
         x = X[np.ix_(rows, rows)]
-        rho = (vectors * p) @ vectors.conj().T
+        rho = (vectors * (p / Z)) @ vectors.conj().T
         u = (vectors * np.exp(1j * t * levels)) @ vectors.conj().T
         moved += np.trace(u @ x @ u.conj().T @ rho)
         still += np.trace(x @ rho)

@@ -67,8 +67,11 @@ def number_operator(sector, site, spin=None):
     return np.diag(diag)
 
 
-def hopping_operator(sector, x, y, spin):
-    """Matrix of c^dagger_{x,spin} c_{y,spin} on the sector, with JW signs."""
+def hopping_entries(sector, x, y, spin):
+    """(rows, cols, signs): the nonzero entries of c^dagger_{x,spin} c_{y,spin} on the sector.
+
+    Each column appears at most once, and each sign carries the Jordan-Wigner parity.
+    """
     for site in (x, y):
         if not 0 <= site < sector.num_sites:
             raise ValueError(f"site {site} outside lattice of {sector.num_sites} sites")
@@ -81,8 +84,14 @@ def hopping_operator(sector, x, y, spin):
     # Jordan-Wigner sign: c_my passes the modes below my, then c+_mx those below mx
     flips = _occupied_below(basis[cols], my) + _occupied_below(emptied, mx)
     rows = np.searchsorted(basis, emptied | (1 << mx))
+    return rows, cols, 1.0 - 2.0 * (flips % 2)
+
+
+def hopping_operator(sector, x, y, spin):
+    """Matrix of c^dagger_{x,spin} c_{y,spin} on the sector, with JW signs."""
+    rows, cols, signs = hopping_entries(sector, x, y, spin)
     A = np.zeros((sector.dim, sector.dim))
-    A[rows, cols] = 1.0 - 2.0 * (flips % 2)
+    A[rows, cols] = signs
     return A
 
 

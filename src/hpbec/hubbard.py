@@ -60,7 +60,9 @@ def build_hubbard_hamiltonian(sys):
             if t == 0:
                 continue
             for spin in fermions.SPINS:
-                H += t * fermions.hopping_operator(sector, x, y, spin)
+                # each column holds at most one entry, so the scattered add sees no repeats
+                rows, cols, signs = fermions.hopping_entries(sector, x, y, spin)
+                H[rows, cols] += t * signs
     # n_{x,+} n_{x,-} = n_x (n_x - 1) / 2, since each spin occupation is 0 or 1
     occ = site_occupations(sector)
     H += np.diag(sys.repulsion * 0.5 * (occ * (occ - 1.0)).sum(axis=1))

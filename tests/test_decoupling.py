@@ -1,4 +1,6 @@
+import json
 import time
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -57,12 +59,31 @@ def tensor_rows(fermion_indices, boson_dim):
     return (np.asarray(fermion_indices)[:, None] * boson_dim + np.arange(boson_dim)).ravel()
 
 
+def kronecker_sum_matrix(factors):
+    """sum_j 1 (x) .. factors[j] .. (x) 1 on the tensor product of the factors' spaces."""
+    eye = np.eye(factors.shape[-1])
+    return sum(
+        reduce(np.kron, [f if m == j else eye for m in range(len(factors))])
+        for j, f in enumerate(factors)
+    )
+
+
+def all_blocks(ops):
+    """(fermion indices, dense block of h_full) for the dense blocks and for every
+    single state, whose block is assembled here from its per-mode factors."""
+    singles = [
+        ([s], offset * np.eye(ops.boson_space.dim) + kronecker_sum_matrix(factors))
+        for s, offset, factors in zip(ops.singles, ops.single_offsets, ops.mode_hamiltonians)
+    ]
+    return list(ops.blocks) + singles
+
+
 def assembled_h_full(ops):
-    """The full tensor-space matrix whose diagonal blocks are ops.blocks, zero elsewhere."""
+    """The full tensor-space matrix whose diagonal blocks are those of ops, zero elsewhere."""
     boson_dim = ops.boson_space.dim
     dim = ops.system.hubbard.sector.dim * boson_dim
     h = np.zeros((dim, dim), dtype=complex)
-    for i, block in ops.blocks:
+    for i, block in all_blocks(ops):
         rows = tensor_rows(i, boson_dim)
         h[np.ix_(rows, rows)] = block
     return h
@@ -257,7 +278,7 @@ def test_factorization_check_with_off_block_entries_matches_dense_trace():
     state is block diagonal."""
     sys = make_system(hopping=np.zeros((2, 2)))
     ops = decoupling.build_coupled_operators(sys, 6)
-    assert len(ops.blocks) == sys.hubbard.sector.dim
+    assert len(ops.singles) == sys.hubbard.sector.dim and ops.blocks == ()
     rng = np.random.default_rng(13)
     dim = sys.hubbard.sector.dim
     A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -314,12 +335,14 @@ def test_spectral_levels_reuse_gibbs_eigendecomposition(monkeypatch):
     before = ops.levels()
     decoupling.factorization_check(ops, np.eye(sys.hubbard.sector.dim), np.zeros(2))
 
-    def no_eigvalsh(h):
+    def no_decomposition(h):
         raise AssertionError("levels() diagonalised a block again")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_decomposition)
+    monkeypatch.setattr(np.linalg, "eigh", no_decomposition)
     after = ops.levels()
-    assert np.array_equal(after, np.sort(np.concatenate([w for w, _ in ops.eigh])))
+    parts = [ops.single_levels().ravel()] + [w for w, _ in ops.eigh]
+    assert np.array_equal(after, np.sort(np.concatenate(parts)))
     assert np.abs(after - before).max() < 1e-12
 
 
@@ -343,11 +366,65 @@ def test_dense_h_full_vanishes_between_blocks(hopping):
     ops = decoupling.build_coupled_operators(sys, 4)
     dense = dense_h_full(sys, 4)
     same_block = np.zeros(dense.shape, dtype=bool)
-    for i, _ in ops.blocks:
+    for i, _ in all_blocks(ops):
         rows = tensor_rows(i, ops.boson_space.dim)
         same_block[np.ix_(rows, rows)] = True
     assert np.all(dense[~same_block] == 0)
     assert np.abs(assembled_h_full(ops) - dense).max() < 1e-13
+
+
+@pytest.mark.parametrize(
+    "hopping,coords,cap,dense_states",
+    [
+        (np.zeros((2, 2)), COORDS, 6, []),
+        (np.zeros((2, 2)), COORDS_3, 4, []),
+        (HOP, COORDS, 6, [4]),
+    ],
+    ids=["atomic-2modes-cap6", "atomic-3modes-cap4", "hopping-2modes-cap6"],
+)
+def test_single_states_match_dense_levels_and_trace(hopping, coords, cap, dense_states):
+    """Single states are diagonalised mode by mode and merged with the dense blocks:
+    levels and the factorization lhs agree with the dense h_full."""
+    sys = make_system(hopping=hopping, coords=coords)
+    ops = decoupling.build_coupled_operators(sys, cap)
+    dim = sys.hubbard.sector.dim
+    assert [len(i) for i, _ in ops.blocks] == dense_states
+    assert len(ops.singles) == dim - sum(dense_states)
+    assert ops.mode_hamiltonians.shape == (len(ops.singles), sys.num_modes, cap + 1, cap + 1)
+    h_full = dense_h_full(sys, cap)
+    assert np.abs(ops.levels() - np.linalg.eigvalsh(h_full)).max() < 1e-12
+    # each single state's levels pair with the Kronecker products of its per-mode eigenvectors
+    single_blocks = all_blocks(ops)[len(ops.blocks) :]
+    for (_, block), levels, per_mode in zip(single_blocks, ops.single_levels(), ops.mode_eigh[1]):
+        vectors = reduce(np.kron, per_mode)
+        assert np.abs(block @ vectors - vectors * levels).max() < 1e-12
+    rng = np.random.default_rng(17)
+    A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    f = rng.standard_normal(sys.num_modes) + 1j * rng.standard_normal(sys.num_modes)
+    rho_full, _ = gibbs(h_full, sys.hubbard.inverse_temperature)
+    dense = np.trace(np.kron(A, ops.boson_space.weyl(f)) @ rho_full)
+    assert abs(decoupling.factorization_check(ops, A, f).lhs - dense) < 1e-13
+
+
+def test_atomic_cluster_never_decomposes_a_tensor_product_matrix(monkeypatch):
+    cap = 5
+    sys = make_system(hopping=np.zeros((2, 2)), coords=COORDS_3)
+    seen = []
+
+    def recording(decompose):
+        def wrapped(h, *args, **kwargs):
+            seen.append(np.shape(h)[-1])
+            return decompose(h, *args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "eigh", recording(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
+    dim = sys.hubbard.sector.dim
+    rep = decoupling.verify_spectral_equivalence(sys, cap)
+    res = decoupling.verify_factorization(sys, cap, np.eye(dim), np.full(3, 0.2 + 0.1j))
+    assert rep.max_gap < 1e-10 and res.gap < 1e-3  # truncation at cap 5
+    assert seen and max(seen) <= cap + 1
 
 
 def test_fermion_blocks_are_the_spin_sectors_of_the_hopping_cluster():
@@ -374,6 +451,24 @@ def test_decouple_verify_builds_once_per_cap(tmp_path, monkeypatch):
     assert caps == [2, 3, 4]
 
 
+@pytest.mark.parametrize(
+    "hopping,expected",
+    [("[[0,-1],[-1,0]]", ([4], 2)), ("[[0,0],[0,0]]", ([], 6))],
+    ids=["hopping", "atomic"],
+)
+def test_decouple_json_records_the_block_structure(tmp_path, hopping, expected):
+    dense_states, singles = expected
+    cli.main(
+        ["--command", "decouple-verify", "--out", str(tmp_path), "--override", "sweep.level_caps=[2,3]",
+         "--override", f"hubbard.hopping={hopping}"]
+    )
+    summary = json.loads((tmp_path / "decouple.json").read_text())
+    assert summary["coupled_blocks"] == [
+        {"level_cap": cap, "dense_block_dims": [n * (cap + 1) ** 2 for n in dense_states], "states_mode_by_mode": singles}
+        for cap in (2, 3)
+    ]
+
+
 def test_discrete_overlap_symmetric_psd():
     sys = make_system()
     R = sys.discrete_overlap(-0.5)
@@ -386,6 +481,17 @@ def test_time_invariance_of_coupled_gibbs_state():
     dim = sys.hubbard.sector.dim
     shape = (dim * dense_space(sys, 5).dim,) * 2
     rng = np.random.default_rng(11)
+    X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    X = 0.5 * (X + X.conj().T)
+    assert decoupling.time_invariance_gap(sys, 5, X, t=0.7) < 1e-9 * np.linalg.norm(X)
+
+
+def test_time_invariance_of_atomic_gibbs_state():
+    """Every state of the atomic cluster is single: the check runs on Kronecker-product eigenvectors."""
+    sys = make_system(hopping=np.zeros((2, 2)))
+    dim = sys.hubbard.sector.dim
+    shape = (dim * dense_space(sys, 5).dim,) * 2
+    rng = np.random.default_rng(19)
     X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     X = 0.5 * (X + X.conj().T)
     assert decoupling.time_invariance_gap(sys, 5, X, t=0.7) < 1e-9 * np.linalg.norm(X)

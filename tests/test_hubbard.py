@@ -32,6 +32,34 @@ def test_site_occupations_are_number_operator_diagonals(num_sites, num_electrons
     assert np.array_equal(hubbard.site_occupations(sector), expected)
 
 
+def accumulated_hamiltonian(sys):
+    """H_e summed as one dense hopping matrix per (x, y, spin), then the U diagonal."""
+    sector = sys.sector
+    H = np.zeros((sector.dim, sector.dim), dtype=complex)
+    for x in range(sector.num_sites):
+        for y in range(sector.num_sites):
+            t = sys.hopping[x, y]
+            if t == 0:
+                continue
+            for spin in fermions.SPINS:
+                H += t * fermions.hopping_operator(sector, x, y, spin)
+    occ = hubbard.site_occupations(sector)
+    H += np.diag(sys.repulsion * 0.5 * (occ * (occ - 1.0)).sum(axis=1))
+    return H
+
+
+@pytest.mark.parametrize("num_sites", [1, 2, 3, 4, 5, 6])
+def test_scattered_hopping_is_bit_identical_to_dense_accumulation(num_sites):
+    """Every sector: a complex Hermitian hopping matrix with all entries nonzero."""
+    rng = np.random.default_rng(num_sites)
+    T = rng.standard_normal((num_sites, num_sites)) + 1j * rng.standard_normal((num_sites, num_sites))
+    T = T + T.conj().T
+    for num_electrons in range(2 * num_sites + 1):
+        sys = hubbard.build_hubbard_system(num_sites, num_electrons, T, 1.7)
+        H = hubbard.build_hubbard_hamiltonian(sys)
+        assert H.tobytes() == accumulated_hamiltonian(sys).tobytes(), num_electrons
+
+
 def test_hamiltonian_commutes_with_total_number():
     sys = hubbard.build_hubbard_system(3, 2, -np.eye(3, k=1) - np.eye(3, k=-1), 1.5)
     H = hubbard.build_hubbard_hamiltonian(sys)
