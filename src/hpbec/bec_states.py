@@ -183,11 +183,6 @@ def two_point(phase, f, g, disp, beta):
     return complex(condensate + thermal)
 
 
-def q1_sesquilinear(f, g, disp, beta):
-    """Polarized q1(g, f) = integral conj(g) (1+u)/(1-u) f dk."""
-    return gaussian_pair_integral(f, g, _thermal_kernel(disp, beta))
-
-
 def fiber_density(phase, disp, beta):
     """Constant particle density of the (r, theta) fiber: r rho_0 + rho_crit."""
     return phase.r * phase.condensate_density + phonon_gas.rho_crit(

@@ -5,6 +5,12 @@ total), so the space is a tensor product of (level_cap + 1)-dimensional
 oscillators.  The annihilation functional is antilinear in its argument,
 a(f) = sum_j conj(f_j) a_j, and the Segal field is
 phi(f) = (a(f) + a^dagger(f)) / sqrt(2).
+
+The program works from the single-mode factors `mode_fields` and `mode_weyl`.
+The dense tensor-space methods of `TruncatedBosonSpace` (`lowering`,
+`annihilator`, `segal_field`, `weyl`, `free_hamiltonian`, `occupations`) are
+the independent reference the tests compare those factors against; the
+benchmark traces `segal_field` and `weyl` by name.
 """
 
 from dataclasses import dataclass, field
@@ -68,9 +74,6 @@ class TruncatedBosonSpace:
             M = np.kron(M, a1 if m == j else np.eye(self.level_cap + 1))
         return M
 
-    def raising(self, j):
-        return self.lowering(j).conj().T
-
     def occupations(self):
         """(dim, num_modes) integer array of per-mode occupation numbers."""
         n1 = self.level_cap + 1
@@ -80,9 +83,6 @@ class TruncatedBosonSpace:
             occ[:, m] = idx % n1
             idx = idx // n1
         return occ
-
-    def number_operator(self):
-        return np.diag(self.occupations().sum(axis=1).astype(float))
 
     def free_hamiltonian(self, chemical_potential=0.0):
         """dGamma(omega - mu) = sum_j (omega_j - mu) a_j^dagger a_j (diagonal)."""
@@ -108,11 +108,6 @@ class TruncatedBosonSpace:
         for u in mode_weyl(self._check_vector(f), self.level_cap):
             W = np.kron(W, u)
         return W
-
-    def vacuum(self):
-        v = np.zeros(self.dim)
-        v[0] = 1.0
-        return v
 
     def _check_vector(self, f):
         f = np.atleast_1d(np.asarray(f, dtype=complex))

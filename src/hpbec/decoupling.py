@@ -10,10 +10,11 @@ matches the decoupled one, and that Gibbs expectations of A (x) W(f) factorize.
 H itself is never formed: n_x is diagonal, so two fermion basis states are
 coupled only through an off-diagonal entry of H_e, and H is block diagonal over
 the connected components of that entry pattern, each block being (component)
-(x) (whole boson space).  A state s coupled to no other has the van Hove block
-h_e[s, s] + sum_j (w_j N_j + alpha phi_j(l_sj)), a Kronecker sum of
-(cap+1) x (cap+1) single-mode Hamiltonians, and is diagonalised mode by mode;
-only components of two or more states are kept as dense blocks.
+(x) (whole boson space).  On fermion basis state s the boson side of H is the
+van Hove Hamiltonian sum_j (w_j N_j + alpha phi_j(l_sj)), a Kronecker sum of
+(cap+1) x (cap+1) single-mode Hamiltonians: a state coupled to no other is
+diagonalised mode by mode, and a dense block of two or more states is assembled
+from the same factors.  H_b is diagonal and is kept as a vector.
 
 Every inner product in this module is the discrete sum over the sampled mode
 set; mixing in continuum quadrature would inject spurious residuals into
@@ -33,11 +34,11 @@ from .linalg import boltzmann_weights, gibbs, require_hermitian
 
 # Largest total fermion x boson dimension that build_coupled_operators accepts.
 # Only the blocks of h_full on components of two or more states are dense, for
-# their spectra and the Gibbs state; single states and the dressing identity
-# work from (cap+1) x (cap+1) factors.  The cap bounds the total dimension, not
-# the largest block: one component of a hopping cluster can hold most of the
-# sector, and a complex block near the cap takes gigabytes, several times that
-# to diagonalise.
+# their spectra and the Gibbs state; they are assembled from single-mode
+# factors, and single states, H_b (a vector) and the dressing identity never
+# leave them.  The cap bounds the total dimension, not the largest block: one
+# component of a hopping cluster can hold most of the sector, and a complex
+# block near the cap takes gigabytes, several times that to diagonalise.
 DIMENSION_CAP = 20000
 
 
@@ -124,6 +125,14 @@ def kronecker_sum(levels):
     return out
 
 
+def kronecker_sum_matrix(factors):
+    """Dense sum_j 1 (x) .. factors[j] .. (x) 1 of square factors[j], mode 0 slowest."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = np.kron(out, np.eye(len(f))) + np.kron(np.eye(len(out)), f)
+    return out
+
+
 @dataclass(frozen=True)
 class CoupledOperators:
     """Operators of one build at one level cap; h_full is kept as its diagonal blocks.
@@ -132,7 +141,8 @@ class CoupledOperators:
     of h_full is the Kronecker sum h_e[s, s] + sum_j mode_hamiltonians[k, j] (x) 1,
     with s = singles[k] and the offset h_e[s, s] in single_offsets[k].  `blocks`
     holds (fermion indices i, dense block of h_full on i (x) boson space) for each
-    component of two or more states.  h_full itself is never formed.
+    component of two or more states, assembled from the same single-mode factors.
+    h_full itself is never formed, and h_boson is the diagonal of H_b as a vector.
     """
 
     system: CoupledSystem = field(repr=False)
@@ -143,7 +153,7 @@ class CoupledOperators:
     blocks: tuple = field(repr=False)
     h_electron: np.ndarray = field(repr=False)
     h_electron_dressed: np.ndarray = field(repr=False)
-    h_boson: np.ndarray = field(repr=False)
+    h_boson: np.ndarray = field(repr=False)  # (boson dim,) diagonal of H_b
 
     @cached_property
     def eigh(self):
@@ -162,11 +172,8 @@ class CoupledOperators:
         return self.single_offsets[:, None] + kronecker_sum(self.mode_eigh[0])
 
     def levels(self):
-        """Ascending spectrum of h_full; the dense blocks' part from `eigh` if a Gibbs state already needed it."""
-        if "eigh" in self.__dict__:
-            parts = [w for w, _ in self.eigh]
-        else:
-            parts = [np.linalg.eigvalsh(h) for _, h in self.blocks]
+        """Ascending spectrum of h_full; the dense blocks' part from the cached `eigh`."""
+        parts = [w for w, _ in self.eigh]
         return np.sort(np.concatenate([self.single_levels().ravel(), *parts]))
 
 
@@ -193,23 +200,20 @@ def build_coupled_operators(sys, level_cap):
             f"tensor dimension {sector.dim * space.dim} exceeds cap {DIMENSION_CAP}"
         )
     h_e = build_hubbard_hamiltonian(sys.hubbard)
-    h_b = space.free_hamiltonian(sys.mu_b)
+    modes = mode_hamiltonians(sys, mode_amplitudes(sys), space.level_cap)
     components = fermion_blocks(h_e)
     singles = np.array([i[0] for i in components if len(i) == 1], dtype=int)
-    coupled = [i for i in components if len(i) > 1]
-    single_modes = mode_hamiltonians(sys, mode_amplitudes(sys)[singles], space.level_cap)
     blocks = []
-    if coupled:
-        occ = site_occupations(sector)
-        fields = [space.segal_field(lam) for lam in sys.site_mode_couplings]
-        alpha = sys.hubbard.coupling
-        for i in coupled:
-            h = np.kron(h_e[np.ix_(i, i)], np.eye(space.dim)) + np.kron(np.eye(len(i)), h_b)
-            h = h + alpha * sum(np.kron(np.diag(occ[i, x]), phi) for x, phi in enumerate(fields))
-            blocks.append((i, h))
+    for i in [i for i in components if len(i) > 1]:
+        # h_e on the component (x) 1, as (state, boson, state, boson)
+        h = np.kron(h_e[np.ix_(i, i)], np.eye(space.dim)).reshape(len(i), space.dim, len(i), space.dim)
+        for k, s in enumerate(i):
+            h[k, :, k] += kronecker_sum_matrix(modes[s])
+        blocks.append((i, h.reshape(len(i) * space.dim, -1)))
+    h_b = kronecker_sum(np.diagonal(free_mode_hamiltonians(sys, space.level_cap), axis1=-2, axis2=-1))
     h_e_dressed = h_e - np.diag(dressing_shifts(sys).sum(axis=1))
     offsets = h_e[singles, singles].real
-    return CoupledOperators(sys, space, singles, offsets, single_modes, tuple(blocks), h_e, h_e_dressed, h_b)
+    return CoupledOperators(sys, space, singles, offsets, modes[singles], tuple(blocks), h_e, h_e_dressed, h_b)
 
 
 def mode_amplitudes(sys):
@@ -321,10 +325,10 @@ def spectral_comparison(ops, num_levels=5):
     """Low-lying levels of h_full against those of H_e_dressed (x) 1 + 1 (x) H_b.
 
     The decoupled spectrum is the Kronecker sum of the dressed electron levels
-    and the diagonal of h_boson, so only the blocks of h_full are diagonalised.
+    and the vector h_boson, so only the blocks of h_full are diagonalised.
     """
     electron = np.linalg.eigvalsh(ops.h_electron_dressed)
-    decoupled = np.sort(np.add.outer(electron, np.diag(ops.h_boson)), axis=None)[:num_levels]
+    decoupled = np.sort(np.add.outer(electron, ops.h_boson), axis=None)[:num_levels]
     coupled = ops.levels()[:num_levels]
     return SpectralReport(coupled, decoupled, coupled - decoupled)
 
@@ -373,7 +377,8 @@ def factorization_check(ops, electron_op, f_modes):
     e^{-beta w_sjk} <v_sjk|W_j|v_sjk>, with (w_sjk, v_sjk) the eigenpairs of mode
     j's Hamiltonian and W_j its Weyl factor.  rhs pairs the electron factor with
     the density phase and the free boson Weyl value, whose Gibbs state is the
-    weight vector of the diagonal h_boson.
+    weight vector of the vector h_boson.  A dense block applies W as the Kronecker
+    product of the single-mode Weyl factors.
     """
     sys = ops.system
     beta = sys.hubbard.inverse_temperature
@@ -385,7 +390,7 @@ def factorization_check(ops, electron_op, f_modes):
     block_factors, single_factors, mode_factors, Z = _boltzmann_factors(ops, beta)
     lhs = 0j
     if ops.blocks:
-        W = ops.boson_space.weyl(f_modes)
+        W = reduce(np.kron, weyl)
         for (i, _), (_, vectors), p in zip(ops.blocks, ops.eigh, block_factors):
             # (A[i, i] (x) W) applied to the eigenvectors one tensor factor at a time
             moved = W @ np.tensordot(A[np.ix_(i, i)], vectors.reshape(len(i), W.shape[1], -1), axes=1)
@@ -397,7 +402,7 @@ def factorization_check(ops, electron_op, f_modes):
     lhs = complex(lhs / Z)
 
     rho_e, _ = gibbs(ops.h_electron_dressed, beta)
-    boson_weights, _ = boltzmann_weights(np.diag(ops.h_boson), beta)
+    boson_weights, _ = boltzmann_weights(ops.h_boson, beta)
     weyl_diagonal = reduce(np.kron, np.diagonal(weyl, axis1=-2, axis2=-1))  # diag(W), mode by mode
     rhs = complex(np.trace(phase[:, None] * A @ rho_e)) * complex(weyl_diagonal @ boson_weights)
     return FactorizationResult(lhs, rhs)
@@ -434,10 +439,6 @@ class FactorizationLadder:
     gaps: tuple
     monotone: bool
 
-    @property
-    def final_gap(self):
-        return self.gaps[-1]
-
 
 def factorization_ladder(operators, electron_op, f_modes):
     """Factorization gaps along a sequence of builds at increasing level caps."""
@@ -445,31 +446,3 @@ def factorization_ladder(operators, electron_op, f_modes):
     caps = tuple(ops.boson_space.level_cap for ops in operators)
     return FactorizationLadder(caps, tuple(gaps), is_nonincreasing(gaps))
 
-
-def time_invariance_gap(sys, level_cap, observable, t):
-    """|Tr[e^{itH} X e^{-itH} rho] - Tr[X rho]| for the coupled Gibbs state.
-
-    Exact by trace cyclicity at any truncation; the finite-volume counterpart
-    of stationarity of the factorized state.  The eigenvectors of a single state
-    are formed here as Kronecker products of its per-mode eigenvectors.
-    """
-    ops = build_coupled_operators(sys, level_cap)
-    X = np.asarray(observable, dtype=complex)
-    boson_dim = ops.boson_space.dim
-    block_factors, single_factors, mode_factors, Z = _boltzmann_factors(ops, sys.hubbard.inverse_temperature)
-    parts = [(i, levels, vectors, p) for (i, _), (levels, vectors), p in zip(ops.blocks, ops.eigh, block_factors)]
-    _, mode_vectors = ops.mode_eigh
-    for s, levels, vectors, p, modes in zip(
-        ops.singles, ops.single_levels(), mode_vectors, single_factors, mode_factors
-    ):
-        parts.append((np.array([s]), levels, reduce(np.kron, vectors), p * reduce(np.kron, modes)))
-    moved = still = 0j
-    # u and rho are block diagonal, so only the diagonal blocks of X contribute
-    for i, levels, vectors, p in parts:
-        rows = (i[:, None] * boson_dim + np.arange(boson_dim)).ravel()
-        x = X[np.ix_(rows, rows)]
-        rho = (vectors * (p / Z)) @ vectors.conj().T
-        u = (vectors * np.exp(1j * t * levels)) @ vectors.conj().T
-        moved += np.trace(u @ x @ u.conj().T @ rho)
-        still += np.trace(x @ rho)
-    return abs(complex(moved) - complex(still))

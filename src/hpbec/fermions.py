@@ -85,31 +85,3 @@ def hopping_entries(sector, x, y, spin):
     flips = _occupied_below(basis[cols], my) + _occupied_below(emptied, mx)
     rows = np.searchsorted(basis, emptied | (1 << mx))
     return rows, cols, 1.0 - 2.0 * (flips % 2)
-
-
-def hopping_operator(sector, x, y, spin):
-    """Matrix of c^dagger_{x,spin} c_{y,spin} on the sector, with JW signs."""
-    rows, cols, signs = hopping_entries(sector, x, y, spin)
-    A = np.zeros((sector.dim, sector.dim))
-    A[rows, cols] = signs
-    return A
-
-
-def full_space_creation_operators(num_sites):
-    """Dense creation matrices on the full 4^num_sites Fock space (JW form).
-
-    Internal scaffolding for CAR checks; sector physics never needs these.
-    """
-    nm = 2 * num_sites
-    I2 = np.eye(2)
-    Z = np.diag([1.0, -1.0])
-    up = np.array([[0.0, 0.0], [1.0, 0.0]])
-    ops = []
-    for m in range(nm):
-        # bit m of the state integer is factor m counted from the right
-        factors = [I2] * (nm - m - 1) + [up] + [Z] * m
-        M = np.eye(1)
-        for f in factors:
-            M = np.kron(M, f)
-        ops.append(M)
-    return ops

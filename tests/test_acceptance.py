@@ -71,7 +71,7 @@ def test_gibbs_factorization_randomized_pairs():
         ops = decoupling.build_coupled_operators(sys, cap)
         rho_full, _ = gibbs(dense_h_full(sys, cap), BETA)
         rho_e, _ = gibbs(ops.h_electron_dressed, BETA)
-        rho_b, _ = gibbs(ops.h_boson, BETA)
+        rho_b, _ = gibbs(np.diag(ops.h_boson), BETA)
         for i, (A, f) in enumerate(pairs):
             W = ops.boson_space.weyl(f)
             lhs = complex(np.trace(np.kron(A, W) @ rho_full))

@@ -59,20 +59,11 @@ def tensor_rows(fermion_indices, boson_dim):
     return (np.asarray(fermion_indices)[:, None] * boson_dim + np.arange(boson_dim)).ravel()
 
 
-def kronecker_sum_matrix(factors):
-    """sum_j 1 (x) .. factors[j] .. (x) 1 on the tensor product of the factors' spaces."""
-    eye = np.eye(factors.shape[-1])
-    return sum(
-        reduce(np.kron, [f if m == j else eye for m in range(len(factors))])
-        for j, f in enumerate(factors)
-    )
-
-
 def all_blocks(ops):
     """(fermion indices, dense block of h_full) for the dense blocks and for every
     single state, whose block is assembled here from its per-mode factors."""
     singles = [
-        ([s], offset * np.eye(ops.boson_space.dim) + kronecker_sum_matrix(factors))
+        ([s], offset * np.eye(ops.boson_space.dim) + decoupling.kronecker_sum_matrix(factors))
         for s, offset, factors in zip(ops.singles, ops.single_offsets, ops.mode_hamiltonians)
     ]
     return list(ops.blocks) + singles
@@ -169,7 +160,7 @@ def test_zero_coupling_trivial_dressing():
     assert np.abs(factors - np.eye(5)).max() < 1e-13
     ops = decoupling.build_coupled_operators(sys, level_cap=4)
     h_free = np.kron(ops.h_electron, np.eye(ops.boson_space.dim)) + np.kron(
-        np.eye(sys.hubbard.sector.dim), ops.h_boson
+        np.eye(sys.hubbard.sector.dim), np.diag(ops.h_boson)
     )
     assert np.linalg.norm(dense_h_full(sys, 4) - h_free) < 1e-13
     assert np.linalg.norm(assembled_h_full(ops) - h_free) < 1e-13
@@ -265,7 +256,7 @@ def test_factorization_check_matches_dense_traces():
     beta = sys.hubbard.inverse_temperature
     rho_full, _ = gibbs(dense_h_full(sys, 5), beta)
     rho_e, _ = gibbs(ops.h_electron_dressed, beta)
-    rho_b, _ = gibbs(ops.h_boson, beta)
+    rho_b, _ = gibbs(np.diag(ops.h_boson), beta)
     phase = decoupling.density_phase(sys, f)
     res = decoupling.factorization_check(ops, A, f)
     assert abs(res.lhs - np.trace(np.kron(A, W) @ rho_full)) < 1e-13
@@ -323,7 +314,7 @@ def test_kronecker_sum_levels_match_dense_eigvalsh(coords, cap):
     sys = make_system(coords=coords)
     ops = decoupling.build_coupled_operators(sys, cap)
     h_dec = np.kron(ops.h_electron_dressed, np.eye(ops.boson_space.dim)) + np.kron(
-        np.eye(sys.hubbard.sector.dim), ops.h_boson
+        np.eye(sys.hubbard.sector.dim), np.diag(ops.h_boson)
     )
     rep = decoupling.spectral_comparison(ops, num_levels=12)
     assert np.abs(rep.decoupled - np.linalg.eigvalsh(h_dec)[:12]).max() < 1e-12
@@ -347,17 +338,58 @@ def test_spectral_levels_reuse_gibbs_eigendecomposition(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "hopping,coords,cap",
-    [(HOP, COORDS, 8), (HOP, COORDS_3, 4), (np.zeros((2, 2)), COORDS, 6)],
-    ids=["hopping-2modes-cap8", "hopping-3modes-cap4", "atomic-2modes-cap6"],
+    "hopping,coords,cap,mu_b",
+    [(HOP, COORDS, 8, 0.0), (HOP, COORDS_3, 4, 0.0), (np.zeros((2, 2)), COORDS, 6, 0.0), (HOP, COORDS, 6, 0.3)],
+    ids=["hopping-2modes-cap8", "hopping-3modes-cap4", "atomic-2modes-cap6", "hopping-2modes-cap6-mu_b"],
 )
-def test_block_levels_match_dense_eigvalsh(hopping, coords, cap):
-    sys = make_system(hopping=hopping, coords=coords)
+def test_block_levels_match_dense_eigvalsh(hopping, coords, cap, mu_b):
+    sys = make_system(hopping=hopping, coords=coords, mu_b=mu_b)
     dense = np.linalg.eigvalsh(dense_h_full(sys, cap))
     ops = decoupling.build_coupled_operators(sys, cap)
     assert np.abs(ops.levels() - dense).max() < 1e-12
     assert len(ops.eigh) == len(ops.blocks)  # levels() now merges the cached per-block eigh
     assert np.abs(ops.levels() - dense).max() < 1e-12
+
+
+def test_h_boson_is_the_free_hamiltonian_diagonal_in_kronecker_order():
+    """Three modes with omega_j - mu_b = 0.5, 1.25, 2.75 (exact in binary, so both
+    sums are exact): a wrong mode order or a wrong sign of mu_b changes entries."""
+    freqs = np.array([0.8, 1.55, 3.05])
+    sys = decoupling.CoupledSystem(make_system().hubbard, freqs, np.zeros((2, 3)), 0.3)
+    ops = decoupling.build_coupled_operators(sys, 4)
+    assert ops.h_boson.shape == (5**3,)
+    assert np.array_equal(ops.h_boson, np.diag(TruncatedBosonSpace(freqs, 4).free_hamiltonian(0.3)))
+
+
+def test_coupled_operators_need_no_tensor_space_operator(monkeypatch):
+    """On the hopping cluster the build, the factorization check and the spectral
+    comparison run from single-mode factors alone, and still match the dense
+    tensor-space references computed before those methods are disabled."""
+    cap = 5
+    sys = make_system()
+    dim = sys.hubbard.sector.dim
+    rng = np.random.default_rng(29)
+    A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    f = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    h_full = dense_h_full(sys, cap)
+    rho_full, _ = gibbs(h_full, sys.hubbard.inverse_temperature)
+    lhs = np.trace(np.kron(A, dense_space(sys, cap).weyl(f)) @ rho_full)
+    h_b = dense_space(sys, cap).free_hamiltonian(sys.mu_b)
+
+    def forbidden(name):
+        def method(*args, **kwargs):
+            raise AssertionError(f"TruncatedBosonSpace.{name} was called")
+
+        return method
+
+    for name in ("segal_field", "weyl", "free_hamiltonian", "occupations"):
+        monkeypatch.setattr(TruncatedBosonSpace, name, forbidden(name))
+    ops = decoupling.build_coupled_operators(sys, cap)
+    assert abs(decoupling.factorization_check(ops, A, f).lhs - lhs) < 1e-13
+    rep = decoupling.spectral_comparison(ops, num_levels=12)
+    assert np.abs(rep.coupled - np.linalg.eigvalsh(h_full)[:12]).max() < 1e-12
+    h_dec = np.kron(ops.h_electron_dressed, np.eye(len(h_b))) + np.kron(np.eye(dim), h_b)
+    assert np.abs(rep.decoupled - np.linalg.eigvalsh(h_dec)[:12]).max() < 1e-12
 
 
 @pytest.mark.parametrize("hopping", [HOP, np.zeros((2, 2))], ids=["hopping", "atomic"])
@@ -474,27 +506,6 @@ def test_discrete_overlap_symmetric_psd():
     R = sys.discrete_overlap(-0.5)
     assert np.allclose(R, R.T)
     assert np.linalg.eigvalsh(R).min() > -1e-12 * np.abs(R).max()
-
-
-def test_time_invariance_of_coupled_gibbs_state():
-    sys = make_system()
-    dim = sys.hubbard.sector.dim
-    shape = (dim * dense_space(sys, 5).dim,) * 2
-    rng = np.random.default_rng(11)
-    X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    X = 0.5 * (X + X.conj().T)
-    assert decoupling.time_invariance_gap(sys, 5, X, t=0.7) < 1e-9 * np.linalg.norm(X)
-
-
-def test_time_invariance_of_atomic_gibbs_state():
-    """Every state of the atomic cluster is single: the check runs on Kronecker-product eigenvectors."""
-    sys = make_system(hopping=np.zeros((2, 2)))
-    dim = sys.hubbard.sector.dim
-    shape = (dim * dense_space(sys, 5).dim,) * 2
-    rng = np.random.default_rng(19)
-    X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    X = 0.5 * (X + X.conj().T)
-    assert decoupling.time_invariance_gap(sys, 5, X, t=0.7) < 1e-9 * np.linalg.norm(X)
 
 
 def test_phase_matrix_unimodular_diagonal():

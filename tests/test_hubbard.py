@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fermion_oracles import hopping_operator
 from hpbec import fermions, hubbard
 from hpbec.errors import ContractViolation
 
@@ -42,7 +43,7 @@ def accumulated_hamiltonian(sys):
             if t == 0:
                 continue
             for spin in fermions.SPINS:
-                H += t * fermions.hopping_operator(sector, x, y, spin)
+                H += t * hopping_operator(sector, x, y, spin)
     occ = hubbard.site_occupations(sector)
     H += np.diag(sys.repulsion * 0.5 * (occ * (occ - 1.0)).sum(axis=1))
     return H
