@@ -8,6 +8,7 @@ state under the measure chi = e^{-r} dr x d theta / (2 pi).  The averaging
 identity is exactly the pair of Bessel identities checked here.
 """
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -145,16 +146,28 @@ def angular_identity_check(p, q):
     return abs(val - j0(np.hypot(p, q)))
 
 
+@functools.lru_cache(maxsize=8)
+def _chi_rule(n_radial, n_angular):
+    """Gauss-Laguerre nodes and weights and the equispaced angles, read-only.
+
+    chi is a fixed measure, so its rule is built once per size and shared.
+    """
+    nodes, weights = laggauss(n_radial)
+    thetas = np.linspace(0.0, 2.0 * np.pi, n_angular + 1)[:-1]
+    for array in (nodes, weights, thetas):
+        array.flags.writeable = False
+    return nodes, weights, thetas
+
+
 def chi_average(func, n_radial=64, n_angular=256):
     """Average of func(r, theta) against chi = e^{-r} dr x d theta / (2 pi).
 
     Gauss-Laguerre nodes in r times equispaced angles.  `func` is called once,
-    on broadcastable arrays r of shape (n_radial, 1) and theta of shape
-    (1, n_angular); a result that broadcasts to that grid (a constant too)
-    is averaged.
+    on broadcastable read-only arrays r of shape (n_radial, 1) and theta of
+    shape (1, n_angular); a result that broadcasts to that grid (a constant
+    too) is averaged.
     """
-    nodes, weights = laggauss(n_radial)
-    thetas = np.linspace(0.0, 2.0 * np.pi, n_angular + 1)[:-1]
+    nodes, weights, thetas = _chi_rule(n_radial, n_angular)
     values = np.broadcast_to(func(nodes[:, None], thetas[None, :]), (n_radial, n_angular))
     return complex(weights @ values.mean(axis=1))
 

@@ -16,6 +16,10 @@ from .errors import BracketError, UnsolvableDensity
 from .lattice import build_lattice_modes
 
 RESIDUAL_TOL = 1e-10
+# critical_temperature accepts beta_c once log rho_crit(beta_c) is this close
+# to log target: about ten times the scatter of rho_crit's quadrature between
+# nearby beta, and well inside a 1e-12 relative match of the density.
+LOG_DENSITY_TOL = 3e-13
 
 
 @dataclass(frozen=True)
@@ -155,23 +159,41 @@ def condensate_sequence(box_sizes, target_density, beta, disp, n_ir=0.0, num_int
 def critical_temperature(target_density, disp, beta_lo=1e-3, beta_hi=1e3, num_internal=1):
     """beta_c with rho_crit(beta_c) = target_density, and T_c = 1/beta_c.
 
-    Monotonicity of rho_crit in beta is verified on a coarse sample before the
-    bracketed solve, which reuses the sample's end points.
+    Monotonicity of rho_crit in beta is verified on a coarse geometric sample.
+    The sample interval on which rho_crit - target changes sign is the bracket,
+    and the root is solved there for log rho_crit(e^s) = log target in
+    s = log beta, reusing both end values.  That function is linear when the
+    gap goes as k^p near 0 (rho_crit ~ beta^{-d/p}) and nearly so otherwise,
+    so Brent needs a few steps.  A beta whose density is within
+    LOG_DENSITY_TOL of the target in log is the root; when that beta is a
+    sample, it is returned as sampled.
     """
     samples = np.geomspace(beta_lo, beta_hi, 9)
-    vals = [phonon_gas.rho_crit(disp, b, num_internal) for b in samples]
+    vals = np.array([phonon_gas.rho_crit(disp, b, num_internal) for b in samples])
     diffs = np.diff(vals)
     if not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise BracketError("rho_crit(beta) is not monotone on the search interval")
-
-    def g(b):
-        return phonon_gas.rho_crit(disp, b, num_internal) - target_density
-
-    glo, ghi = vals[0] - target_density, vals[-1] - target_density
-    if glo * ghi > 0:
+    side = np.sign(vals - target_density)
+    change = np.flatnonzero(side[:-1] * side[1:] <= 0)
+    if not change.size:
         raise BracketError(
-            f"rho_crit spans [{min(vals):g}, {max(vals):g}] on the interval; "
+            f"rho_crit spans [{vals.min():g}, {vals.max():g}] on the interval; "
             f"target {target_density:g} is outside"
         )
-    beta_c = numerics.brentq(g, beta_lo, beta_hi, xtol=1e-13, rtol=8.9e-16, maxiter=300, fa=glo, fb=ghi).root
-    return float(beta_c), 1.0 / float(beta_c)
+    i = int(change[0])
+    log_target = np.log(target_density)
+
+    def miss(rho):
+        m = np.log(rho) - log_target
+        return 0.0 if abs(m) <= LOG_DENSITY_TOL else m
+
+    fa, fb = miss(vals[i]), miss(vals[i + 1])
+    if fa == 0.0 or fb == 0.0:
+        beta_c = float(samples[i] if fa == 0.0 else samples[i + 1])
+    else:
+        s_c = numerics.brentq(
+            lambda s: miss(phonon_gas.rho_crit(disp, np.exp(s), num_internal)),
+            np.log(samples[i]), np.log(samples[i + 1]), xtol=1e-14, rtol=8.9e-16, maxiter=300, fa=fa, fb=fb,
+        ).root
+        beta_c = float(np.exp(s_c))
+    return beta_c, 1.0 / beta_c

@@ -49,7 +49,7 @@ class Root(NamedTuple):
 
 
 def _kronrod_panels(f, lo, hi):
-    """K15 values and QUADPACK error estimates on the panels [lo_i, hi_i]."""
+    """K15 values, QUADPACK error estimates and K15 integrals of |f| on the panels [lo_i, hi_i]."""
     center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     fv = np.asarray(f(center[:, None] + half[:, None] * _NODES))
     resk, resg = fv @ _KRONROD, fv @ _GAUSS
@@ -60,7 +60,7 @@ def _kronrod_panels(f, lo, hi):
     scaled = resasc * np.minimum(1.0, (200.0 * err / np.where(resasc > 0, resasc, 1.0)) ** 1.5)
     err = np.where((resasc != 0) & (err != 0), scaled, err)
     err = np.where(resabs > _TINY / (50.0 * _EPS), np.maximum(50.0 * _EPS * resabs, err), err)
-    return resk * half, err
+    return resk * half, err, resabs
 
 
 def integrate(f, a, b, epsabs, epsrel, limit):
@@ -69,18 +69,21 @@ def integrate(f, a, b, epsabs, epsrel, limit):
     `f` maps an (intervals, 15) array of nodes to values of the same shape,
     real or complex; it is called once per pass.  Each pass bisects the
     largest-error panels whose removal would bring the summed error estimate
-    within max(epsabs, epsrel |value|).  Returns Quadrature(value, error,
-    evaluations); raises BracketError if the integrand is not finite at a
-    node or `limit` panels do not reach the tolerance.
+    within max(epsabs, epsrel |value|, 100 eps integral |f|).  The last term
+    is the estimator's own floor: each panel's estimate is at least
+    50 eps times its integral of |f|, so a tolerance below it cannot be met.
+    Returns Quadrature(value, error, evaluations); raises BracketError if the
+    integrand is not finite at a node or `limit` panels do not reach the
+    tolerance.
     """
     lo, hi = np.array([float(a)]), np.array([float(b)])
-    vals, errs = _kronrod_panels(f, lo, hi)
+    vals, errs, absvals = _kronrod_panels(f, lo, hi)
     evaluations = 15
     while True:
         value, error = vals.sum(), errs.sum()
         if not np.isfinite(error):
             raise BracketError(f"integrand is not finite on [{a:g}, {b:g}]")
-        tol = max(epsabs, epsrel * abs(value))
+        tol = max(epsabs, epsrel * abs(value), 100.0 * _EPS * absvals.sum())
         if error <= tol:
             return Quadrature(value.item(), float(error), evaluations)
         if len(lo) >= limit:
@@ -96,10 +99,11 @@ def integrate(f, a, b, epsabs, epsrel, limit):
         mid = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])
-        new_vals, new_errs = _kronrod_panels(f, new_lo, new_hi)
+        new_vals, new_errs, new_abs = _kronrod_panels(f, new_lo, new_hi)
         evaluations += 15 * len(new_lo)
         lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
         vals, errs = np.concatenate([vals[keep], new_vals]), np.concatenate([errs[keep], new_errs])
+        absvals = np.concatenate([absvals[keep], new_abs])
 
 
 def brentq(f, a, b, xtol, rtol, maxiter, fa=None, fb=None):

@@ -6,6 +6,7 @@ its sum of |f|^2); the continuum density rho_fr and the critical density are
 radial integrals of the Bose factor 1/(y e^{beta F(k)} - 1).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,16 @@ def _check_critical_integrable(disp):
         )
 
 
+@functools.lru_cache(maxsize=64)
+def _quadrature_range(disp, beta):
+    """Radii where beta F reaches 1 (the split) and 60 (the end).
+
+    They depend on (disp, beta) alone, so a fugacity solve at fixed beta
+    finds them once instead of at every step.
+    """
+    return disp.gap_inverse(1.0 / beta), disp.gap_inverse(60.0 / beta)
+
+
 def rho_fr_quadrature(disp, beta, y, num_internal=1):
     """rho_fr with its certificate: a numerics.Quadrature summed over both pieces."""
     if y < 1.0:
@@ -83,8 +94,7 @@ def rho_fr_quadrature(disp, beta, y, num_internal=1):
         _check_critical_integrable(disp)
     d = disp.dimension
     integrand = lambda k: k ** (d - 1) / (y * np.exp(beta * disp.gap(k)) - 1.0)
-    split = disp.gap_inverse(1.0 / beta)
-    hi = disp.gap_inverse(60.0 / beta)
+    split, hi = _quadrature_range(disp, beta)
     low = numerics.integrate(integrand, 0.0, split, epsabs=1e-12, epsrel=1.49e-8, limit=300)
     high = numerics.integrate(integrand, split, hi, epsabs=1e-12, epsrel=1.49e-8, limit=300)
     scale = num_internal * sphere_area(d) / (2.0 * np.pi) ** d

@@ -180,6 +180,37 @@ def test_chi_average_of_fingerprint_matches_scalar_rule():
         assert abs(avg - scalar_fingerprint_average(phase, f)) <= 1e-15
 
 
+def test_chi_rule_is_read_only():
+    """The cached rule is shared by every call, so an integrand cannot write to it."""
+    seen = []
+    bec_states.chi_average(lambda r, th: seen.extend([r, th]) or 1.0)
+    for array in seen + list(bec_states._chi_rule(64, 256)):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    assert bec_states.chi_average(lambda r, th: r) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_chi_rule_is_built_once_per_size(monkeypatch):
+    calls = []
+    laggauss = bec_states.laggauss
+
+    def counted(n):
+        calls.append(n)
+        return laggauss(n)
+
+    monkeypatch.setattr(bec_states, "laggauss", counted)
+    bec_states._chi_rule.cache_clear()
+    rng = np.random.default_rng(29)
+    phase = make_phase()
+    for _ in range(6):
+        f = draw_with_q0(rng, phase, float(rng.uniform(1.0, 100.0)))
+        bec_states.decomposition_gap(f, DISP, BETA, phase)
+    for size in ((64, 256), (32, 256), (64, 128), (32, 256)):
+        assert bec_states.chi_average(lambda r, th: 1.0, *size) == pytest.approx(1.0, abs=1e-12)
+    assert calls == [64, 32, 64]
+
+
 def test_decomposition_gap_at_the_thermal_factor_floor():
     """Divided by e^{-q1/4}, the gap is the chi-rule's own error, which stays at
     roundoff for c |fhat(0)|^2 up to 400."""

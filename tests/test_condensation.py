@@ -1,14 +1,23 @@
+import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpbec import condensation, phonon_gas
-from hpbec.dispersion import quadratic_dispersion
-from hpbec.errors import UnsolvableDensity
+from hpbec.dispersion import Dispersion, quadratic_dispersion, tabulated_dispersion
+from hpbec.errors import BracketError, UnsolvableDensity
 from hpbec.lattice import build_lattice_modes
 
 DISP = quadratic_dispersion()
+# r = k^2 + 0.3 k^3/(1+k) + 1: quadratic near 0, 1.3 k^2 far out, so
+# rho_crit is no power law of beta and log rho_crit(log beta) is curved.
+_K = np.linspace(0.0, 12.0, 400)
+CURVED = tabulated_dispersion(_K, _K**2 + 0.3 * _K**3 / (1.0 + _K) + 1.0)
+SAMPLES = np.geomspace(1e-3, 1e3, 9)  # critical_temperature's default sample
 
 
 def test_fugacity_round_trip():
@@ -166,10 +175,94 @@ def _count_rho_crit(monkeypatch):
 
 
 def test_critical_temperature_evaluates_each_beta_once(monkeypatch):
-    """The 9-point sample's end points seed the Brent bracket: no beta twice."""
+    """The sample interval that brackets the target seeds Brent in log-log:
+    no beta twice, and one step for the exact power law of the quadratic gap."""
     betas = _count_rho_crit(monkeypatch)
     condensation.critical_temperature(0.05, DISP)
-    assert len(betas) == len(set(betas)) == 27  # 9 samples + 18 Brent steps
+    assert len(betas) == len(set(betas)) == 10  # 9 samples + 1 Brent step
+
+
+@pytest.mark.parametrize("index", [0, 4, 8])
+def test_critical_temperature_returns_a_sample_that_hits_the_target(monkeypatch, index):
+    """A target equal to rho_crit at a sample beta (first, interior, last) is
+    solved by that sample, with no evaluation past the 9 samples."""
+    rho = phonon_gas.rho_crit(DISP, SAMPLES[index])
+    betas = _count_rho_crit(monkeypatch)
+    beta_c, t_c = condensation.critical_temperature(rho, DISP)
+    assert beta_c == SAMPLES[index] and t_c == 1.0 / SAMPLES[index]
+    assert len(betas) == 9
+
+
+def test_critical_temperature_raises_outside_or_without_monotonicity(monkeypatch):
+    lo, hi = phonon_gas.rho_crit(DISP, SAMPLES[-1]), phonon_gas.rho_crit(DISP, SAMPLES[0])
+    for rho in (0.0, -1.0, 0.5 * lo, 2.0 * hi):
+        with pytest.raises(BracketError, match="outside"):
+            condensation.critical_temperature(rho, DISP)
+    monkeypatch.setattr(phonon_gas, "rho_crit", lambda disp, beta, num_internal=1: 1.0 + math.sin(beta))
+    with pytest.raises(BracketError, match="not monotone"):
+        condensation.critical_temperature(1.5, DISP)
+
+
+def _solve_counted(rho, disp):
+    with pytest.MonkeyPatch.context() as patch:
+        betas = _count_rho_crit(patch)
+        beta_c, t_c = condensation.critical_temperature(rho, disp)
+    assert t_c == 1.0 / beta_c
+    assert len(betas) == len(set(betas)) <= 14
+    return beta_c
+
+
+BETAS = st.floats(-2.0, 2.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(beta=BETAS)
+def test_critical_temperature_round_trip_property(beta):
+    for disp in (DISP, CURVED):
+        beta_c = _solve_counted(phonon_gas.rho_crit(disp, beta), disp)
+        assert beta_c == pytest.approx(beta, rel=1e-12)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(beta=BETAS)
+def test_critical_temperature_against_the_closed_form_property(beta):
+    """beta_c for rho = zeta(3/2) (4 pi beta)^{-3/2} is beta.  rho_crit itself
+    sits a floor of about 5e-14 beta (relative) from that form: Dispersion.gap
+    computes k^2 as (k^2 + 1) - 1, which loses digits where beta k^2 ~ 1."""
+    rho = float(mpmath.zeta(1.5) * (4.0 * mpmath.pi * mpmath.mpf(beta)) ** -1.5)
+    beta_c = _solve_counted(rho, DISP)
+    assert beta_c == pytest.approx(beta, rel=1e-12 + 4e-14 * beta)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(beta=BETAS, shift=st.floats(-1e-3, 1e-3))
+def test_critical_temperature_meets_off_sample_targets_property(beta, shift):
+    """On a gap that is no power law, rho_crit(beta_c) matches the target."""
+    rho = phonon_gas.rho_crit(CURVED, beta) * (1.0 + shift)
+    beta_c = _solve_counted(rho, CURVED)
+    assert abs(phonon_gas.rho_crit(CURVED, beta_c) / rho - 1.0) <= 1e-12
+
+
+def test_classify_phase_finds_the_quadrature_range_once_per_beta(monkeypatch):
+    """A normal-phase solve at fixed beta: rho_crit and every Brent step of
+    rho_fr share the two gap inversions (beta F = 1 and beta F = 60)."""
+    calls = []
+    gap_inverse = Dispersion.gap_inverse
+
+    def counted(self, target):
+        calls.append(target)
+        return gap_inverse(self, target)
+
+    monkeypatch.setattr(Dispersion, "gap_inverse", counted)
+    steps = []
+    rho_fr = phonon_gas.rho_fr
+    monkeypatch.setattr(phonon_gas, "rho_fr", lambda *args: steps.append(args) or rho_fr(*args))
+    disp = quadratic_dispersion()
+    for beta in (0.7, 1.3):
+        report = condensation.classify_phase(0.5 * phonon_gas.rho_crit(disp, beta), beta, disp)
+        assert report.phase == "normal"
+    assert len(steps) > 20
+    assert calls == [1.0 / 0.7, 60.0 / 0.7, 1.0 / 1.3, 60.0 / 1.3]
 
 
 def test_classify_phase_reuses_a_given_critical_density(monkeypatch):

@@ -138,3 +138,22 @@ def test_cli_runs_without_importing_scipy(command, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
     assert json.loads(out.stdout.splitlines()[-1]) == [0, []]
+
+
+def test_integrate_floors_its_tolerance_at_the_estimators_own():
+    """A request below 100 eps integral |f| is met at that floor; each panel's
+    estimate is at least 50 eps of its integral of |f|, so the request alone
+    could never be."""
+    f = lambda k: 1e3 * np.exp(-k * k) * np.cos(8.0 * k)
+    got = numerics.integrate(f, 0.0, 8.0, epsabs=1e-16, epsrel=0.0, limit=300)
+    exact = 1e3 * np.sqrt(np.pi) / 2.0 * np.exp(-16.0)
+    l1 = numerics.integrate(lambda k: np.abs(f(k)), 0.0, 8.0, epsabs=1e-13, epsrel=1e-13, limit=300).value
+    assert 1e-16 < got.error <= 100.0 * np.finfo(float).eps * l1
+    assert abs(got.value - exact) <= got.error
+
+
+def test_integrate_still_raises_when_the_integrand_cannot_converge():
+    """1/k has no integral on [0, 1]: the first panel's estimate never falls,
+    and the floor, tied to integral |f| over the panels, stays far below it."""
+    with pytest.raises(BracketError, match="300 intervals"):
+        numerics.integrate(lambda k: 1.0 / k, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=300)
