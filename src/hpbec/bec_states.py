@@ -78,6 +78,14 @@ def _normal_kernel(disp, beta, y_infinity):
     return kernel
 
 
+@functools.lru_cache(maxsize=256)
+def _q1(f, disp, beta):
+    """q1 depends on (f, disp, beta) alone, so each value's quadrature runs
+    once; test functions and dispersions equal by value share an entry."""
+    _check_q1_integrable(f, disp)
+    return gaussian_density_integral(f, _thermal_kernel(disp, beta))
+
+
 def q_form(kind, f, disp, beta, y_infinity=1.0, phase=None):
     """Quadratic forms of the limiting Gaussian states.
 
@@ -89,8 +97,7 @@ def q_form(kind, f, disp, beta, y_infinity=1.0, phase=None):
             raise ValueError("q0 requires a CondensatePhase for the amplitude c")
         return phase.amplitude * abs(f.zero_mode) ** 2
     if kind == "q1":
-        _check_q1_integrable(f, disp)
-        return gaussian_density_integral(f, _thermal_kernel(disp, beta))
+        return _q1(f, disp, beta)
     if kind == "q2":
         if y_infinity < 1.0:
             raise ValueError("y_infinity must be >= 1")
@@ -285,7 +292,7 @@ def combined_limit(box_sizes, f, disp, beta, target_density, regime_report, elec
     characteristic value according to the phase classification.
     """
     from .condensation import solve_fugacity
-    from .lattice import build_lattice_modes
+    from .lattice import lattice_modes
 
     if regime_report.phase == "condensed":
         phase = CondensatePhase(
@@ -298,7 +305,7 @@ def combined_limit(box_sizes, f, disp, beta, target_density, regime_report, elec
 
     finite, gaps = [], []
     for L in box_sizes:
-        modes = build_lattice_modes(L, disp, beta, num_internal)
+        modes = lattice_modes(L, disp, beta, num_internal)
         sol = solve_fugacity(L, target_density, beta, disp, num_internal=num_internal, modes=modes)
         rec = phonon_gas.finite_volume_characteristic(modes, f, sol.y, beta, disp)
         val = electron_value * rec.weyl_value

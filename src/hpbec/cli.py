@@ -20,7 +20,7 @@ from dataclasses import asdict
 import numpy as np
 from numpy.random import default_rng
 
-from . import bec_states, condensation, decoupling, phonon_gas
+from . import bec_states, condensation, decoupling, lattice, phonon_gas
 from .couplings import CouplingFamily
 from .dispersion import quadratic_dispersion, tabulated_dispersion, validate_dispersion
 from .errors import (
@@ -31,7 +31,6 @@ from .errors import (
     VerificationFailure,
 )
 from .hubbard import build_hubbard_system
-from .lattice import build_lattice_modes
 from .testfunctions import gaussian_test_function
 
 EXIT_OK = 0
@@ -82,6 +81,21 @@ DEFAULT_CONFIG = {
     "seed": 12345,
     "output": {"directory": "hpbec-out"},
 }
+
+
+# The memos behind the certified numbers, by the name each stage's "memos" record uses.
+MEMOS = {
+    "rho_crit": phonon_gas._rho_crit,
+    "quadrature_range": phonon_gas._quadrature_range,
+    "q1": bec_states._q1,
+    "chi_rule": bec_states._chi_rule,
+    "lattice_modes": lattice.lattice_modes,
+}
+
+
+def memo_counts():
+    """(hits, misses) of every memo in MEMOS so far in this process."""
+    return {name: memo.cache_info()[:2] for name, memo in MEMOS.items()}
 
 
 def fmt(x):
@@ -203,11 +217,18 @@ class Emitter:
         os.makedirs(out_dir, exist_ok=True)
 
     def stage(self, name, fn):
-        """Run one command function; log its wall seconds and the process's ru_maxrss after it (KiB on Linux)."""
+        """Run one command function; log its wall seconds, the process's ru_maxrss after it
+        (KiB on Linux) and the hits and misses of each memo during it."""
+        before = memo_counts()
         start = time.perf_counter()
         code = fn(self.config, self)
+        wall_s = time.perf_counter() - start
         rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        self.stages.append({"name": name, "wall_s": time.perf_counter() - start, "ru_maxrss": rss})
+        memos = {
+            memo: {"hits": hits - before[memo][0], "misses": misses - before[memo][1]}
+            for memo, (hits, misses) in memo_counts().items()
+        }
+        self.stages.append({"name": name, "wall_s": wall_s, "ru_maxrss": rss, "memos": memos})
         return code
 
     def csv(self, name, header, rows):
@@ -400,8 +421,7 @@ def cmd_bec_states(config, emitter):
         q0 = bec_states.q_form("q0", f, disp, beta, phase=phase)
         q1 = bec_states.q_form("q1", f, disp, beta)
         gap = bec_states.decomposition_gap(f, disp, beta, phase)
-        # psi_bec's own expression, from the q0 and q1 already at hand
-        rows.append((idx, q0, q1, float(np.exp(-0.25 * (q0 + q1))), gap))
+        rows.append((idx, q0, q1, bec_states.psi_bec(f, disp, beta, phase), gap))
     emitter.csv(
         "bec_states.csv", ["index", "q0", "q1", "psi_bec", "decomposition_gap"], rows
     )

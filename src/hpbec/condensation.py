@@ -13,7 +13,7 @@ import numpy as np
 
 from . import numerics, phonon_gas
 from .errors import BracketError, UnsolvableDensity
-from .lattice import build_lattice_modes
+from .lattice import lattice_modes
 
 RESIDUAL_TOL = 1e-10
 # critical_temperature accepts beta_c once log rho_crit(beta_c) is this close
@@ -49,7 +49,7 @@ def fugacity_bracket_bound(modes, target_density, infrared_density):
 def solve_fugacity(box_size, target_density, beta, disp, n_ir=0.0, num_internal=1, modes=None):
     """Unique y > 1 with f_L(y) = target_density, residual below RESIDUAL_TOL."""
     if modes is None:
-        modes = build_lattice_modes(box_size, disp, beta, num_internal)
+        modes = lattice_modes(box_size, disp, beta, num_internal)
     vol = box_size**modes.dimension
     rho_ir = n_ir / vol
     if target_density <= rho_ir:

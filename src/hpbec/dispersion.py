@@ -62,11 +62,26 @@ class Dispersion:
         return float(np.log(f2 / f1) / np.log(2.0))
 
 
+@dataclass(frozen=True)
+class _QuadraticProfile:
+    """r(k) = k^2 + omega0, equal by value so that equal dispersions share memos."""
+
+    omega0: float
+
+    def __call__(self, k):
+        return np.square(k) + self.omega0
+
+
+def _quadratic_derivative(k):
+    return 2.0 * np.asarray(k, dtype=float)
+
+
 def quadratic_dispersion(omega0=1.0, mu_b=0.0, dimension=3, growth_exponent=4.0):
-    """Default massive dispersion r(k) = k^2 + omega0."""
+    """Default massive dispersion r(k) = k^2 + omega0; two built with equal
+    arguments compare and hash equal."""
     return Dispersion(
-        radial_profile=lambda k: np.square(k) + omega0,
-        radial_derivative=lambda k: 2.0 * np.asarray(k, dtype=float),
+        radial_profile=_QuadraticProfile(float(omega0)),
+        radial_derivative=_quadratic_derivative,
         dimension=dimension,
         growth_exponent=growth_exponent,
         mu_b=mu_b,
@@ -78,7 +93,8 @@ def tabulated_dispersion(k_samples, r_samples, dimension=3, growth_exponent=4.0,
     """Dispersion from (k, r(k)) samples via monotone-cubic interpolation.
 
     Beyond the last sample the profile is continued with the end-point slope,
-    keeping it monotone; below the first it is held at the first sample.
+    keeping it monotone; below the first it is held at the first sample.  Its
+    profile is a closure, so a tabulated dispersion equals only itself.
     """
     interp, deriv = numerics.monotone_cubic(k_samples, r_samples)
     k_end, r_end = float(k_samples[-1]), float(r_samples[-1])

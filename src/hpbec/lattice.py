@@ -16,6 +16,7 @@ The same shift-and-add sums a weight that factors over coordinates, such as a
 Gaussian's |f(k)|^2, shell by shell (`shell_sums`), so no mode is visited.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -163,6 +164,19 @@ def build_lattice_modes(box_size, disp, beta, num_internal=1, eps_trunc=1e-16):
             f"lattice tail bound {tail:.3e} stays above 1e-12 of the included weight "
             f"{included:.3e} at cut radius {k_cut:g}"
         )
+    shells.flags.writeable = False
+    counts.flags.writeable = False
     return LatticeModes(
         float(box_size), d, int(num_internal), float(k_cut), shells, counts, float(tail), included
     )
+
+
+@functools.lru_cache(maxsize=8)
+def lattice_modes(box_size, disp, beta, num_internal=1, eps_trunc=1e-16):
+    """build_lattice_modes, once per value of its arguments.
+
+    The shells depend on nothing else and are read-only, so the fugacity
+    solves of one box size share a build; dispersions equal by value share
+    an entry.
+    """
+    return build_lattice_modes(box_size, disp, beta, num_internal, eps_trunc)

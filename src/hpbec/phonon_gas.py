@@ -110,6 +110,13 @@ def rho_fr(disp, beta, y, num_internal=1):
 
 def rho_crit(disp, beta, num_internal=1):
     """Critical density: the free-gas density at y = 1."""
+    return _rho_crit(disp, beta, num_internal)
+
+
+@functools.lru_cache(maxsize=256)
+def _rho_crit(disp, beta, num_internal):
+    """rho_crit depends on (disp, beta, num_internal) alone, so each value's
+    quadrature runs once; dispersions equal by value share an entry."""
     return rho_fr(disp, beta, 1.0, num_internal)
 
 

@@ -11,21 +11,37 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianTestFunction:
+    """Compares and hashes by (dimension, center, width, amplitude), so two
+    separately built equal Gaussians share the memos keyed on them; `center`
+    is a read-only copy."""
+
     dimension: int
     center: np.ndarray = field(repr=False)
     width: float
     amplitude: complex
 
     def __post_init__(self):
-        center = np.zeros(self.dimension) if self.center is None else np.asarray(
-            self.center, dtype=float
-        ).reshape(self.dimension)
+        center = np.zeros(self.dimension) if self.center is None else np.array(
+            np.reshape(self.center, self.dimension), dtype=float
+        )
         if self.width <= 0:
             raise ValueError("width must be positive")
+        center.flags.writeable = False
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "amplitude", complex(self.amplitude))
+
+    def _key(self):
+        return self.dimension, tuple(self.center.tolist()), self.width, self.amplitude
+
+    def __eq__(self, other):
+        if not isinstance(other, GaussianTestFunction):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def values(self, k_points):
         """Pointwise f(k) for k_points of shape (..., d)."""

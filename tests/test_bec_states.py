@@ -225,6 +225,7 @@ def test_decomposition_gap_at_the_thermal_factor_floor():
 
 
 def test_decomposition_gap_makes_one_quadrature(monkeypatch):
+    bec_states._q1.cache_clear()
     calls = []
     quadrature = couplings.radial_reduced_integral
 

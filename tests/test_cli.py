@@ -6,7 +6,7 @@ import platform
 import numpy as np
 import pytest
 
-from hpbec import cli, couplings, numerics, phonon_gas
+from hpbec import bec_states, cli, couplings, numerics, phonon_gas
 
 
 def run(args):
@@ -168,8 +168,9 @@ def test_threads_flag_is_gone():
         run(["--command", "validate", "--threads", "1"])
 
 
-def test_bec_states_makes_two_q1_quadratures_per_test_function(tmp_path, monkeypatch):
-    """One q1 for the CSV column and one inside decomposition_gap; psi_bec reuses them."""
+def test_bec_states_makes_one_q1_quadrature_per_test_function(tmp_path, monkeypatch):
+    """The CSV column computes q1; decomposition_gap and psi_bec reuse it."""
+    bec_states._q1.cache_clear()
     calls = []
     quadrature = couplings.radial_reduced_integral
 
@@ -179,7 +180,7 @@ def test_bec_states_makes_two_q1_quadratures_per_test_function(tmp_path, monkeyp
 
     monkeypatch.setattr(couplings, "radial_reduced_integral", counted)
     assert run(["--command", "bec-states", "--out", str(tmp_path / "r")]) == 0
-    assert len(calls) == 20
+    assert len(calls) == 10
 
 
 @pytest.mark.parametrize(

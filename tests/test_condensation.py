@@ -246,6 +246,8 @@ def test_critical_temperature_meets_off_sample_targets_property(beta, shift):
 def test_classify_phase_finds_the_quadrature_range_once_per_beta(monkeypatch):
     """A normal-phase solve at fixed beta: rho_crit and every Brent step of
     rho_fr share the two gap inversions (beta F = 1 and beta F = 60)."""
+    phonon_gas._quadrature_range.cache_clear()
+    phonon_gas._rho_crit.cache_clear()
     calls = []
     gap_inverse = Dispersion.gap_inverse
 

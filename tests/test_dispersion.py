@@ -102,3 +102,18 @@ def test_unconvergeable_inverse_gap_integral_fails_its_check():
     assert check.name == "inverse gap integrable near k = 0"
     assert not check.passed
     assert "not finite" in check.witness
+
+
+def test_quadratic_dispersions_compare_and_hash_by_value():
+    a, b = quadratic_dispersion(), quadratic_dispersion(omega0=1, mu_b=0.0)
+    assert a == b and hash(a) == hash(b)
+    assert quadratic_dispersion(omega0=2.0) != a
+    assert quadratic_dispersion(mu_b=0.5) != a
+    assert quadratic_dispersion(dimension=2) != a
+    assert np.array_equal(a.omega(np.array([0.0, 0.5, 2.0])), [1.0, 1.25, 5.0])
+
+
+def test_tabulated_dispersion_equals_only_itself():
+    k = np.linspace(0.0, 4.0, 9)
+    a, b = tabulated_dispersion(k, k**2 + 1.0), tabulated_dispersion(k, k**2 + 1.0)
+    assert a == a and a != b

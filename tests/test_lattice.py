@@ -182,5 +182,6 @@ def test_non_converging_truncation_raises(monkeypatch, tmp_path):
     monkeypatch.setattr(lattice, "_tail_bound", lambda *args: np.inf)
     with pytest.raises(BracketError):
         build_lattice_modes(5.0, DISP, 1.0)
+    lattice.lattice_modes.cache_clear()
     code = cli.main(["--command", "condense", "--out", str(tmp_path / "r")])
     assert code == cli.EXIT_DIVERGENCE

@@ -63,3 +63,24 @@ def test_axis_factors_multiply_to_the_squared_modulus():
     assert np.allclose(product, expected, rtol=1e-14, atol=0.0)
     with pytest.raises(ValueError):
         f.axis_factors(ax[:, None])
+
+
+def test_equal_gaussians_compare_and_hash_equal():
+    center = np.array([0.3, -0.1, 0.2])
+    f = gaussian_test_function(3, center=center, width=0.8, amplitude=0.5 - 0.2j)
+    g = gaussian_test_function(3, center=[0.3, -0.1, 0.2], width=0.8, amplitude=0.5 - 0.2j)
+    assert f is not g
+    assert f == g and hash(f) == hash(g)
+    assert f.scaled(1j) != f
+    assert gaussian_test_function(3, center=[0.3, -0.1, 0.25], width=0.8, amplitude=0.5 - 0.2j) != f
+    assert gaussian_test_function(3, center=center, width=0.9, amplitude=0.5 - 0.2j) != f
+    assert f != (3, center, 0.8, 0.5 - 0.2j)
+
+
+def test_center_is_a_read_only_copy():
+    center = np.array([0.3, -0.1, 0.2])
+    f = gaussian_test_function(3, center=center)
+    with pytest.raises(ValueError):
+        f.center[0] = 1.0
+    center[0] = 1.0  # the caller's array stays writable and does not move f
+    assert f.center[0] == 0.3
