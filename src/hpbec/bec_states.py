@@ -62,14 +62,6 @@ def _check_q1_integrable(f, disp):
         )
 
 
-def _thermal_kernel(disp, beta):
-    def kernel(k):
-        u = np.exp(-beta * np.asarray(disp.gap(k), dtype=float))
-        return (1.0 + u) / (1.0 - u)
-
-    return kernel
-
-
 def _normal_kernel(disp, beta, y_infinity):
     def kernel(k):
         u = np.exp(-beta * np.asarray(disp.gap(k), dtype=float))
@@ -83,14 +75,15 @@ def _q1(f, disp, beta):
     """q1 depends on (f, disp, beta) alone, so each value's quadrature runs
     once; test functions and dispersions equal by value share an entry."""
     _check_q1_integrable(f, disp)
-    return gaussian_density_integral(f, _thermal_kernel(disp, beta))
+    return gaussian_density_integral(f, _normal_kernel(disp, beta, 1.0))
 
 
 def q_form(kind, f, disp, beta, y_infinity=1.0, phase=None):
     """Quadratic forms of the limiting Gaussian states.
 
     q0 = c |fhat(0)|^2; q1 integrates |f|^2 against (1+u)/(1-u) with
-    u = e^{-beta F}; q2 uses (y+u)/(y-u) at the normal-phase fugacity.
+    u = e^{-beta F}; q2 uses (y+u)/(y-u) at the normal-phase fugacity, so at
+    y = 1 it is q1 and comes from the same memo.
     """
     if kind == "q0":
         if phase is None:
@@ -102,7 +95,7 @@ def q_form(kind, f, disp, beta, y_infinity=1.0, phase=None):
         if y_infinity < 1.0:
             raise ValueError("y_infinity must be >= 1")
         if y_infinity == 1.0:
-            _check_q1_integrable(f, disp)
+            return _q1(f, disp, beta)
         return gaussian_density_integral(f, _normal_kernel(disp, beta, y_infinity))
     raise ValueError(f"unknown quadratic form {kind!r}")
 
@@ -305,8 +298,8 @@ def combined_limit(box_sizes, f, disp, beta, target_density, regime_report, elec
 
     finite, gaps = [], []
     for L in box_sizes:
-        modes = lattice_modes(L, disp, beta, num_internal)
-        sol = solve_fugacity(L, target_density, beta, disp, num_internal=num_internal, modes=modes)
+        sol = solve_fugacity(L, target_density, beta, disp, num_internal=num_internal)
+        modes = lattice_modes(L, disp, beta, num_internal)  # the build the solve used
         rec = phonon_gas.finite_volume_characteristic(modes, f, sol.y, beta, disp)
         val = electron_value * rec.weyl_value
         finite.append(val)

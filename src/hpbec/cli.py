@@ -116,42 +116,42 @@ def fmt(x):
 
 
 def deep_merge(base, override, prefix=""):
-    """`override` merged into a copy of `base`; a key `base` lacks is an error."""
+    """`override` merged into a copy of `base`; a key `base` lacks, a value
+    given to a section and an object given to a value are errors."""
+    if not isinstance(override, dict):
+        raise ContractViolation(f"config section {prefix[:-1] or '<root>'!r} takes a JSON object")
     out = copy.deepcopy(base)
     for key, val in override.items():
+        name = prefix + key
         if key not in out:
-            raise ContractViolation(f"unknown config key {prefix + key!r}")
-        if isinstance(val, dict) and isinstance(out[key], dict):
-            out[key] = deep_merge(out[key], val, f"{prefix}{key}.")
+            raise ContractViolation(f"unknown config key {name!r}")
+        if isinstance(out[key], dict):
+            out[key] = deep_merge(out[key], val, name + ".")
+        elif isinstance(val, dict):
+            raise ContractViolation(f"config key {name!r} takes a value, not a JSON object")
         else:
             out[key] = val
     return out
 
 
-def apply_override(config, dotted, raw):
-    *path, leaf = dotted.split(".")
-    node = config
-    for part in path:
-        node = node.get(part) if isinstance(node, dict) else None
-    if not isinstance(node, dict) or leaf not in node:
-        raise ContractViolation(f"unknown config key {dotted!r}")
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    node[leaf] = value
-
-
 def load_config(path, overrides):
+    """The defaults merged with the config file, then with each override KEY=VALUE
+    as the object its dotted KEY spells, holding VALUE parsed as JSON."""
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         with open(path) as fh:
             config = deep_merge(config, json.load(fh))
     for item in overrides:
-        key, _, raw = item.partition("=")
-        if not _:
+        dotted, eq, raw = item.partition("=")
+        if not eq:
             raise ContractViolation(f"override {item!r} is not KEY=VALUE")
-        apply_override(config, key, raw)
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw
+        for key in reversed(dotted.split(".")):
+            value = {key: value}
+        config = deep_merge(config, value)
     thermo = config["thermo"]
     if (thermo.get("beta") is None) == (thermo.get("temperature") is None):
         raise ContractViolation("exactly one of thermo.beta / thermo.temperature must be set")
@@ -292,11 +292,9 @@ def cmd_condense(config, emitter):
     disp = build_dispersion(config)
     beta = float(config["thermo"]["beta"])
     n_i = int(config["thermo"]["num_internal"])
-    rc = phonon_gas.rho_fr_quadrature(disp, beta, 1.0, n_i)
+    rc = phonon_gas.rho_crit_quadrature(disp, beta, n_i)
     rho = resolve_density(config, rc.value)
-    seq = condensation.condensate_sequence(
-        config["sweep"]["box_sizes"], rho, beta, disp, num_internal=n_i, critical_density=rc.value
-    )
+    seq = condensation.condensate_sequence(config["sweep"]["box_sizes"], rho, beta, disp, num_internal=n_i)
     report = seq.regime
     rows = [
         (sol.box_size, sol.y, sol.residual, dens, report.phase)
@@ -329,7 +327,7 @@ def cmd_phase_diagram(config, emitter):
         rc = phonon_gas.rho_crit(disp, float(beta), n_i)
         for scale in config["phase_grid"]["densities"]:
             rho = float(scale) * rc
-            rep = condensation.classify_phase(rho, float(beta), disp, n_i, critical_density=rc)
+            rep = condensation.classify_phase(rho, float(beta), disp, n_i)
             rows.append(
                 (beta, rho, rc, rep.phase, rep.normal_fugacity, rep.condensate_density)
             )
@@ -393,21 +391,23 @@ def cmd_decouple_verify(config, emitter):
     return EXIT_OK
 
 
-def cmd_bec_states(config, emitter):
+def condensed_target(config, command):
+    """The dispersion, beta, N_i, target density and condensate density of a
+    condensed-phase command; UnsolvableDensity if the target does not condense."""
     disp = build_dispersion(config)
     beta = float(config["thermo"]["beta"])
     n_i = int(config["thermo"]["num_internal"])
-    rc = phonon_gas.rho_crit(disp, beta, n_i)
-    rho = resolve_density(config, rc)
-    report = condensation.classify_phase(rho, beta, disp, n_i, critical_density=rc)
+    rho = resolve_density(config, phonon_gas.rho_crit(disp, beta, n_i))
+    report = condensation.classify_phase(rho, beta, disp, n_i)
     if report.phase != "condensed":
-        raise UnsolvableDensity("bec-states requires a condensed-phase target density")
+        raise UnsolvableDensity(f"{command} requires a condensed-phase target density")
+    return disp, beta, n_i, rho, report.condensate_density
+
+
+def cmd_bec_states(config, emitter):
+    disp, beta, n_i, rho, rho0 = condensed_target(config, "bec-states")
     phase = bec_states.CondensatePhase(
-        float(config["bec"]["r"]),
-        float(config["bec"]["theta"]),
-        report.condensate_density,
-        disp.dimension,
-        n_i,
+        float(config["bec"]["r"]), float(config["bec"]["theta"]), rho0, disp.dimension, n_i
     )
     rng = default_rng(config.get("seed"))
     rows = []
@@ -429,7 +429,7 @@ def cmd_bec_states(config, emitter):
         "bec_states.json",
         {
             "rho_target": rho,
-            "condensate_density": report.condensate_density,
+            "condensate_density": rho0,
             "fiber_density": bec_states.fiber_density(phase, disp, beta),
             "max_decomposition_gap": max(r[-1] for r in rows),
         },
@@ -438,17 +438,8 @@ def cmd_bec_states(config, emitter):
 
 
 def cmd_fingerprint(config, emitter):
-    disp = build_dispersion(config)
-    beta = float(config["thermo"]["beta"])
-    n_i = int(config["thermo"]["num_internal"])
-    rc = phonon_gas.rho_crit(disp, beta, n_i)
-    rho = resolve_density(config, rc)
-    report = condensation.classify_phase(rho, beta, disp, n_i, critical_density=rc)
-    if report.phase != "condensed":
-        raise UnsolvableDensity("fingerprint requires a condensed-phase target density")
-    base = bec_states.CondensatePhase(
-        1.0, 0.0, report.condensate_density, disp.dimension, n_i
-    )
+    disp, _, n_i, _, rho0 = condensed_target(config, "fingerprint")
+    base = bec_states.CondensatePhase(1.0, 0.0, rho0, disp.dimension, n_i)
     f1, f2 = bec_states.canonical_probe_pair(base.amplitude, disp.dimension)
     rng = default_rng(config.get("seed"))
     rows = []

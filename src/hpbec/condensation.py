@@ -4,7 +4,10 @@ critical temperature for the finite/continuum Bose gas.
 The fugacity equation rho_target = f_L(y) has a unique root on (1, infinity)
 because f_L is a strictly decreasing continuous bijection onto
 (rho_ir, infinity); the solver brackets it with the proof bound on y - 1 and
-polishes with Newton steps using the analytic derivative.
+polishes with Newton steps using the analytic derivative.  Solves take
+their lattice from `lattice.lattice_modes` and classifications rho_crit from
+`phonon_gas.rho_crit`, memos keyed on values, so calls at one (L, beta) or one
+beta share a build or a quadrature without being handed it.
 """
 
 from dataclasses import dataclass
@@ -16,6 +19,10 @@ from .errors import BracketError, UnsolvableDensity
 from .lattice import lattice_modes
 
 RESIDUAL_TOL = 1e-10
+# classify_phase calls a target this close to rho_crit critical
+CRITICAL_TOL = 1e-9
+# critical_temperature brackets beta_c within this range
+BETA_RANGE = (1e-3, 1e3)
 # critical_temperature accepts beta_c once log rho_crit(beta_c) is this close
 # to log target: about ten times the scatter of rho_crit's quadrature between
 # nearby beta, and well inside a 1e-12 relative match of the density.
@@ -46,10 +53,9 @@ def fugacity_bracket_bound(modes, target_density, infrared_density):
     )
 
 
-def solve_fugacity(box_size, target_density, beta, disp, n_ir=0.0, num_internal=1, modes=None):
+def solve_fugacity(box_size, target_density, beta, disp, n_ir=0.0, num_internal=1):
     """Unique y > 1 with f_L(y) = target_density, residual below RESIDUAL_TOL."""
-    if modes is None:
-        modes = lattice_modes(box_size, disp, beta, num_internal)
+    modes = lattice_modes(box_size, disp, beta, num_internal)
     vol = box_size**modes.dimension
     rho_ir = n_ir / vol
     if target_density <= rho_ir:
@@ -95,10 +101,10 @@ class PhaseReport:
     critical_density: float
 
 
-def classify_phase(target_density, beta, disp, num_internal=1, critical_tol=1e-9, critical_density=None):
-    """Condensed/normal/critical trichotomy against rho_crit(beta), or `critical_density` if given."""
-    rc = phonon_gas.rho_crit(disp, beta, num_internal) if critical_density is None else critical_density
-    if abs(target_density - rc) <= critical_tol:
+def classify_phase(target_density, beta, disp, num_internal=1):
+    """Condensed/normal/critical trichotomy against rho_crit(beta)."""
+    rc = phonon_gas.rho_crit(disp, beta, num_internal)
+    if abs(target_density - rc) <= CRITICAL_TOL:
         return PhaseReport("critical", 1.0, 1.0, 0.0, rc)
     if target_density > rc:
         return PhaseReport("condensed", 1.0, 1.0, target_density - rc, rc)
@@ -126,7 +132,7 @@ class CondensateSequence:
     regime: PhaseReport  # the phase whose finite-size law the extrapolation fits
 
 
-def condensate_sequence(box_sizes, target_density, beta, disp, n_ir=0.0, num_internal=1, critical_density=None):
+def condensate_sequence(box_sizes, target_density, beta, disp, n_ir=0.0, num_internal=1):
     """Condensate density per volume along an increasing ladder of box sizes.
 
     The limit estimate fits a + b / L^p through the last three points, with
@@ -137,7 +143,7 @@ def condensate_sequence(box_sizes, target_density, beta, disp, n_ir=0.0, num_int
     box_sizes = [float(L) for L in box_sizes]
     if not box_sizes or any(b >= a for b, a in zip(box_sizes, box_sizes[1:])):
         raise ValueError("box sizes must be strictly increasing and nonempty")
-    regime = classify_phase(target_density, beta, disp, num_internal, critical_density=critical_density)
+    regime = classify_phase(target_density, beta, disp, num_internal)
     solutions, densities = [], []
     for L in box_sizes:
         sol = solve_fugacity(L, target_density, beta, disp, n_ir, num_internal)
@@ -156,19 +162,19 @@ def condensate_sequence(box_sizes, target_density, beta, disp, n_ir=0.0, num_int
     return CondensateSequence(tuple(box_sizes), tuple(solutions), tuple(densities), limit, regime)
 
 
-def critical_temperature(target_density, disp, beta_lo=1e-3, beta_hi=1e3, num_internal=1):
+def critical_temperature(target_density, disp, num_internal=1):
     """beta_c with rho_crit(beta_c) = target_density, and T_c = 1/beta_c.
 
-    Monotonicity of rho_crit in beta is verified on a coarse geometric sample.
-    The sample interval on which rho_crit - target changes sign is the bracket,
-    and the root is solved there for log rho_crit(e^s) = log target in
-    s = log beta, reusing both end values.  That function is linear when the
-    gap goes as k^p near 0 (rho_crit ~ beta^{-d/p}) and nearly so otherwise,
-    so Brent needs a few steps.  A beta whose density is within
+    Monotonicity of rho_crit in beta is verified on nine geometric samples of
+    BETA_RANGE.  The sample interval on which rho_crit - target changes sign
+    is the bracket, and the root is solved there for log rho_crit(e^s) =
+    log target in s = log beta, reusing both end values.  That function is
+    linear when the gap goes as k^p near 0 (rho_crit ~ beta^{-d/p}) and nearly
+    so otherwise, so Brent needs a few steps.  A beta whose density is within
     LOG_DENSITY_TOL of the target in log is the root; when that beta is a
     sample, it is returned as sampled.
     """
-    samples = np.geomspace(beta_lo, beta_hi, 9)
+    samples = np.geomspace(*BETA_RANGE, 9)
     vals = np.array([phonon_gas.rho_crit(disp, b, num_internal) for b in samples])
     diffs = np.diff(vals)
     if not (np.all(diffs > 0) or np.all(diffs < 0)):

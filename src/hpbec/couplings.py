@@ -94,14 +94,13 @@ class CouplingFamily:
         a[0] = float(x)
         return a
 
-    def values(self, x, k_points, kappa=None):
+    def values(self, x, k_points):
         """Pointwise lambda_x(k) on k_points of shape (..., d)."""
-        kap = self.kappa if kappa is None else kappa
         k = np.asarray(k_points, dtype=float)
         norm = np.linalg.norm(k, axis=-1)
         phase = np.exp(-1j * k @ self.site_position(x))
         envelope = np.exp(-np.square(norm) / (2.0 * self.uv_width**2))
-        return phase * envelope * (norm >= kap)
+        return phase * envelope * (norm >= self.kappa)
 
 
 def _check_infrared(disp, m, kappa, what):
@@ -116,14 +115,13 @@ def _check_infrared(disp, m, kappa, what):
         )
 
 
-def coupling_overlap(family, disp, m, x, y, kappa=None):
+def coupling_overlap(family, disp, m, x, y):
     """<omega^m lambda_x, omega^m lambda_y> by radial-plus-angular quadrature."""
-    kap = family.kappa if kappa is None else kappa
-    _check_infrared(disp, m, kap, "coupling overlap")
+    _check_infrared(disp, m, family.kappa, "coupling overlap")
     delta = family.site_position(x) - family.site_position(y)
     gamma = 1.0 / family.uv_width**2
     weight = None if m == 0 else (lambda k: np.asarray(disp.radial_profile(k), dtype=float) ** (2.0 * m))
-    return radial_reduced_integral(family.dimension, kap, gamma, 1j * delta, weight)
+    return radial_reduced_integral(family.dimension, family.kappa, gamma, 1j * delta, weight)
 
 
 @dataclass(frozen=True)
@@ -140,43 +138,41 @@ class OverlapMatrix:
         return float(np.linalg.eigvalsh(self.entries).min())
 
 
-def overlap_matrix(family, disp, m, kappa=None):
+def overlap_matrix(family, disp, m):
     """Gram matrix G_xy = <omega^m lambda_x, omega^m lambda_y>, Hermitian.
 
     The overlap depends only on a_x - a_y, so on the chain G is Toeplitz:
     one quadrature per distance y - x gives the first row, and the first
     column is its conjugate.
     """
-    kap = family.kappa if kappa is None else kappa
-    row = np.array([coupling_overlap(family, disp, m, 0, d, kap) for d in range(family.num_sites)])
+    row = np.array([coupling_overlap(family, disp, m, 0, d) for d in range(family.num_sites)])
     G = numerics.hermitian_toeplitz(row)
     defect = np.abs(G - G.conj().T).max()
     if defect > 1e-10 * max(np.abs(G).max(), 1e-300):
         raise ContractViolation(f"overlap matrix lost hermiticity: defect {defect:.3e}")
-    return OverlapMatrix(float(m), kap, G)
+    return OverlapMatrix(float(m), family.kappa, G)
 
 
-def cross_overlap(family, disp, m, f, x, kappa=None):
+def cross_overlap(family, disp, m, f, x):
     """<omega^m f, omega^m lambda_x> for a Gaussian test function f."""
-    kap = family.kappa if kappa is None else kappa
-    _check_infrared(disp, m, kap, "test-function/coupling overlap")
+    _check_infrared(disp, m, family.kappa, "test-function/coupling overlap")
     sigma2 = f.width**2
     gamma = 0.5 / sigma2 + 0.5 / family.uv_width**2
     drift = f.center / sigma2 - 1j * family.site_position(x)
     pref = np.conj(f.amplitude) * np.exp(-np.sum(np.square(f.center)) / (2.0 * sigma2))
     weight = None if m == 0 else (lambda k: np.asarray(disp.radial_profile(k), dtype=float) ** (2.0 * m))
-    return radial_reduced_integral(family.dimension, kap, gamma, drift, weight, pref)
+    return radial_reduced_integral(family.dimension, family.kappa, gamma, drift, weight, pref)
 
 
-def gaussian_density_integral(f, kernel=None, kappa=0.0):
-    """integral over |k| >= kappa of |f(k)|^2 kernel(|k|) dk for Gaussian f."""
+def gaussian_density_integral(f, kernel=None):
+    """integral of |f(k)|^2 kernel(|k|) dk for Gaussian f."""
     sigma2 = f.width**2
     pref = abs(f.amplitude) ** 2 * np.exp(-np.sum(np.square(f.center)) / sigma2)
-    val = radial_reduced_integral(f.dimension, kappa, 1.0 / sigma2, 2.0 * f.center / sigma2, kernel, pref)
+    val = radial_reduced_integral(f.dimension, 0.0, 1.0 / sigma2, 2.0 * f.center / sigma2, kernel, pref)
     return float(np.real(val))
 
 
-def gaussian_pair_integral(f, g, kernel=None, kappa=0.0):
+def gaussian_pair_integral(f, g, kernel=None):
     """integral of conj(g)(k) f(k) kernel(|k|) dk for two Gaussians (sesquilinear)."""
     if f.dimension != g.dimension:
         raise ContractViolation("test functions live in different dimensions")
@@ -186,7 +182,7 @@ def gaussian_pair_integral(f, g, kernel=None, kappa=0.0):
         -np.sum(np.square(f.center)) / (2.0 * f.width**2)
         - np.sum(np.square(g.center)) / (2.0 * g.width**2)
     )
-    return radial_reduced_integral(f.dimension, kappa, gamma, drift, kernel, pref)
+    return radial_reduced_integral(f.dimension, 0.0, gamma, drift, kernel, pref)
 
 
 def gaussian_weighted_zero_mode(f, weight):

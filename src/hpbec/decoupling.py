@@ -56,6 +56,8 @@ class CoupledSystem:
         lam = np.asarray(self.site_mode_couplings, dtype=complex)
         if np.any(freqs <= 0):
             raise ValueError("sampled mode frequencies must be positive")
+        if np.any(freqs - self.mu_b <= 0):
+            raise ValueError(f"every omega_j - mu_b must be positive (mu_b = {self.mu_b:g})")
         if lam.shape != (self.hubbard.sector.num_sites, len(freqs)):
             raise ContractViolation(
                 f"coupling array shape {lam.shape} does not match "
@@ -95,9 +97,10 @@ def sample_modes(family, disp, box_size, coords):
     return freqs, lam
 
 
-def build_coupled_system(hubbard_sys, family, disp, box_size, coords, mu_b=0.0):
+def build_coupled_system(hubbard_sys, family, disp, box_size, coords):
+    """The cluster coupled to the modes at (2pi/L)*coords, with the dispersion's mu_b."""
     freqs, lam = sample_modes(family, disp, box_size, coords)
-    return CoupledSystem(hubbard_sys, freqs, lam, float(mu_b))
+    return CoupledSystem(hubbard_sys, freqs, lam, float(disp.mu_b))
 
 
 def fermion_blocks(h_e):

@@ -1,8 +1,9 @@
 """Finite boxes of lattice momenta (2 pi / L) Z^d with thermal truncation.
 
-Modes are kept while exp(-beta F(k)) is at least eps_trunc times its value at
+Modes are kept while exp(-beta F(k)) is at least EPS_TRUNC times its value at
 the smallest nonzero mode; the discarded tail is bounded by a radial integral
-and recorded on the object.
+and recorded on the object.  Solves reach a build through `lattice_modes`,
+which memoizes `build_lattice_modes` by value.
 
 Every mode sum of a radial dispersion depends on a mode n only through |n|^2
 and, for the interior/boundary split, through how many of its coordinates are
@@ -25,6 +26,9 @@ import numpy as np
 from . import numerics
 from .dispersion import sphere_area
 from .errors import BracketError
+
+# thermal truncation floor, relative to exp(-beta F) at the smallest nonzero mode
+EPS_TRUNC = 1e-16
 
 
 @dataclass(frozen=True)
@@ -136,7 +140,7 @@ def _tail_bound(box_size, disp, beta, k_cut):
     return (box_size / (2.0 * np.pi)) ** d * sphere_area(d) * val
 
 
-def build_lattice_modes(box_size, disp, beta, num_internal=1, eps_trunc=1e-16):
+def build_lattice_modes(box_size, disp, beta, num_internal=1):
     """Shells of Gamma_L^d with exp(-beta F(k)) above the truncation floor.
 
     The cut radius is widened until the certified tail bound drops below
@@ -148,8 +152,8 @@ def build_lattice_modes(box_size, disp, beta, num_internal=1, eps_trunc=1e-16):
         raise ValueError("num_internal must be >= 1")
     d = disp.dimension
     spacing = 2.0 * np.pi / box_size
-    # floor = eps_trunc * exp(-beta F(spacing)), kept in log form
-    gap_cut = -np.log(eps_trunc) / beta + float(disp.gap(spacing))
+    # floor = EPS_TRUNC * exp(-beta F(spacing)), kept in log form
+    gap_cut = -np.log(EPS_TRUNC) / beta + float(disp.gap(spacing))
     for _ in range(12):
         k_cut = disp.gap_inverse(gap_cut)
         shells, counts = _shell_counts(_cut_shell(k_cut, spacing), d)
@@ -172,11 +176,11 @@ def build_lattice_modes(box_size, disp, beta, num_internal=1, eps_trunc=1e-16):
 
 
 @functools.lru_cache(maxsize=8)
-def lattice_modes(box_size, disp, beta, num_internal=1, eps_trunc=1e-16):
+def lattice_modes(box_size, disp, beta, num_internal=1):
     """build_lattice_modes, once per value of its arguments.
 
     The shells depend on nothing else and are read-only, so the fugacity
     solves of one box size share a build; dispersions equal by value share
     an entry.
     """
-    return build_lattice_modes(box_size, disp, beta, num_internal, eps_trunc)
+    return build_lattice_modes(box_size, disp, beta, num_internal)

@@ -110,14 +110,20 @@ def rho_fr(disp, beta, y, num_internal=1):
 
 def rho_crit(disp, beta, num_internal=1):
     """Critical density: the free-gas density at y = 1."""
+    return rho_crit_quadrature(disp, beta, num_internal).value
+
+
+def rho_crit_quadrature(disp, beta, num_internal=1):
+    """rho_crit with its certificate, from the memo."""
     return _rho_crit(disp, beta, num_internal)
 
 
 @functools.lru_cache(maxsize=256)
 def _rho_crit(disp, beta, num_internal):
-    """rho_crit depends on (disp, beta, num_internal) alone, so each value's
-    quadrature runs once; dispersions equal by value share an entry."""
-    return rho_fr(disp, beta, 1.0, num_internal)
+    """rho_fr_quadrature at y = 1.  It depends on (disp, beta, num_internal)
+    alone, so each value's quadrature runs once; dispersions equal by value
+    share an entry."""
+    return rho_fr_quadrature(disp, beta, 1.0, num_internal)
 
 
 @dataclass(frozen=True)

@@ -104,7 +104,7 @@ def test_fugacity_equation_randomized_fixtures():
         beta = float(rng.uniform(0.6, 1.6))
         rho = float(rng.uniform(0.3, 3.0)) * phonon_gas.rho_crit(DISP, beta)
         modes = build_lattice_modes(L, DISP, beta)
-        sol = condensation.solve_fugacity(L, rho, beta, DISP, modes=modes)
+        sol = condensation.solve_fugacity(L, rho, beta, DISP)
         worst_residual = max(worst_residual, sol.residual)
         all_bounded &= 0.0 < sol.y - 1.0 <= sol.bracket_bound
         # independent grid scan for uniqueness of the sign change
@@ -168,7 +168,7 @@ def test_characteristic_functional_finite_volume_limits():
     g1, g2 = [], []
     for L in (10.0, 20.0, 40.0):
         modes = build_lattice_modes(L, DISP, BETA)
-        sol = condensation.solve_fugacity(L, rho, BETA, DISP, modes=modes)
+        sol = condensation.solve_fugacity(L, rho, BETA, DISP)
         rec = phonon_gas.finite_volume_characteristic(modes, f, sol.y, BETA, DISP)
         g1.append(abs(rec.i1 - q0) / q0)
         g2.append(abs(rec.i2 - q1) / q1)

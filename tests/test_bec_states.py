@@ -41,10 +41,15 @@ def test_q2_approaches_norm_at_large_fugacity():
 
 
 def test_q2_at_unit_fugacity_is_q1():
+    """q2 at y = 1 is the q1 integral, so it is the q1 memo's value (a hit), and
+    q2 just above y = 1 approaches it."""
     f = gaussian_test_function(3, center=[0.2, -0.1, 0.0], width=1.1)
+    bec_states._q1.cache_clear()
     q1 = bec_states.q_form("q1", f, DISP, BETA)
     q2 = bec_states.q_form("q2", f, DISP, BETA, y_infinity=1.0)
-    assert q2 == pytest.approx(q1, rel=1e-12)
+    assert np.float64(q2).tobytes() == np.float64(q1).tobytes()
+    assert bec_states._q1.cache_info()[:2] == (1, 1)
+    assert bec_states.q_form("q2", f, DISP, BETA, y_infinity=1.0 + 1e-10) == pytest.approx(q1, rel=1e-3)
 
 
 def test_q1_infrared_divergence_gapless_low_dimension():
@@ -313,7 +318,7 @@ def test_combined_limit_reaches_large_boxes():
     from hpbec import condensation
 
     rc = phonon_gas.rho_crit(DISP, BETA)
-    rep = condensation.classify_phase(2.0 * rc, BETA, DISP, critical_density=rc)
+    rep = condensation.classify_phase(2.0 * rc, BETA, DISP)
     f = gaussian_test_function(3, center=[0.3, -0.2, 0.1], width=0.9, amplitude=0.6 + 0.2j)
     tracemalloc.start()
     t0 = time.perf_counter()

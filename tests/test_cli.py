@@ -185,21 +185,42 @@ def test_bec_states_makes_one_q1_quadrature_per_test_function(tmp_path, monkeypa
 
 @pytest.mark.parametrize(
     "override",
-    ["thermo.bta=2", "nosuch.key=1", "thermo.beta.value=1", "tolerances.fugacity_residual=1e-8"],
+    [
+        "thermo.bta=2", "nosuch.key=1", "thermo.beta.value=1", "tolerances.fugacity_residual=1e-8",
+        'thermo={"bta": 2}', 'phase_grid={"densities": [1.0], "bta": [1.0]}', "hubbard=5",
+        'hubbard.alpha={"x": 1}', 'hubbard={"alpha": {"x": 1}}',
+    ],
 )
 def test_unknown_override_key_is_rejected(tmp_path, override):
     code = run(["--command", "validate", "--out", str(tmp_path / "r"), "--override", override])
     assert code == cli.EXIT_VALIDATION
 
 
-def test_unknown_config_file_key_is_rejected(tmp_path):
+@pytest.mark.parametrize(
+    "content",
+    [{"thermo": {"beta": 0.5, "bta": 2.0}}, {"hubbard": 5}, {"hubbard": {"alpha": {"x": 1}}}, [1.0]],
+    ids=["thermo.bta", "section-given-a-value", "value-given-a-section", "not-an-object"],
+)
+def test_unknown_config_file_key_is_rejected(tmp_path, content):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"thermo": {"beta": 0.5, "bta": 2.0}}))
+    cfg.write_text(json.dumps(content))
     assert run(["--command", "validate", "--config", str(cfg), "--out", str(tmp_path / "r")]) == cli.EXIT_VALIDATION
+
+
+def test_a_partial_section_override_merges_like_its_dotted_form(tmp_path):
+    """A section given as an object keeps the keys it does not name."""
+    section = cli.load_config(None, ['phase_grid={"densities": [1.0]}'])
+    assert section == cli.load_config(None, ["phase_grid.densities=[1.0]"])
+    assert section["phase_grid"] == {"densities": [1.0], "betas": [0.5, 1.0, 2.0]}
+    out = tmp_path / "r"
+    assert run(["--command", "phase-diagram", "--out", str(out), "--override", 'phase_grid={"densities": [1.0]}']) == 0
+    assert len((out / "phase_diagram.csv").read_text().splitlines()) == 4
 
 
 def test_unconverged_quadrature_maps_to_divergence_exit(tmp_path, monkeypatch, capsys):
     """A quadrature that reaches its interval limit above tolerance fails the run."""
+    for memo in cli.MEMOS.values():  # a warm memo would answer without a quadrature
+        memo.cache_clear()
     integrate = numerics.integrate
 
     def starved(f, a, b, epsabs, epsrel, limit):
@@ -240,16 +261,18 @@ def test_saturating_dispersion_maps_to_divergence_exit(tmp_path, capsys):
 
 
 def test_phase_diagram_computes_rho_crit_once_per_beta(tmp_path, monkeypatch):
+    phonon_gas._rho_crit.cache_clear()
     betas = []
-    rho_crit = phonon_gas.rho_crit
+    quadrature = phonon_gas.rho_fr_quadrature
 
-    def counted(disp, beta, num_internal=1):
-        betas.append(beta)
-        return rho_crit(disp, beta, num_internal)
+    def counted(disp, beta, y, num_internal=1):
+        if y == 1.0:
+            betas.append(beta)
+        return quadrature(disp, beta, y, num_internal)
 
-    monkeypatch.setattr(phonon_gas, "rho_crit", counted)
+    monkeypatch.setattr(phonon_gas, "rho_fr_quadrature", counted)
     assert run(["--command", "phase-diagram", "--out", str(tmp_path / "r")]) == 0
-    assert betas == [0.5, 1.0, 2.0]  # one per grid beta; the 9 classifications reuse it
+    assert betas == [0.5, 1.0, 2.0]  # one rho_crit quadrature per grid beta; the 9 classifications reuse it
 
 
 def test_condense_writes_certificates(tmp_path):

@@ -25,7 +25,7 @@ def test_fugacity_round_trip():
     L, beta = 8.0, 1.0
     modes = build_lattice_modes(L, DISP, beta)
     rho = phonon_gas.lattice_density(modes, DISP, beta, 2.0)
-    sol = condensation.solve_fugacity(L, rho, beta, DISP, modes=modes)
+    sol = condensation.solve_fugacity(L, rho, beta, DISP)
     assert sol.y == pytest.approx(2.0, rel=1e-12)
     assert sol.residual <= condensation.RESIDUAL_TOL
 
@@ -34,7 +34,7 @@ def test_fugacity_round_trip_with_infrared_number():
     L, beta, n_ir = 6.0, 0.8, 1.7
     modes = build_lattice_modes(L, DISP, beta)
     rho = phonon_gas.lattice_density(modes, DISP, beta, 1.4, n_ir)
-    sol = condensation.solve_fugacity(L, rho, beta, DISP, n_ir=n_ir, modes=modes)
+    sol = condensation.solve_fugacity(L, rho, beta, DISP, n_ir=n_ir)
     assert sol.y == pytest.approx(1.4, rel=1e-11)
     assert sol.infrared_density == pytest.approx(n_ir / L**3)
 
@@ -51,7 +51,7 @@ def test_fugacity_root_unique_by_grid_scan():
     L, beta = 7.0, 1.0
     modes = build_lattice_modes(L, DISP, beta)
     rho = 1.5 * phonon_gas.rho_crit(DISP, beta)
-    sol = condensation.solve_fugacity(L, rho, beta, DISP, modes=modes)
+    sol = condensation.solve_fugacity(L, rho, beta, DISP)
     ys = np.linspace(1.0 + 1e-9, 1.0 + sol.bracket_bound + 1.0, 4001)
     vals = np.array([phonon_gas.lattice_density(modes, DISP, beta, y) - rho for y in ys])
     assert np.sum(np.sign(vals[:-1]) != np.sign(vals[1:])) == 1
@@ -267,13 +267,22 @@ def test_classify_phase_finds_the_quadrature_range_once_per_beta(monkeypatch):
     assert calls == [1.0 / 0.7, 60.0 / 0.7, 1.0 / 1.3, 60.0 / 1.3]
 
 
-def test_classify_phase_reuses_a_given_critical_density(monkeypatch):
+def test_classify_phase_reuses_the_memoized_critical_density(monkeypatch):
+    phonon_gas._rho_crit.cache_clear()
+    betas = []
+    quadrature = phonon_gas.rho_fr_quadrature
+
+    def counted(disp, beta, y, num_internal=1):
+        if y == 1.0:
+            betas.append(float(beta))
+        return quadrature(disp, beta, y, num_internal)
+
+    monkeypatch.setattr(phonon_gas, "rho_fr_quadrature", counted)
     rc = phonon_gas.rho_crit(DISP, 1.0)
-    betas = _count_rho_crit(monkeypatch)
-    for scale in (0.5, 1.0, 2.0):
-        given = condensation.classify_phase(scale * rc, 1.0, DISP, critical_density=rc)
-        assert given == condensation.classify_phase(scale * rc, 1.0, DISP)
-    assert betas == [1.0, 1.0, 1.0]  # only the calls without critical_density
+    reports = [condensation.classify_phase(scale * rc, 1.0, DISP) for scale in (0.5, 1.0, 2.0)]
+    assert [r.phase for r in reports] == ["normal", "critical", "condensed"]
+    assert all(r.critical_density == rc for r in reports)
+    assert betas == [1.0]  # the quadrature behind rc; the three classifications reuse it
 
 
 @pytest.mark.parametrize("box_size", [40.0, 80.0, 160.0])
@@ -282,7 +291,7 @@ def test_newton_polish_stops_once_a_step_no_longer_moves_y(box_size):
     1e-14 stop, so the polish ends when its step rounds to no change of y."""
     rho = 2.0 * phonon_gas.rho_crit(DISP, 1.0)
     modes = build_lattice_modes(box_size, DISP, 1.0)
-    sol = condensation.solve_fugacity(box_size, rho, 1.0, DISP, modes=modes)
+    sol = condensation.solve_fugacity(box_size, rho, 1.0, DISP)
     assert sol.newton_steps <= 1
     res = phonon_gas.lattice_density(modes, DISP, 1.0, sol.y) - rho
     step = res / phonon_gas.lattice_density_derivative(modes, DISP, 1.0, sol.y)

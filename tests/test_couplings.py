@@ -1,6 +1,8 @@
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from hpbec.couplings import (
@@ -111,7 +113,7 @@ def test_infrared_divergence_massless_inverse():
     with pytest.raises(InfraredDivergence):
         coupling_overlap(fam, gapless, -1.0, 0, 1)
     # a positive cutoff restores finiteness
-    val = coupling_overlap(fam, gapless, -1.0, 0, 1, kappa=0.5)
+    val = coupling_overlap(CouplingFamily(2, 3, 2.0, kappa=0.5), gapless, -1.0, 0, 1)
     assert np.isfinite(val.real)
 
 
@@ -218,3 +220,24 @@ def test_overlap_matrix_meets_its_tolerance_at_wide_couplings(uv_width, kappa):
         else:
             want = overlap_row_oracle(uv_width, kappa, d)
         assert abs(G[0, d] - want) <= 1e-14 * scale
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    num_sites=st.integers(1, 6),
+    uv_width=st.floats(1.5, 4.0),
+    kappa=st.floats(0.0, 1.0),
+    m=st.sampled_from([0.0, 0.5, -0.5]),
+    omega0=st.floats(0.5, 2.0),
+)
+def test_overlap_matrix_is_hermitian_positive_definite_property(num_sites, uv_width, kappa, m, omega0):
+    """The Gram matrix of the site couplings is Hermitian and positive definite.
+
+    On this box its smallest eigenvalue is lowest at the corner of 6 sites,
+    uv_width 1.5, kappa 0, m = -1/2 and omega0 0.5, where it is 0.031 max|G|.
+    """
+    family = CouplingFamily(num_sites, 3, uv_width, kappa)
+    G = overlap_matrix(family, quadratic_dispersion(omega0=omega0), m).entries
+    scale = np.abs(G).max()
+    assert np.abs(G - G.conj().T).max() <= 1e-13 * scale
+    assert np.linalg.eigvalsh(G).min() >= 0.02 * scale

@@ -24,7 +24,7 @@ COORDS_4 = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.
 def make_system(alpha=0.2, beta=1.0, kappa=0.5, coords=COORDS, hopping=HOP, mu_b=0.0):
     cluster = build_hubbard_system(2, 2, hopping, 2.0, coupling=alpha, beta=beta)
     family = CouplingFamily(2, 3, 2.0, kappa)
-    return decoupling.build_coupled_system(cluster, family, DISP, 10.0, coords, mu_b)
+    return decoupling.build_coupled_system(cluster, family, quadratic_dispersion(mu_b=mu_b), 10.0, coords)
 
 
 # Dense references, built here from the tensor-product definitions so that the
@@ -533,5 +533,34 @@ def test_invalid_coupled_system_inputs():
     cluster = build_hubbard_system(2, 2, HOP, 2.0)
     with pytest.raises(ValueError):
         decoupling.CoupledSystem(cluster, np.array([1.0, -0.5]), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="omega_j - mu_b"):
+        decoupling.CoupledSystem(cluster, np.array([1.0, 2.0]), np.zeros((2, 2)), mu_b=1.0)
     with pytest.raises(ContractViolation):
         decoupling.CoupledSystem(cluster, np.array([1.0, 2.0]), np.zeros((3, 2)))
+
+
+def test_decouple_verify_reads_the_dispersions_mu_b(tmp_path):
+    """The CLI's spectral levels at mu_b = 0.3 are those of the system built
+    with that mu_b, and they differ from the levels at mu_b = 0."""
+    overrides = ["sweep.level_caps=[2,3]", "dispersion.mu_b=0.3"]
+    argv = ["--command", "decouple-verify", "--out", str(tmp_path / "r")]
+    # the exit code is not checked: at mu_b != 0 the ladders plateau, because the
+    # dressing displaces by l / omega while H_b counts omega - mu_b
+    cli.main(argv + [arg for o in overrides for arg in ("--override", o)])
+    summary = json.loads((tmp_path / "r" / "decouple.json").read_text())
+    config = cli.load_config(None, overrides)
+    disp = cli.build_dispersion(config)
+    coords = np.asarray(config["sweep"]["mode_coords"], dtype=float)
+    sys = decoupling.build_coupled_system(cli.build_cluster(config), cli.build_family(config), disp, 10.0, coords)
+    assert sys.mu_b == 0.3
+    spectral = decoupling.spectral_comparison(decoupling.build_coupled_operators(sys, 3))
+    assert summary["spectral_levels_coupled"] == spectral.coupled.tolist()
+    assert summary["spectral_levels_decoupled"] == spectral.decoupled.tolist()
+    cli.main(argv[:-1] + [str(tmp_path / "r0"), "--override", overrides[0]])
+    at_zero = json.loads((tmp_path / "r0" / "decouple.json").read_text())
+    assert at_zero["spectral_levels_coupled"] != summary["spectral_levels_coupled"]
+
+
+def test_decouple_verify_rejects_mu_b_at_or_above_a_mode_frequency(tmp_path):
+    argv = ["--command", "decouple-verify", "--out", str(tmp_path), "--override", "dispersion.mu_b=1.5"]
+    assert cli.main(argv) == cli.EXIT_VALIDATION

@@ -110,18 +110,18 @@ def test_value_equal_inputs_built_apart_share_the_memo(center, width, amplitude,
     q1, rc = bec_states.q_form("q1", f, disp, beta), phonon_gas.rho_crit(disp, beta)
     with (
         mock.patch.object(couplings, "radial_reduced_integral", wraps=couplings.radial_reduced_integral) as quad,
-        mock.patch.object(phonon_gas, "rho_fr", wraps=phonon_gas.rho_fr) as rho_fr,
+        mock.patch.object(phonon_gas, "rho_fr_quadrature", wraps=phonon_gas.rho_fr_quadrature) as rho_quad,
     ):
         f_again = gaussian_test_function(3, center=np.array(center), width=width, amplitude=amplitude)
         disp_again = quadratic_dispersion(omega0=omega0)
         assert bec_states.q_form("q1", f_again, disp_again, beta) == q1
         assert phonon_gas.rho_crit(disp_again, beta) == rc
-        assert quad.call_count == 0 and rho_fr.call_count == 0
+        assert quad.call_count == 0 and rho_quad.call_count == 0
         # another beta or width is another value
         bec_states.q_form("q1", f, disp, 1.25 * beta)
         bec_states.q_form("q1", gaussian_test_function(3, center=center, width=1.1 * width, amplitude=amplitude), disp, beta)
         phonon_gas.rho_crit(disp, 1.25 * beta)
-        assert quad.call_count == 2 and rho_fr.call_count == 1
+        assert quad.call_count == 2 and rho_quad.call_count == 1
 
 
 def test_condense_and_combined_limit_build_each_box_once(monkeypatch):
@@ -145,5 +145,35 @@ def test_manifest_records_each_stages_memo_hits_and_misses(tmp_path):
     assert set(stage["memos"]) == set(cli.MEMOS)
     # the CSV column computes each q1; decomposition_gap and psi_bec reuse it
     assert stage["memos"]["q1"] == {"hits": 20, "misses": 10}
-    # fiber_density reuses the critical density the target was set from
-    assert stage["memos"]["rho_crit"] == {"hits": 1, "misses": 1}
+    # classify_phase and fiber_density reuse the critical density the target was set from
+    assert stage["memos"]["rho_crit"] == {"hits": 2, "misses": 1}
+
+
+def test_a_full_report_integrates_rho_crit_once_per_beta(tmp_path):
+    """condense sets its target from rho_crit(beta = 1); phase-diagram adds
+    beta = 0.5 and 2; the later stages reuse beta = 1."""
+    _clear()
+    assert cli.main(["--command", "full-report", "--out", str(tmp_path)]) == 0
+    stages = json.loads((tmp_path / "manifest.json").read_text())["stages"]
+    misses = {stage["name"]: stage["memos"]["rho_crit"]["misses"] for stage in stages}
+    assert sum(misses.values()) == 3
+    assert misses["condense"] == 1 and misses["phase-diagram"] == 2
+
+
+def test_warm_memos_give_the_same_artifacts(tmp_path):
+    """Each command run twice in one process: the second run misses no memo
+    and writes every artifact but the manifest byte for byte as the first."""
+    commands = ["condense", "phase-diagram", "bec-states", "fingerprint"]
+    _clear()
+    for run in ("cold", "warm"):
+        for command in commands:
+            assert cli.main(["--command", command, "--out", str(tmp_path / run / command)]) == 0
+    for command in commands:
+        cold, warm = tmp_path / "cold" / command, tmp_path / "warm" / command
+        names = sorted(p.name for p in cold.iterdir())
+        assert names == sorted(p.name for p in warm.iterdir())
+        for name in names:
+            if name != "manifest.json":
+                assert (cold / name).read_bytes() == (warm / name).read_bytes(), (command, name)
+        (stage,) = json.loads((warm / "manifest.json").read_text())["stages"]
+        assert all(counts["misses"] == 0 for counts in stage["memos"].values()), (command, stage["memos"])
