@@ -5,7 +5,10 @@ The gauge-invariant condensed state has Weyl values exp(-(q0 + q1)/4); its
 extremal fibers carry an extra pure phase (the fingerprint)
 exp[i sqrt(c r) Re(e^{i theta} fhat(0))] and average back to the invariant
 state under the measure chi = e^{-r} dr x d theta / (2 pi).  The averaging
-identity is exactly the pair of Bessel identities checked here.
+identity is exactly the pair of Bessel identities checked here.  On the
+equispaced angle grid theta and theta + pi give complex-conjugate
+fingerprints, so `decomposition_gap` folds the average onto half the angles:
+a real mean of cosines.
 """
 
 import functools
@@ -73,9 +76,16 @@ def _normal_kernel(disp, beta, y_infinity):
 @functools.lru_cache(maxsize=256)
 def _q1(f, disp, beta):
     """q1 depends on (f, disp, beta) alone, so each value's quadrature runs
-    once; test functions and dispersions equal by value share an entry."""
+    once; test functions and dispersions equal by value share an entry.
+    Called on `_gauge_fixed(f)`, so a whole gauge orbit shares it too."""
     _check_q1_integrable(f, disp)
     return gaussian_density_integral(f, _normal_kernel(disp, beta, 1.0))
+
+
+def _gauge_fixed(f):
+    """f with amplitude |A|: q1 sees f only through |A|^2, center and width."""
+    modulus = abs(f.amplitude)
+    return f if f.amplitude == modulus else replace(f, amplitude=modulus)
 
 
 def q_form(kind, f, disp, beta, y_infinity=1.0, phase=None):
@@ -90,12 +100,12 @@ def q_form(kind, f, disp, beta, y_infinity=1.0, phase=None):
             raise ValueError("q0 requires a CondensatePhase for the amplitude c")
         return phase.amplitude * abs(f.zero_mode) ** 2
     if kind == "q1":
-        return _q1(f, disp, beta)
+        return _q1(_gauge_fixed(f), disp, beta)
     if kind == "q2":
         if y_infinity < 1.0:
             raise ValueError("y_infinity must be >= 1")
         if y_infinity == 1.0:
-            return _q1(f, disp, beta)
+            return _q1(_gauge_fixed(f), disp, beta)
         return gaussian_density_integral(f, _normal_kernel(disp, beta, y_infinity))
     raise ValueError(f"unknown quadratic form {kind!r}")
 
@@ -172,11 +182,24 @@ def chi_average(func, n_radial=64, n_angular=256):
     return complex(weights @ values.mean(axis=1))
 
 
+def _fingerprint_average(c, zero_mode):
+    """chi_average of _fingerprint(c, r, theta, zero_mode) on its 64 x 256 rule, folded.
+
+    The angles theta_j and theta_j + pi give conjugate fingerprints, phases
+    +-sqrt(c r) Re(e^{i theta_j} fhat(0)), so the angular mean is the mean of
+    the cosines over j < 128: real, with no complex exponential per node.
+    """
+    nodes, weights, thetas = _chi_rule(64, 256)
+    half = thetas[: len(thetas) // 2]
+    arg = np.sqrt(c * nodes)[:, None] * np.real(np.exp(1j * half) * zero_mode)
+    return weights @ np.cos(arg).mean(axis=1)
+
+
 def decomposition_gap(f, disp, beta, phase):
     """|integral of psi_fiber d chi - psi_bec| for one test function."""
     q0 = q_form("q0", f, disp, beta, phase=phase)
     q1 = q_form("q1", f, disp, beta)
-    avg = chi_average(lambda r, th: _fingerprint(phase.amplitude, r, th, f.zero_mode))
+    avg = _fingerprint_average(phase.amplitude, f.zero_mode)
     return abs(avg * np.exp(-0.25 * q1) - float(np.exp(-0.25 * (q0 + q1))))
 
 

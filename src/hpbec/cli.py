@@ -20,7 +20,7 @@ from dataclasses import asdict
 import numpy as np
 from numpy.random import default_rng
 
-from . import bec_states, condensation, decoupling, lattice, phonon_gas
+from . import bec_states, condensation, couplings, decoupling, lattice, phonon_gas
 from .couplings import CouplingFamily
 from .dispersion import quadratic_dispersion, tabulated_dispersion, validate_dispersion
 from .errors import (
@@ -89,6 +89,7 @@ MEMOS = {
     "quadrature_range": phonon_gas._quadrature_range,
     "q1": bec_states._q1,
     "chi_rule": bec_states._chi_rule,
+    "overlap_row": couplings._overlap_row,
     "lattice_modes": lattice.lattice_modes,
 }
 

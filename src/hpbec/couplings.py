@@ -9,12 +9,16 @@ and every integral this module computes has the shape
 for a radial weight w and a complex drift vector c.  Rotation invariance of
 the Gaussian reduces the angular integral to a closed form in the complex
 scalar z = sqrt(c . c) (non-conjugated dot product): 2 cosh(kz) in d = 1,
-2 pi I0(kz) in d = 2 (evaluated by a periodic trapezoid rule), and
-4 pi sinh(kz)/(kz) in d = 3.  The radial factor is handled by adaptive
-quadrature of the complex integrand on a finite interval chosen from the
-Gaussian decay.
+2 pi I0(kz) in d = 2 (a periodic trapezoid rule on 256 angles, summed over
+a quarter circle by its symmetry), and 4 pi sinh(kz)/(kz) in d = 3.  The
+radial factor is handled by adaptive quadrature of the complex integrand on
+a finite interval chosen from the Gaussian decay.  A stack of drift vectors
+is integrated in one vector quadrature; on the chain the Gram matrix is
+Toeplitz, so its whole first row is one such quadrature, memoized per
+(family, dispersion, m).
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,20 +27,24 @@ from . import numerics
 from .errors import ContractViolation, InfraredDivergence
 
 _LOG_CUTOFF = 46.0  # exp(-46) ~ 1e-20 relative tail
+# The 256-angle trapezoid rule for the d = 2 angular mean of exp(kz cos theta),
+# folded by cos(-theta) = cos(theta) and cos(pi - theta) = -cos(theta) onto the
+# quarter 0 <= theta <= pi/2: a weighted mean of cosh(kz cos theta_j), j = 0..64.
+_QUARTER_COS = np.cos(np.linspace(0.0, 2.0 * np.pi, 257)[:65])
+_QUARTER_WEIGHTS = np.concatenate([[2.0], np.full(63, 4.0), [2.0]]) / 256.0
 
 
 def _angular_factor(dimension, k, z):
     """Integral of exp(k . c) over the sphere |k| fixed, as a function of kz.
 
-    `k` may be an array of radii; `z` is the complex scalar sqrt(c . c).
+    `k` is an array of radii; `z` is the complex scalar sqrt(c . c), or an
+    array of them whose axes lead those of the result.
     """
-    kz = np.multiply.outer(np.asarray(k, dtype=float), z) if np.ndim(k) else k * z
+    kz = k * z[..., None, None] if np.ndim(z) else k * z
     if dimension == 1:
         return 2.0 * np.cosh(kz)
     if dimension == 2:
-        theta = np.linspace(0.0, 2.0 * np.pi, 257)[:-1]
-        vals = np.exp(np.multiply.outer(kz, np.cos(theta)))
-        return 2.0 * np.pi * vals.mean(axis=-1)
+        return 2.0 * np.pi * (np.cosh(np.multiply.outer(kz, _QUARTER_COS)) @ _QUARTER_WEIGHTS)
     if dimension == 3:
         small = np.abs(kz) < 1e-8
         safe = np.where(small, 1.0, kz)
@@ -48,14 +56,19 @@ def _angular_factor(dimension, k, z):
 def radial_reduced_integral(dimension, kappa, gamma, drift, weight=None, prefactor=1.0):
     """integral over |k| >= kappa of w(|k|) e^{-gamma|k|^2} e^{k.c} dk.
 
-    `drift` is the complex vector c; `weight` maps an array of radii to
-    complex values (default 1).  Returns a complex number.
+    `drift` is the complex vector c, or a stack (..., d) of them integrated
+    in one quadrature on the interval the widest one needs, each to its own
+    tolerance; `weight` maps an array of radii to complex values (default 1).
+    Returns a complex number, or an array of the stack's shape.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive (Gaussian decay required)")
-    c = np.asarray(drift, dtype=complex).reshape(dimension)
-    z = complex(np.sqrt(np.sum(c * c) + 0j))
-    zmod = abs(z)
+    c = np.asarray(drift, dtype=complex)
+    if c.shape[-1:] != (dimension,):
+        raise ValueError(f"drift has shape {c.shape}, expected (..., {dimension})")
+    z = np.sqrt(np.sum(c * c, axis=-1) + 0j)
+    zmod = max(map(abs, z.ravel().tolist()))  # Python's abs: np.abs can differ in the last bit, and so move k_max
+    z = complex(z) if z.ndim == 0 else z
     # beyond k_max the integrand is below exp(-_LOG_CUTOFF) of its peak
     k_max = (zmod + np.sqrt(zmod * zmod + 4.0 * gamma * _LOG_CUTOFF)) / (2.0 * gamma)
     k_max = max(k_max, kappa + 1.0)
@@ -67,7 +80,7 @@ def radial_reduced_integral(dimension, kappa, gamma, drift, weight=None, prefact
         return base
 
     quad = numerics.integrate(integrand, kappa, k_max, epsabs=1e-13, epsrel=1e-12, limit=300)
-    return complex(prefactor) * complex(quad.value)
+    return complex(prefactor) * quad.value
 
 
 @dataclass(frozen=True)
@@ -115,13 +128,25 @@ def _check_infrared(disp, m, kappa, what):
         )
 
 
-def coupling_overlap(family, disp, m, x, y):
-    """<omega^m lambda_x, omega^m lambda_y> by radial-plus-angular quadrature."""
+@functools.lru_cache(maxsize=64)
+def _overlap_row(family, disp, m):
+    """G_0d for d = 0 .. num_sites - 1, read-only, from one quadrature of the
+    stacked drifts i (a_0 - a_d); the row depends on (family, disp, m) alone."""
     _check_infrared(disp, m, family.kappa, "coupling overlap")
-    delta = family.site_position(x) - family.site_position(y)
+    origin = family.site_position(0)
+    drifts = 1j * np.array([origin - family.site_position(d) for d in range(family.num_sites)])
     gamma = 1.0 / family.uv_width**2
     weight = None if m == 0 else (lambda k: np.asarray(disp.radial_profile(k), dtype=float) ** (2.0 * m))
-    return radial_reduced_integral(family.dimension, family.kappa, gamma, 1j * delta, weight)
+    row = radial_reduced_integral(family.dimension, family.kappa, gamma, drifts, weight)
+    row.flags.writeable = False
+    return row
+
+
+def coupling_overlap(family, disp, m, x, y):
+    """<omega^m lambda_x, omega^m lambda_y>: entry y - x of the memoized row, conjugated below it."""
+    d = int(family.site_position(y)[0] - family.site_position(x)[0])
+    row = _overlap_row(family, disp, m)
+    return complex(row[d]) if d >= 0 else complex(np.conj(row[-d]))
 
 
 @dataclass(frozen=True)
@@ -142,11 +167,10 @@ def overlap_matrix(family, disp, m):
     """Gram matrix G_xy = <omega^m lambda_x, omega^m lambda_y>, Hermitian.
 
     The overlap depends only on a_x - a_y, so on the chain G is Toeplitz:
-    one quadrature per distance y - x gives the first row, and the first
-    column is its conjugate.
+    one vector quadrature over the distances y - x gives the first row, and
+    the first column is its conjugate.
     """
-    row = np.array([coupling_overlap(family, disp, m, 0, d) for d in range(family.num_sites)])
-    G = numerics.hermitian_toeplitz(row)
+    G = numerics.hermitian_toeplitz(_overlap_row(family, disp, m))
     defect = np.abs(G - G.conj().T).max()
     if defect > 1e-10 * max(np.abs(G).max(), 1e-300):
         raise ContractViolation(f"overlap matrix lost hermiticity: defect {defect:.3e}")

@@ -19,18 +19,28 @@ def as_matrix(A):
     return A
 
 
-def hermiticity_defect(A):
-    """Max-norm of A - A^dagger relative to the max-norm of A."""
+def hermiticity_defect(A, entries=None):
+    """Max-norm of A - A^dagger relative to the max-norm of A.
+
+    `entries`, a pair (rows, cols) that holds every nonzero entry of A, gives
+    the same number read on those entries and their transposes alone: each
+    nonzero of A - A^dagger sits at one of them.
+    """
     A = as_matrix(A)
-    scale = np.abs(A).max()
+    if entries is None:
+        values, mirrored = A, A.T
+    else:
+        rows, cols = entries
+        values, mirrored = A[rows, cols], A[cols, rows]
+    scale = np.abs(values).max(initial=0.0)
     if scale == 0.0:
         return 0.0
-    return np.abs(A - A.conj().T).max() / scale
+    return np.abs(values - mirrored.conj()).max() / scale
 
 
-def require_hermitian(A, tol=HERMITICITY_TOL):
+def require_hermitian(A, tol=HERMITICITY_TOL, entries=None):
     A = as_matrix(A)
-    defect = hermiticity_defect(A)
+    defect = hermiticity_defect(A, entries)
     if defect > tol:
         raise ContractViolation(f"matrix is not Hermitian: relative defect {defect:.3e} > {tol:.1e}")
     return A

@@ -1,12 +1,15 @@
 """Numpy-only quadrature, root finding, Toeplitz fill and monotone interpolation.
 
 Each solver returns its certificate with its result: `integrate` the error
-estimate and the number of integrand evaluations, `brentq` the function value
+estimate and the number of integrand evaluations (an integrand with leading
+component axes is a stack of integrands sharing one panel set, and gets a
+value and an error estimate per component), `brentq` the function value
 at the root and the number of iterations.  Both raise BracketError when their
 budget runs out before the tolerance is met, instead of returning an
 unconverged value.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -37,7 +40,7 @@ _TINY = np.finfo(float).tiny
 
 
 class Quadrature(NamedTuple):
-    value: complex  # a float for a real integrand
+    value: complex  # a float for a real integrand; arrays over the components of a stack
     error: float
     evaluations: int
 
@@ -49,61 +52,90 @@ class Root(NamedTuple):
 
 
 def _kronrod_panels(f, lo, hi):
-    """K15 values, QUADPACK error estimates and K15 integrals of |f| on the panels [lo_i, hi_i]."""
+    """K15 values, QUADPACK error estimates and K15 integrals of |f| on the panels [lo_i, hi_i].
+
+    Each is an array (components, intervals): the integrand's leading
+    component axes flattened, then one entry per panel.  Also returns the
+    shape of those axes, () for a scalar integrand.
+    """
     center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     fv = np.asarray(f(center[:, None] + half[:, None] * _NODES))
     resk, resg = fv @ _KRONROD, fv @ _GAUSS
     width = np.abs(half)
     resabs = width * (np.abs(fv) @ _KRONROD)
-    resasc = width * (np.abs(fv - 0.5 * resk[:, None]) @ _KRONROD)
+    resasc = width * (np.abs(fv - 0.5 * resk[..., None]) @ _KRONROD)
     err = np.abs((resk - resg) * half)
     scaled = resasc * np.minimum(1.0, (200.0 * err / np.where(resasc > 0, resasc, 1.0)) ** 1.5)
     err = np.where((resasc != 0) & (err != 0), scaled, err)
     err = np.where(resabs > _TINY / (50.0 * _EPS), np.maximum(50.0 * _EPS * resabs, err), err)
-    return resk * half, err, resabs
+    flat = (-1, len(lo))
+    return (resk * half).reshape(flat), err.reshape(flat), resabs.reshape(flat), fv.shape[:-2]
+
+
+def _largest_errors(errs, excess):
+    """Panel indices by decreasing error, as many as must go for the rest to sum below `excess`."""
+    order = np.argsort(-errs)
+    return order[: int(np.searchsorted(np.cumsum(errs[order]), excess)) + 1]
+
+
+def _first_occurrences(indices):
+    """`indices` without repeats, each where it first occurs: a panel two components need is split once."""
+    return indices[np.sort(np.unique(indices, return_index=True)[1])]
 
 
 def integrate(f, a, b, epsabs, epsrel, limit):
     """Globally adaptive G7-K15 quadrature of f over [a, b].
 
-    `f` maps an (intervals, 15) array of nodes to values of the same shape,
-    real or complex; it is called once per pass.  Each pass bisects the
-    largest-error panels whose removal would bring the summed error estimate
-    within max(epsabs, epsrel |value|, 100 eps integral |f|).  The last term
-    is the estimator's own floor: each panel's estimate is at least
+    `f` maps an (intervals, 15) array of nodes to values of shape
+    (..., intervals, 15), real or complex; it is called once per pass.  Axes
+    before the last two are components: a stack of integrands that share
+    their panels, each held to its own tolerance.  Each pass bisects the
+    largest-error panels whose removal would bring a component's summed
+    error estimate within max(epsabs, epsrel |value|, 100 eps integral |f|),
+    over the union of the panels the unconverged components need.  The last
+    term is the estimator's own floor: each panel's estimate is at least
     50 eps times its integral of |f|, so a tolerance below it cannot be met.
-    Returns Quadrature(value, error, evaluations); raises BracketError if the
-    integrand is not finite at a node or `limit` panels do not reach the
+    Returns Quadrature(value, error, evaluations), with value and error
+    arrays of the components' shape if there are any; raises BracketError if
+    the integrand is not finite at a node or `limit` panels do not reach the
     tolerance.
     """
     lo, hi = np.array([float(a)]), np.array([float(b)])
-    vals, errs, absvals = _kronrod_panels(f, lo, hi)
+    vals, errs, absvals, shape = _kronrod_panels(f, lo, hi)
     evaluations = 15
     while True:
-        value, error = vals.sum(), errs.sum()
-        if not np.isfinite(error):
-            raise BracketError(f"integrand is not finite on [{a:g}, {b:g}]")
-        tol = max(epsabs, epsrel * abs(value), 100.0 * _EPS * absvals.sum())
-        if error <= tol:
-            return Quadrature(value.item(), float(error), evaluations)
+        value, error, integral_abs = vals.sum(axis=1), errs.sum(axis=1), absvals.sum(axis=1)
+        # each component's tolerance test, on Python floats; a scalar integrand is one component
+        needs, worst = [], ()
+        for panel_errs, v, e, s in zip(errs, value.tolist(), error.tolist(), integral_abs.tolist()):
+            if not math.isfinite(e):
+                raise BracketError(f"integrand is not finite on [{a:g}, {b:g}]")
+            tol = max(epsabs, epsrel * abs(v), 100.0 * _EPS * s)
+            if e > tol:
+                needs.append(_largest_errors(panel_errs, e - tol))
+                worst = max(worst, (e - tol, e, tol))
+        if not needs:
+            if shape:
+                return Quadrature(value.reshape(shape), error.reshape(shape), evaluations)
+            return Quadrature(value[0].item(), error[0].item(), evaluations)
         if len(lo) >= limit:
             raise BracketError(
                 f"quadrature on [{a:g}, {b:g}] reached {limit} intervals with error "
-                f"estimate {error:.3e} above tolerance {tol:.3e}"
+                f"estimate {worst[1]:.3e} above tolerance {worst[2]:.3e}"
             )
-        order = np.argsort(-errs)
-        count = int(np.searchsorted(np.cumsum(errs[order]), error - tol)) + 1
-        split = order[: min(count, limit - len(lo))]
+        split = needs[0] if len(needs) == 1 else _first_occurrences(np.concatenate(needs))
+        split = split[: limit - len(lo)]
         keep = np.ones(len(lo), dtype=bool)
         keep[split] = False
+        kept = keep.nonzero()[0]
         mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate([lo[split], mid])
-        new_hi = np.concatenate([mid, hi[split]])
-        new_vals, new_errs, new_abs = _kronrod_panels(f, new_lo, new_hi)
+        new_lo, new_hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+        new_vals, new_errs, new_abs, _ = _kronrod_panels(f, new_lo, new_hi)
         evaluations += 15 * len(new_lo)
-        lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
-        vals, errs = np.concatenate([vals[keep], new_vals]), np.concatenate([errs[keep], new_errs])
-        absvals = np.concatenate([absvals[keep], new_abs])
+        lo, hi = np.concatenate([lo[kept], new_lo]), np.concatenate([hi[kept], new_hi])
+        vals = np.concatenate([vals.take(kept, axis=1), new_vals], axis=1)
+        errs = np.concatenate([errs.take(kept, axis=1), new_errs], axis=1)
+        absvals = np.concatenate([absvals.take(kept, axis=1), new_abs], axis=1)
 
 
 def brentq(f, a, b, xtol, rtol, maxiter, fa=None, fb=None):

@@ -52,6 +52,20 @@ def test_q2_at_unit_fugacity_is_q1():
     assert bec_states.q_form("q2", f, DISP, BETA, y_infinity=1.0 + 1e-10) == pytest.approx(q1, rel=1e-3)
 
 
+def test_q1_memo_is_shared_by_the_gauge_orbit():
+    """q1 sees f only through |A|^2, center and width, so a phase-rotated f
+    hits the memo, and the hit is the cold quadrature of the rotated f itself."""
+    f = gaussian_test_function(3, center=[0.2, -0.1, 0.3], width=0.8, amplitude=0.4 - 0.3j)
+    bec_states._q1.cache_clear()
+    bec_states.gauge_shift_check(bec_states.CondensatePhase(1.0, 0.3, 0.05), f, 0.7, DISP, BETA)
+    assert bec_states._q1.cache_info()[:2] == (1, 1)
+    for alpha in (0.0, 0.7, np.pi, -2.0):
+        g = f.scaled(np.exp(1j * alpha))
+        cold = bec_states._q1.__wrapped__(g, DISP, BETA)
+        assert np.float64(bec_states.q_form("q1", g, DISP, BETA)).tobytes() == np.float64(cold).tobytes()
+    assert bec_states._q1.cache_info()[:2] == (5, 1)
+
+
 def test_q1_infrared_divergence_gapless_low_dimension():
     gapless1 = quadratic_dispersion(omega0=0.0, dimension=1)
     f = gaussian_test_function(1, width=1.0)
@@ -183,6 +197,21 @@ def test_chi_average_of_fingerprint_matches_scalar_rule():
             lambda r, th: bec_states._fingerprint(phase.amplitude, r, th, f.zero_mode)
         )
         assert abs(avg - scalar_fingerprint_average(phase, f)) <= 1e-15
+
+
+def test_the_folded_average_is_the_full_grid_rule():
+    """decomposition_gap's half-angle mean of cosines is chi_average of the
+    fingerprint on the whole 64 x 256 grid, aliasing above c |fhat(0)|^2 ~ 500
+    included: at 1000 both still miss e^{-q0/4} by 0.15."""
+    phase = make_phase(r=1.0, theta=0.3)
+    rng = np.random.default_rng(31)
+    for q0 in (1.0, 20.0, 150.0, 400.0, 1000.0):
+        f = draw_with_q0(rng, phase, q0)
+        c, zero_mode = phase.amplitude, f.zero_mode
+        folded = bec_states._fingerprint_average(c, zero_mode)
+        full = bec_states.chi_average(lambda r, th: bec_states._fingerprint(c, r, th, zero_mode))
+        assert abs(folded - full) <= 1e-15
+        assert (abs(folded - np.exp(-0.25 * q0)) > 0.1) == (q0 == 1000.0)
 
 
 def test_chi_rule_is_read_only():

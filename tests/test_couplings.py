@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
+from hpbec import couplings
 from hpbec.couplings import (
     CouplingFamily,
     coupling_overlap,
@@ -241,3 +242,44 @@ def test_overlap_matrix_is_hermitian_positive_definite_property(num_sites, uv_wi
     scale = np.abs(G).max()
     assert np.abs(G - G.conj().T).max() <= 1e-13 * scale
     assert np.linalg.eigvalsh(G).min() >= 0.02 * scale
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_a_stack_of_drifts_is_each_drifts_integral(dimension):
+    """One vector quadrature of a stack agrees with one call per drift, on the
+    interval the widest drift needs."""
+    rng = np.random.default_rng(dimension)
+    drifts = rng.normal(size=(2, 3, dimension)) + 1j * rng.normal(size=(2, 3, dimension))
+    weight = lambda k: (k * k + 1.0) ** -0.5  # noqa: E731
+    got = radial_reduced_integral(dimension, 0.3, 0.8, drifts, weight, 0.5 - 0.2j)
+    assert got.shape == (2, 3)
+    for index in np.ndindex(2, 3):
+        want = radial_reduced_integral(dimension, 0.3, 0.8, drifts[index], weight, 0.5 - 0.2j)
+        assert abs(got[index] - want) <= 1e-12 * abs(want)
+
+
+def test_the_overlap_row_is_one_quadrature_shared_by_every_entry(monkeypatch):
+    couplings._overlap_row.cache_clear()
+    calls = []
+    quadrature = couplings.radial_reduced_integral
+    monkeypatch.setattr(couplings, "radial_reduced_integral", lambda *a: calls.append(a) or quadrature(*a))
+    fam = CouplingFamily(5, 3, 2.0, 0.5)
+    G = overlap_matrix(fam, DISP, -0.5).entries
+    for x in range(5):
+        for y in range(5):
+            assert coupling_overlap(fam, DISP, -0.5, x, y) == G[x, y]
+    assert len(calls) == 1 and np.shape(calls[0][3]) == (5, 3)
+    assert couplings._overlap_row.cache_info()[:2] == (25, 1)
+    with pytest.raises(ValueError):
+        coupling_overlap(fam, DISP, -0.5, 0, 5)
+
+
+def test_the_folded_planar_angular_rule_is_the_256_angle_trapezoid():
+    """In d = 2 the angular mean of exp(kz cos theta) is the trapezoid rule on
+    256 angles, summed as cosh over the quarter circle by the rule's symmetry."""
+    rng = np.random.default_rng(11)
+    k = rng.uniform(0.0, 12.0, size=(7, 15))
+    theta = np.linspace(0.0, 2.0 * np.pi, 257)[:-1]
+    for z in (0.0, 0.3, 10.0, 5j, 2.0 + 1.0j, -3.0 + 4.0j):
+        full = 2.0 * np.pi * np.exp(np.multiply.outer(k * z, np.cos(theta))).mean(axis=-1)
+        assert np.abs(couplings._angular_factor(2, k, z) - full).max() <= 2e-15 * np.abs(full).max()

@@ -78,3 +78,24 @@ def test_invalid_system_parameters():
         hubbard.build_hubbard_system(2, 2, np.zeros((2, 2)), 1.0, beta=0.0)
     with pytest.raises(ContractViolation):
         hubbard.build_hubbard_system(2, 2, [[0.0, 1.0], [2.0, 0.0]], 1.0)  # not Hermitian
+
+
+def test_one_corrupted_hopping_entry_fails_the_hermiticity_check(monkeypatch):
+    """The check reads only the nonzero entries of H; one hopping entry off by
+    1e-9 relative still breaks H = H^dagger at D = 924."""
+    sys = hubbard.build_hubbard_system(6, 6, -np.eye(6, k=1) - np.eye(6, k=-1), 2.0)
+    hubbard.build_hubbard_hamiltonian(sys)
+    entries = fermions.hopping_entries
+    calls = []
+
+    def corrupted(sector, x, y, spin):
+        rows, cols, signs = entries(sector, x, y, spin)
+        if len(calls) == 3:
+            signs = signs.copy()
+            signs[len(signs) // 2] *= 1.0 + 1e-9
+        calls.append((x, y, spin))
+        return rows, cols, signs
+
+    monkeypatch.setattr(fermions, "hopping_entries", corrupted)
+    with pytest.raises(ContractViolation, match="not Hermitian"):
+        hubbard.build_hubbard_hamiltonian(sys)

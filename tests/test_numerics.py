@@ -157,3 +157,58 @@ def test_integrate_still_raises_when_the_integrand_cannot_converge():
     and the floor, tied to integral |f| over the panels, stays far below it."""
     with pytest.raises(BracketError, match="300 intervals"):
         numerics.integrate(lambda k: 1.0 / k, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=300)
+
+
+# --- integrands with component axes -----------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRANDS))
+def test_a_one_component_stack_returns_the_scalar_bits(name):
+    f, _, a, b = INTEGRANDS[name]
+    scalar = numerics.integrate(f, a, b, epsabs=1e-13, epsrel=1e-12, limit=300)
+    stack = numerics.integrate(lambda k: f(k)[None], a, b, epsabs=1e-13, epsrel=1e-12, limit=300)
+    assert type(scalar.value) in (float, complex) and type(scalar.error) is float
+    assert stack.value.shape == stack.error.shape == (1,)
+    assert np.asarray(scalar.value).tobytes() == stack.value.tobytes()
+    assert np.float64(scalar.error).tobytes() == stack.error.tobytes()
+    assert scalar.evaluations == stack.evaluations
+
+
+MIXED = (
+    lambda k: np.exp(-k * k) * np.cos(3.0 * k),
+    lambda k: k * k * np.exp(-0.5 * k * k + 12.0j * k),
+    lambda k: np.zeros_like(k),
+)
+
+
+def test_each_component_of_a_mixed_stack_meets_its_own_tolerance():
+    """Smooth, oscillatory and zero integrands on one panel set: each agrees
+    with its own scalar quadrature within the sum of the two error estimates."""
+    shapes = []
+
+    def stack(k):
+        shapes.append(k.shape)
+        return np.stack([np.asarray(g(k), dtype=complex) for g in MIXED])
+
+    got = numerics.integrate(stack, 0.0, 9.0, epsabs=1e-13, epsrel=1e-12, limit=300)
+    assert got.value.shape == got.error.shape == (3,)
+    assert got.evaluations == 15 * sum(s[0] for s in shapes)
+    for component, g in enumerate(MIXED):
+        alone = numerics.integrate(g, 0.0, 9.0, epsabs=1e-13, epsrel=1e-12, limit=300)
+        assert abs(got.value[component] - alone.value) <= got.error[component] + alone.error
+        assert got.error[component] <= max(1e-13, 1e-12 * abs(got.value[component]))
+    assert got.value[2] == 0.0 and got.error[2] == 0.0
+
+
+def test_a_stack_keeps_its_leading_axes():
+    got = numerics.integrate(
+        lambda k: np.stack([[k, k * k], [k**3, np.ones_like(k)]]), 0.0, 1.0, epsabs=1e-14, epsrel=1e-14, limit=50
+    )
+    assert got.value == pytest.approx(np.array([[1 / 2, 1 / 3], [1 / 4, 1.0]]), rel=1e-14)
+
+
+def test_a_stack_raises_on_one_non_finite_component_and_on_an_exhausted_limit():
+    with pytest.raises(BracketError, match="not finite"):
+        numerics.integrate(lambda k: np.stack([np.cos(k), np.where(k > 0.9, np.nan, k)]), 0.0, 1.0, 1e-12, 1e-12, 300)
+    with pytest.raises(BracketError, match="3 intervals"):
+        numerics.integrate(lambda k: np.stack([np.cos(k), k**-0.5]), 0.0, 1.0, 1e-14, 1e-14, limit=3)
