@@ -36,7 +36,14 @@ class Dispersion:
         return self.radial_profile(np.abs(k))
 
     def gap(self, k):
-        """F(k) = omega(k) - omega_0 >= 0."""
+        """F(k) = omega(k) - omega_0 >= 0.
+
+        A profile with a `gap` method supplies F itself: r(k) - r(0) cancels
+        where F is small against r(0), which is where Bose integrals weigh it.
+        """
+        own = getattr(self.radial_profile, "gap", None)
+        if own is not None:
+            return own(np.abs(k))
         return self.radial_profile(np.abs(k)) - self.omega0
 
     def fugacity_floor(self, beta):
@@ -70,6 +77,10 @@ class _QuadraticProfile:
 
     def __call__(self, k):
         return np.square(k) + self.omega0
+
+    def gap(self, k):
+        """k^2 exactly, where (k^2 + omega0) - omega0 would round."""
+        return np.square(k)
 
 
 def _quadratic_derivative(k):

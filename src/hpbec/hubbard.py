@@ -67,4 +67,5 @@ def build_hubbard_hamiltonian(sys):
     occ = site_occupations(sector)
     H[np.diag_indices_from(H)] += sys.repulsion * 0.5 * (occ * (occ - 1.0)).sum(axis=1)
     # H is sparse: its hermiticity defect sits on its nonzero entries and their transposes
-    return require_hermitian(H, tol=1e-10, entries=np.nonzero(H))
+    # (np.nonzero's entries, found faster on the boolean mask's flat indices)
+    return require_hermitian(H, tol=1e-10, entries=divmod(np.flatnonzero(H != 0), sector.dim))

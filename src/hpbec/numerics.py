@@ -37,12 +37,15 @@ _KRONROD = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _GAUSS = np.concatenate([_WG[:-1], _WG[::-1]])
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
+# equal panels of [a, b] that `integrate` starts from; see its docstring
+_START_PANELS = 8
 
 
 class Quadrature(NamedTuple):
     value: complex  # a float for a real integrand; arrays over the components of a stack
     error: float
     evaluations: int
+    passes: int  # calls of the integrand
 
 
 class Root(NamedTuple):
@@ -89,20 +92,27 @@ def integrate(f, a, b, epsabs, epsrel, limit):
     `f` maps an (intervals, 15) array of nodes to values of shape
     (..., intervals, 15), real or complex; it is called once per pass.  Axes
     before the last two are components: a stack of integrands that share
-    their panels, each held to its own tolerance.  Each pass bisects the
+    their panels, each held to its own tolerance.  The first pass evaluates
+    8 equal panels of [a, b] (at most `limit`) rather than QUADPACK's one:
+    the integrands here are smooth on intervals cut from their decay, so a
+    one-panel start spends its first passes on predictable bisections, and
+    each pass has a fixed cost however few panels it evaluates.  (A
+    `bec-suite` benchmark round makes 322, 159, 133 and 168 passes from 1, 4,
+    8 and 16 starting panels.)  Each later pass bisects the
     largest-error panels whose removal would bring a component's summed
     error estimate within max(epsabs, epsrel |value|, 100 eps integral |f|),
     over the union of the panels the unconverged components need.  The last
     term is the estimator's own floor: each panel's estimate is at least
     50 eps times its integral of |f|, so a tolerance below it cannot be met.
-    Returns Quadrature(value, error, evaluations), with value and error
+    Returns Quadrature(value, error, evaluations, passes), with value and error
     arrays of the components' shape if there are any; raises BracketError if
     the integrand is not finite at a node or `limit` panels do not reach the
     tolerance.
     """
-    lo, hi = np.array([float(a)]), np.array([float(b)])
+    edges = np.linspace(float(a), float(b), min(_START_PANELS, limit) + 1)
+    lo, hi = edges[:-1], edges[1:]
     vals, errs, absvals, shape = _kronrod_panels(f, lo, hi)
-    evaluations = 15
+    evaluations, passes = 15 * len(lo), 1
     while True:
         value, error, integral_abs = vals.sum(axis=1), errs.sum(axis=1), absvals.sum(axis=1)
         # each component's tolerance test, on Python floats; a scalar integrand is one component
@@ -116,8 +126,8 @@ def integrate(f, a, b, epsabs, epsrel, limit):
                 worst = max(worst, (e - tol, e, tol))
         if not needs:
             if shape:
-                return Quadrature(value.reshape(shape), error.reshape(shape), evaluations)
-            return Quadrature(value[0].item(), error[0].item(), evaluations)
+                return Quadrature(value.reshape(shape), error.reshape(shape), evaluations, passes)
+            return Quadrature(value[0].item(), error[0].item(), evaluations, passes)
         if len(lo) >= limit:
             raise BracketError(
                 f"quadrature on [{a:g}, {b:g}] reached {limit} intervals with error "
@@ -132,6 +142,7 @@ def integrate(f, a, b, epsabs, epsrel, limit):
         new_lo, new_hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
         new_vals, new_errs, new_abs, _ = _kronrod_panels(f, new_lo, new_hi)
         evaluations += 15 * len(new_lo)
+        passes += 1
         lo, hi = np.concatenate([lo[kept], new_lo]), np.concatenate([hi[kept], new_hi])
         vals = np.concatenate([vals.take(kept, axis=1), new_vals], axis=1)
         errs = np.concatenate([errs.take(kept, axis=1), new_errs], axis=1)

@@ -93,13 +93,21 @@ def rho_fr_quadrature(disp, beta, y, num_internal=1):
     if y == 1.0:
         _check_critical_integrable(disp)
     d = disp.dimension
-    integrand = lambda k: k ** (d - 1) / (y * np.exp(beta * disp.gap(k)) - 1.0)
+
+    def integrand(k):
+        # y e^{beta F} - 1 as two terms that are >= 0 for y >= 1, so nothing cancels near k = 0
+        bf = beta * disp.gap(k)
+        return k ** (d - 1) / (np.expm1(bf) + (y - 1.0) * np.exp(bf))
+
     split, hi = _quadrature_range(disp, beta)
     low = numerics.integrate(integrand, 0.0, split, epsabs=1e-12, epsrel=1.49e-8, limit=300)
     high = numerics.integrate(integrand, split, hi, epsabs=1e-12, epsrel=1.49e-8, limit=300)
     scale = num_internal * sphere_area(d) / (2.0 * np.pi) ** d
     return numerics.Quadrature(
-        scale * (low.value + high.value), scale * (low.error + high.error), low.evaluations + high.evaluations
+        scale * (low.value + high.value),
+        scale * (low.error + high.error),
+        low.evaluations + high.evaluations,
+        low.passes + high.passes,
     )
 
 

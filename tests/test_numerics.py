@@ -57,8 +57,22 @@ def test_integrate_calls_once_per_pass_on_panel_arrays():
     got = numerics.integrate(f, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=100)
     assert got.value == pytest.approx(2.0 / 3.0, rel=1e-12)
     assert all(len(s) == 2 and s[1] == 15 for s in shapes)
+    assert shapes[0] == (8, 15)  # the start: 8 equal panels
     assert got.evaluations == 15 * sum(s[0] for s in shapes)
-    assert len(shapes) > 1  # the k^{1/2} end point forces refinement
+    assert got.passes == len(shapes) > 1  # the k^{1/2} end point forces refinement
+
+
+def test_integrate_starts_on_equal_panels_and_never_more_than_limit():
+    calls = []
+    f = lambda k: (calls.append(k), np.exp(-k))[1]  # noqa: E731
+    got = numerics.integrate(f, 1.0, 3.0, epsabs=1e-10, epsrel=1e-10, limit=300)
+    assert got.passes == len(calls) == 1 and got.evaluations == 8 * 15
+    assert got.value == pytest.approx(np.exp(-1.0) - np.exp(-3.0), rel=1e-14)
+    centers = calls[0][:, 7]  # node 7 of 15 is each panel's midpoint
+    assert np.allclose(centers, 1.0 + 0.25 * (np.arange(8) + 0.5), rtol=0.0, atol=1e-15)
+    calls.clear()
+    numerics.integrate(f, 1.0, 3.0, epsabs=1e-10, epsrel=1e-10, limit=3)
+    assert calls[0].shape == (3, 15)
 
 
 def test_integrate_raises_when_limit_is_reached():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,25 @@ def test_rho_crit_series_oracle():
     oracle = np.sqrt(np.pi) * zeta_32 / (8 * np.pi**2)
     assert got == pytest.approx(RHO_CRIT_ORACLE, rel=1e-8)
     assert got == pytest.approx(oracle, rel=1e-6)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(beta=st.floats(-2.0, 2.0).map(lambda e: 10.0**e))
+def test_rho_crit_error_estimate_bounds_its_miss_property(beta):
+    """rho_crit's certificate covers its distance from zeta(3/2) (4 pi beta)^{-3/2}
+    at every beta: the gap k^2 and the Bose denominator expm1(beta F) leave no
+    cancellation near k = 0 that grows with beta."""
+    exact = float(mpmath.zeta(1.5) * (4.0 * mpmath.pi * mpmath.mpf(beta)) ** -1.5)
+    rc = phonon_gas.rho_crit_quadrature(DISP, beta)
+    assert abs(rc.value - exact) <= rc.error
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+def test_rho_crit_converges_in_one_pass_per_piece(beta):
+    """Each of the two pieces meets its tolerance on the 8 starting panels."""
+    rc = phonon_gas.rho_crit_quadrature(DISP, beta)
+    assert rc.passes == 2
+    assert rc.evaluations == 2 * 8 * 15
 
 
 def test_rho_fr_series_oracle_above_one():
