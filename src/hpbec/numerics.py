@@ -97,8 +97,8 @@ def integrate(f, a, b, epsabs, epsrel, limit):
     the integrands here are smooth on intervals cut from their decay, so a
     one-panel start spends its first passes on predictable bisections, and
     each pass has a fixed cost however few panels it evaluates.  (A
-    `bec-suite` benchmark round makes 322, 159, 133 and 168 passes from 1, 4,
-    8 and 16 starting panels.)  Each later pass bisects the
+    `bec-suite` benchmark round, seed 11, makes 322, 159, 133 and 168 passes
+    from 1, 4, 8 and 16 starting panels.)  Each later pass bisects the
     largest-error panels whose removal would bring a component's summed
     error estimate within max(epsabs, epsrel |value|, 100 eps integral |f|),
     over the union of the panels the unconverged components need.  The last
