@@ -66,9 +66,12 @@ def _check_q1_integrable(f, disp):
 
 
 def _normal_kernel(disp, beta, y_infinity):
+    """(y + u)/(y - u) with u = e^{-beta F}, as 1 + 2u/((y - 1) + (1 - u)): the
+    denominator is two terms >= 0, with 1 - u = -expm1(-beta F), so nothing
+    cancels near k = 0 at y = 1."""
     def kernel(k):
-        u = np.exp(-beta * np.asarray(disp.gap(k), dtype=float))
-        return (y_infinity + u) / (y_infinity - u)
+        bf = beta * np.asarray(disp.gap(k), dtype=float)
+        return 1.0 + 2.0 * np.exp(-bf) / ((y_infinity - 1.0) - np.expm1(-bf))
 
     return kernel
 
@@ -211,8 +214,9 @@ def two_point(phase, f, g, disp, beta):
     _check_q1_integrable(g, disp)
 
     def kernel(k):
-        u = np.exp(-beta * np.asarray(disp.gap(k), dtype=float))
-        return u / (1.0 - u)
+        # u/(1 - u) with 1 - u = -expm1(-beta F), which does not cancel near k = 0
+        bf = beta * np.asarray(disp.gap(k), dtype=float)
+        return np.exp(-bf) / -np.expm1(-bf)
 
     condensate = 0.5 * phase.amplitude * phase.r * f.zero_mode * np.conj(g.zero_mode)
     thermal = gaussian_pair_integral(f, g, kernel)

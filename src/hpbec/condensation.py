@@ -3,8 +3,13 @@ critical temperature for the finite/continuum Bose gas.
 
 The fugacity equation rho_target = f_L(y) has a unique root on (1, infinity)
 because f_L is a strictly decreasing continuous bijection onto
-(rho_ir, infinity); the solver brackets it with the proof bound on y - 1 and
-polishes with Newton steps using the analytic derivative.  Solves take
+(rho_ir, infinity).  The solver runs Brent in u = 1/(y - 1), in which f_L is
+nearly linear past rho_crit (its zero-mode term is N_i u / L^d), on a bracket
+certified at both ends: the proof bound on y - 1 below and the zero mode
+alone above.  It stops Brent loosely and polishes with Newton steps in y
+using the analytic derivative.  Every evaluation is at a double y, so the
+residual has a floor of up to N_i (ulp(y)/2) / ((y - 1)^2 L^d); a solve that
+misses RESIDUAL_TOL reports that floor next to its residual.  Solves take
 their lattice from `lattice.lattice_modes` and classifications rho_crit from
 `phonon_gas.rho_crit`, memos keyed on values, so calls at one (L, beta) or one
 beta share a build or a quadrature without being handed it.
@@ -19,6 +24,8 @@ from .errors import BracketError, UnsolvableDensity
 from .lattice import lattice_modes
 
 RESIDUAL_TOL = 1e-10
+# Brent in u = 1/(y - 1) stops at this relative width; Newton in y finishes the root
+BRENT_RTOL = 1e-6
 # classify_phase calls a target this close to rho_crit critical
 CRITICAL_TOL = 1e-9
 # critical_temperature brackets beta_c within this range
@@ -37,7 +44,7 @@ class FugacitySolution:
     bracket_bound: float
     target_density: float
     infrared_density: float
-    brent_iterations: int  # on the bracket, before the Newton polish
+    brent_iterations: int  # in u = 1/(y - 1), before the Newton polish
     newton_steps: int  # Newton polish steps taken after it
     tail_bound: float  # the lattice's certified truncation tail
 
@@ -54,7 +61,18 @@ def fugacity_bracket_bound(modes, target_density, infrared_density):
 
 
 def solve_fugacity(box_size, target_density, beta, disp, n_ir=0.0, num_internal=1):
-    """Unique y > 1 with f_L(y) = target_density, residual below RESIDUAL_TOL."""
+    """Unique y > 1 with f_L(y) = target_density, residual below RESIDUAL_TOL.
+
+    Brent runs in u = 1/(y - 1), where f_L is nearly linear past rho_crit (its
+    zero-mode term is N_i u / L^d), on a bracket certified at both ends: f_L
+    is below the target at u = 1/bound, and above it at
+    u = 2 (rho - rho_ir) L^d / N_i, where the zero mode alone carries twice
+    rho - rho_ir.  (At half that u it carries rho - rho_ir exactly, which is
+    the root of a lattice with no thermal weight, so rounding y could leave
+    it outside.)  Brent stops at BRENT_RTOL, and Newton steps in y finish the
+    root until a step rounds to no change of y.  Every evaluation goes
+    through `phonon_gas.lattice_density` at a double y = 1 + 1/u.
+    """
     modes = lattice_modes(box_size, disp, beta, num_internal)
     vol = box_size**modes.dimension
     rho_ir = n_ir / vol
@@ -67,29 +85,45 @@ def solve_fugacity(box_size, target_density, beta, disp, n_ir=0.0, num_internal=
     def g(y):
         return phonon_gas.lattice_density(modes, disp, beta, y, n_ir) - target_density
 
-    lo, hi = 1.0 + 1e-14, 1.0 + bound + 1.0
-    g_lo, g_hi = g(lo), g(hi)
-    if g_lo <= 0 or g_hi >= 0:
+    def g_u(u):
+        return g(1.0 + 1.0 / u)
+
+    lo, hi = 1.0 / bound, 2.0 * (target_density - rho_ir) * vol / num_internal
+    g_lo, g_hi = g_u(lo), g_u(hi)
+    if g_lo > 0 or g_hi < 0:
         raise BracketError(
-            f"no sign change of the fugacity equation on ({lo:g}, {hi:g})"
+            f"no sign change of the fugacity equation on u = 1/(y - 1) in ({lo:g}, {hi:g})"
         )
-    root = numerics.brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200, fa=g_lo, fb=g_hi)
-    y, res = root.root, root.residual
+    root = numerics.brentq(g_u, lo, hi, xtol=0.0, rtol=BRENT_RTOL, maxiter=200, fa=g_lo, fb=g_hi)
+    y, res = 1.0 + 1.0 / root.root, root.residual
     # Newton polish with the analytic derivative, until a step rounds to no change of y
-    newton_steps = 0
+    # or goes back to a y already tried (two neighbouring doubles straddle the root);
+    # the y with the smallest residual is kept
+    tried = [(abs(res), y, res)]
     for _ in range(4):
-        if abs(res) <= 1e-14 * max(target_density, 1.0):
+        if res == 0.0:
             break
         y_new = y - res / phonon_gas.lattice_density_derivative(modes, disp, beta, y)
-        if y_new <= 1.0 or y_new == y:
+        if y_new <= 1.0 or any(y_new == seen for _, seen, _ in tried):
             break
         y, res = y_new, g(y_new)
-        newton_steps += 1
+        tried.append((abs(res), y, res))
+    newton_steps = len(tried) - 1
+    _, y, res = min(tried)
     residual = abs(res)
-    if residual > RESIDUAL_TOL:
-        raise BracketError(f"fugacity residual {residual:.3e} above tolerance {RESIDUAL_TOL:g}")
+    if not residual <= RESIDUAL_TOL:  # a NaN residual fails too
+        raise BracketError(
+            f"fugacity residual {residual:.3e} at y = {y!r} above tolerance {RESIDUAL_TOL:g}; "
+            f"rounding y to a double alone leaves up to {_rounding_floor(modes, y):.3e}"
+        )
     return FugacitySolution(float(box_size), float(y), float(residual), float(bound), float(target_density),
                             float(rho_ir), root.iterations, newton_steps, modes.tail_bound)
+
+
+def _rounding_floor(modes, y):
+    """The residual that rounding y to a double leaves near the root: half an ulp
+    of y moves the zero-mode term N_i/((y - 1) L^d) by N_i (ulp(y)/2)/((y - 1)^2 L^d)."""
+    return modes.num_internal * (np.spacing(y) / 2.0) / ((y - 1.0) ** 2 * modes.box_size**modes.dimension)
 
 
 @dataclass(frozen=True)

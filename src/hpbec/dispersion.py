@@ -105,15 +105,25 @@ def tabulated_dispersion(k_samples, r_samples, dimension=3, growth_exponent=4.0,
 
     Beyond the last sample the profile is continued with the end-point slope,
     keeping it monotone; below the first it is held at the first sample.  Its
-    profile is a closure, so a tabulated dispersion equals only itself.
+    profile is a closure, so a tabulated dispersion equals only itself.  The
+    profile supplies its gap as the same interpolation of r - r(0): near k = 0
+    that is the cubic's own small terms, where r(k) - r(0) would cancel.
     """
+    r_samples = np.asarray(r_samples, dtype=float)
     interp, deriv = numerics.monotone_cubic(k_samples, r_samples)
+    gap_interp, _ = numerics.monotone_cubic(k_samples, r_samples - r_samples[0])
     k_end, r_end = float(k_samples[-1]), float(r_samples[-1])
     slope_end = float(deriv(k_end))
 
     def profile(k):
         k = np.asarray(k, dtype=float)
         return np.where(k <= k_end, interp(k), r_end + slope_end * (k - k_end))
+
+    def gap(k):
+        k = np.asarray(k, dtype=float)
+        return np.where(k <= k_end, gap_interp(k), (r_end - r_samples[0]) + slope_end * (k - k_end))
+
+    profile.gap = gap
 
     def derivative(k):
         return np.where(np.asarray(k) <= k_end, deriv(k), slope_end)

@@ -15,6 +15,12 @@ in O(sqrt(m_max) m_max) time and O(m_max) = O(L^2) memory, so no (2n+1)^d
 cube is enumerated: the ~1e9 modes of L = 640 are counted in under a second.
 The same shift-and-add sums a weight that factors over coordinates, such as a
 Gaussian's |f(k)|^2, shell by shell (`shell_sums`), so no mode is visited.
+
+A build is for one (L, dispersion, beta), so it also keeps each shell's Bose
+factors, w = exp(-beta F) and a = 1 - w = -expm1(-beta F), both computed
+without cancellation, and its count of nonzero modes, all read-only.  At fugacity y = 1 + t the Bose term of a
+shell is w / (a + t): every term is >= 0, nothing overflows (w underflows to 0
+on deeply gapped shells) and a mode sum is one divide and one dot product.
 """
 
 import functools
@@ -41,6 +47,11 @@ class LatticeModes:
     counts: np.ndarray = field(repr=False)  # (n_shells, d + 1) modes on shell m with z zero coordinates
     tail_bound: float
     included_weight: float  # sum over kept modes of exp(-beta F(k))
+    dispersion: object = field(repr=False)  # the build's dispersion and beta, which the factors hold
+    beta: float
+    weights: np.ndarray = field(repr=False)  # (n_shells,) exp(-beta F) per shell, 1 on shell 0
+    deficits: np.ndarray = field(repr=False)  # (n_shells,) 1 - exp(-beta F) = -expm1(-beta F), 0 on shell 0
+    nonzero_modes: np.ndarray = field(repr=False)  # (n_shells,) nonzero modes per shell as floats, 0 on shell 0
 
     @property
     def spacing(self):
@@ -61,10 +72,6 @@ class LatticeModes:
     def boundary_counts(self):
         """Nonzero modes per shell with at least one vanishing coordinate."""
         return self.counts[:, 1 : self.dimension].sum(axis=1)
-
-    def excited_counts(self):
-        """Nonzero modes per shell (none on the m = 0 shell)."""
-        return self.counts[:, : self.dimension].sum(axis=1)
 
     def cell_volume(self):
         return self.spacing**self.dimension
@@ -157,7 +164,8 @@ def build_lattice_modes(box_size, disp, beta, num_internal=1):
     for _ in range(12):
         k_cut = disp.gap_inverse(gap_cut)
         shells, counts = _shell_counts(_cut_shell(k_cut, spacing), d)
-        weights = np.exp(-beta * np.asarray(disp.gap(np.sqrt(shells) * spacing), dtype=float))
+        exponents = -beta * np.asarray(disp.gap(np.sqrt(shells) * spacing), dtype=float)
+        weights = np.exp(exponents)
         included = float(counts.sum(axis=1) @ weights)
         tail = _tail_bound(box_size, disp, beta, k_cut)
         if tail <= 1e-12 * included:
@@ -168,10 +176,13 @@ def build_lattice_modes(box_size, disp, beta, num_internal=1):
             f"lattice tail bound {tail:.3e} stays above 1e-12 of the included weight "
             f"{included:.3e} at cut radius {k_cut:g}"
         )
-    shells.flags.writeable = False
-    counts.flags.writeable = False
+    deficits = -np.expm1(exponents)
+    nonzero = counts[:, :d].sum(axis=1).astype(float)
+    for array in (shells, counts, weights, deficits, nonzero):
+        array.flags.writeable = False
     return LatticeModes(
-        float(box_size), d, int(num_internal), float(k_cut), shells, counts, float(tail), included
+        float(box_size), d, int(num_internal), float(k_cut), shells, counts, float(tail), included,
+        disp, float(beta), weights, deficits, nonzero,
     )
 
 

@@ -2,7 +2,9 @@
 
 Finite-volume quantities are sums over the truncated lattice mode set, taken
 shell by shell (one kernel per occupied |n|^2, weighted by its mode counts or
-its sum of |f|^2); the continuum density rho_fr and the critical density are
+its sum of |f|^2) from the Bose factors w = e^{-beta F} and 1 - w that the
+lattice build stores, so an evaluation computes no gap and no exponential;
+the continuum density rho_fr and the critical density are
 radial integrals of the Bose factor 1/(y e^{beta F(k)} - 1).
 """
 
@@ -28,17 +30,26 @@ class BosonNumberRecord:
     boundary: float       # R_bL: nonzero modes with some coordinate zero
 
 
-def boson_number_finite(modes, disp, beta, y, n_ir=0.0):
-    """Exact finite-volume number decomposition at fugacity parameter y > 1."""
+def _bose_denominators(modes, disp, beta, y):
+    """Per shell a + t, with a = 1 - e^{-beta F} from the build and t = y - 1.
+
+    The Bose term of a shell is w/(a + t) with w = e^{-beta F}: both terms of
+    the denominator are >= 0, so nothing cancels, and t is exact for y in
+    (1, 2].  Shell 0 has w = 1 and a = 0.
+    """
     if y <= 1.0:
         raise ValueError("y must exceed 1 (the k = 0 Bose factor has a pole at y = 1)")
+    if beta != modes.beta or disp != modes.dispersion:
+        raise ValueError("the lattice modes were built for another dispersion or beta")
+    return modes.deficits + (y - 1.0)
+
+
+def boson_number_finite(modes, disp, beta, y, n_ir=0.0):
+    """Exact finite-volume number decomposition at fugacity parameter y > 1."""
     if n_ir < 0:
         raise ValueError("infrared number must be nonnegative")
     n_i = modes.num_internal
-    gaps = np.asarray(disp.gap(modes.shell_norms()), dtype=float)
-    # written with e^{-beta F} so deeply gapped modes underflow instead of overflowing
-    w = np.exp(-beta * gaps) / y
-    bose = n_i * w / (1.0 - w)
+    bose = n_i * modes.weights / _bose_denominators(modes, disp, beta, y)
     interior = float(modes.interior_counts() @ bose)
     boundary = float(modes.boundary_counts() @ bose)
     condensate = n_i / (y - 1.0)
@@ -54,17 +65,22 @@ def boson_number_finite(modes, disp, beta, y, n_ir=0.0):
 
 
 def lattice_density(modes, disp, beta, y, n_ir=0.0):
-    """f_L(y): the finite-volume density entering the fugacity equation."""
-    rec = boson_number_finite(modes, disp, beta, y, n_ir)
-    return rec.total / modes.box_size**modes.dimension
+    """f_L(y) = N_i [1/(y - 1) + sum_m c_m w/(a + y - 1)] / L^d + N_ir / L^d, the
+    density of the fugacity equation, with c_m the nonzero modes on shell m."""
+    if n_ir < 0:
+        raise ValueError("infrared number must be nonnegative")
+    bose = modes.weights / _bose_denominators(modes, disp, beta, y)
+    n_i = modes.num_internal
+    total = n_i / (y - 1.0) + n_ir + n_i * float(modes.nonzero_modes @ bose)
+    return total / modes.box_size**modes.dimension
 
 
 def lattice_density_derivative(modes, disp, beta, y):
-    """d f_L / dy, analytic (the n_ir term is y-independent)."""
+    """d f_L / dy, analytic (the n_ir term is y-independent): a shell's Bose
+    term w/(a + t) contributes -w/(a + t)^2."""
+    denom = _bose_denominators(modes, disp, beta, y)
     n_i = modes.num_internal
-    gaps = np.asarray(disp.gap(modes.shell_norms()), dtype=float)
-    e = np.exp(beta * gaps)
-    deriv = -n_i / (y - 1.0) ** 2 - n_i * float(modes.excited_counts() @ (e / np.square(y * e - 1.0)))
+    deriv = -n_i / (y - 1.0) ** 2 - n_i * float(modes.nonzero_modes @ (modes.weights / np.square(denom)))
     return deriv / modes.box_size**modes.dimension
 
 
@@ -148,15 +164,13 @@ def finite_volume_characteristic(modes, f, y, beta, disp):
     I1 carries the zero mode with the condensate factor (y+1)/(y-1); I2 sums
     the remaining shells, cell |A|^2 sum_{m>0} S_f(m) (y e + 1)/(y e - 1) with
     e = e^{beta F} and S_f(m) the shell sum of the Gaussian's per-axis factors.
+    With the build's w = 1/e and a = 1 - w that factor is 1 + 2w/(a + y - 1).
     """
-    if y <= 1.0:
-        raise ValueError("y must exceed 1")
+    denom = _bose_denominators(modes, disp, beta, y)
     cell = modes.cell_volume()
     i1 = cell * abs(f.zero_mode) ** 2 * (y + 1.0) / (y - 1.0)
     # shell 0 is the zero mode alone, which I1 carries
-    weights = modes.shell_sums(f.axis_factors)[1:]
-    gaps = np.asarray(disp.gap(modes.shell_norms()[1:]), dtype=float)
-    e = np.exp(beta * gaps)
-    i2 = cell * abs(f.amplitude) ** 2 * float(weights @ ((y * e + 1.0) / (y * e - 1.0)))
+    shell_f = modes.shell_sums(f.axis_factors)[1:]
+    i2 = cell * abs(f.amplitude) ** 2 * float(shell_f @ (1.0 + 2.0 * modes.weights[1:] / denom[1:]))
     total = i1 + i2
     return CharacteristicRecord(float(i1), float(i2), float(total), float(np.exp(-total / 4.0)))

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import mpmath
@@ -285,21 +286,23 @@ def test_classify_phase_reuses_the_memoized_critical_density(monkeypatch):
     assert betas == [1.0]  # the quadrature behind rc; the three classifications reuse it
 
 
-@pytest.mark.parametrize("box_size", [40.0, 80.0, 160.0])
+@pytest.mark.parametrize("box_size", [10.0, 40.0, 80.0, 160.0])
 def test_newton_polish_stops_once_a_step_no_longer_moves_y(box_size):
-    """Past L = 40 the residual floor (about rho0^2 L^3 eps) sits above the polish's
-    1e-14 stop, so the polish ends when its step rounds to no change of y."""
+    """The polish has no residual stop: it ends when its step rounds to no change of
+    y, so the y it returns is a fixed point of the Newton step, below L = 40 (residual
+    about 1e-16) and past it, where the residual floor is about rho0^2 L^3 eps."""
     rho = 2.0 * phonon_gas.rho_crit(DISP, 1.0)
     modes = build_lattice_modes(box_size, DISP, 1.0)
     sol = condensation.solve_fugacity(box_size, rho, 1.0, DISP)
     assert sol.newton_steps <= 1
     res = phonon_gas.lattice_density(modes, DISP, 1.0, sol.y) - rho
     step = res / phonon_gas.lattice_density_derivative(modes, DISP, 1.0, sol.y)
-    assert sol.y - step == sol.y or abs(res) <= 1e-14 * max(rho, 1.0)
+    assert sol.y - step == sol.y
 
 
 def test_fugacity_solve_counts_its_density_evaluations(monkeypatch):
-    """Both bracket ends once, one per Brent step after the first, one per Newton step."""
+    """Both bracket ends once, one per Brent step after the first, one per Newton step:
+    at most 10 in all, since f_L is nearly linear in u = 1/(y - 1) past rho_crit."""
     evals = []
     density = phonon_gas.lattice_density
 
@@ -309,8 +312,46 @@ def test_fugacity_solve_counts_its_density_evaluations(monkeypatch):
 
     monkeypatch.setattr(phonon_gas, "lattice_density", counted)
     rho = 2.0 * phonon_gas.rho_crit(DISP, 1.0)
-    for L in (5.0, 10.0, 20.0):
+    for L in (5.0, 10.0, 20.0, 40.0, 80.0):
         evals.clear()
         sol = condensation.solve_fugacity(L, rho, 1.0, DISP)
-        assert len(evals) == 2 + (sol.brent_iterations - 1) + sol.newton_steps
+        assert len(evals) == 2 + (sol.brent_iterations - 1) + sol.newton_steps <= 10
         assert sol.tail_bound > 0.0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    box_size=st.floats(4.0, 12.0),
+    beta=st.floats(0.5, 2.0),
+    t_star=st.floats(-8.0, 0.0).map(lambda e: 10.0**e),
+)
+def test_fugacity_root_is_unique_and_round_trips_property(box_size, beta, t_star):
+    """Plant y* = 1 + t*, solve its density back: the solve returns y* to within
+    rounding, and f_L - rho has that one sign change on a grid over the bracket."""
+    modes = build_lattice_modes(box_size, DISP, beta)
+    y_star = 1.0 + t_star
+    rho = phonon_gas.lattice_density(modes, DISP, beta, y_star)
+    sol = condensation.solve_fugacity(box_size, rho, beta, DISP)
+    assert abs(sol.y - y_star) <= 4.0 * np.spacing(y_star)
+    assert sol.residual <= condensation.RESIDUAL_TOL
+    t_sol = sol.y - 1.0
+    ts = np.geomspace(1e-3 * t_sol, sol.bracket_bound + 1.0, 200)
+    ts = ts[np.abs(ts / t_sol - 1.0) > 1e-6]
+    signs = [np.sign(phonon_gas.lattice_density(modes, DISP, beta, 1.0 + t) - rho) for t in ts]
+    assert signs == [1.0 if t < t_sol else -1.0 for t in ts]
+
+
+def test_fugacity_residual_error_names_the_rounding_floor():
+    """At beta = 0.1, rho = 2 rho_crit, L = 80 half an ulp of y moves the zero-mode
+    term by more than RESIDUAL_TOL, so no double meets it; the error says so."""
+    beta, L = 0.1, 80.0
+    rho = 2.0 * phonon_gas.rho_crit(DISP, beta)
+    with pytest.raises(BracketError) as err:
+        condensation.solve_fugacity(L, rho, beta, DISP)
+    message = str(err.value)
+    y = float(re.search(r"at y = (\S+) above", message).group(1))
+    residual = float(re.search(r"residual (\S+) at", message).group(1))
+    floor = (np.spacing(y) / 2.0) / ((y - 1.0) ** 2 * L**3)
+    assert f"leaves up to {floor:.3e}" in message
+    assert condensation.RESIDUAL_TOL < residual <= floor
+    assert floor == pytest.approx(1.9e-10, rel=0.1)

@@ -117,3 +117,22 @@ def test_tabulated_dispersion_equals_only_itself():
     k = np.linspace(0.0, 4.0, 9)
     a, b = tabulated_dispersion(k, k**2 + 1.0), tabulated_dispersion(k, k**2 + 1.0)
     assert a == a and a != b
+
+
+def test_tabulated_gap_does_not_cancel_near_zero():
+    """The gap interpolates r - r(0) itself: it is r(k) - r(0) to rounding of r, and it
+    stays positive and smooth at k where (r(k) - r(0)) rounds to 0 or to a few ulps of 1,
+    so rho_crit of a tabulated gas at large beta is smooth in beta to roundoff."""
+    from hpbec import phonon_gas
+
+    ks = np.linspace(0.0, 12.0, 400)
+    disp = tabulated_dispersion(ks, ks**2 + 0.3 * ks**3 / (1.0 + ks) + 1.0)
+    grid = np.linspace(0.0, 14.0, 2001)
+    assert np.allclose(disp.gap(grid), disp.radial_profile(grid) - 1.0, rtol=0.0, atol=4.0 * np.finfo(float).eps * 300)
+    tiny = np.geomspace(1e-12, 1e-4, 9)
+    assert disp.gap(0.0) == 0.0 and np.all(np.diff(disp.gap(tiny)) > 0.0) and disp.gap(1e-12) > 0.0
+    beta = 86.0
+    steps = np.arange(-5, 6)
+    logs = np.log([phonon_gas.rho_crit_quadrature(disp, beta * (1.0 + j * 1e-11)).value for j in steps])
+    line = np.polyval(np.polyfit(steps, logs, 1), steps)
+    assert np.abs(logs - line).max() <= 1e-13

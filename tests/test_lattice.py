@@ -164,6 +164,26 @@ def test_shell_sums_of_unit_weights_are_the_shell_counts(box_size, disp):
         modes.shell_sums(lambda k: np.ones((d, k.size - 1)))
 
 
+@pytest.mark.parametrize("box_size,disp", SHELL_CASES)
+def test_build_keeps_each_shells_bose_factors_read_only(box_size, disp):
+    """w = exp(-beta F) and a = -expm1(-beta F) on every shell, 1 and 0 on shell 0,
+    and the nonzero modes the Bose sums weigh them by."""
+    beta = 0.8
+    modes = build_lattice_modes(box_size, disp, beta)
+    exponents = -beta * np.asarray(disp.gap(modes.shell_norms()), dtype=float)
+    assert np.array_equal(modes.weights, np.exp(exponents))
+    assert np.array_equal(modes.deficits, -np.expm1(exponents))
+    assert (modes.weights[0], modes.deficits[0]) == (1.0, 0.0)
+    assert modes.included_weight == float(modes.counts.sum(axis=1) @ modes.weights)
+    assert (modes.dispersion, modes.beta) == (disp, beta)
+    assert np.array_equal(modes.nonzero_modes, modes.interior_counts() + modes.boundary_counts())
+    assert modes.nonzero_modes[0] == 0.0
+    for array in (modes.weights, modes.deficits, modes.nonzero_modes):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.5
+
+
 def test_shell_build_reaches_large_boxes_without_a_cube():
     """L = 640 holds ~1e9 modes; the shells take O(L^2) memory and well under 5 s."""
     tracemalloc.start()

@@ -122,6 +122,44 @@ def test_boson_number_rejects_condensed_pole():
         phonon_gas.boson_number_finite(modes, DISP, 1.0, y=1.0)
 
 
+def test_mode_sums_reject_a_build_of_another_beta_or_dispersion():
+    """The sums read the build's Bose factors, so its (dispersion, beta) must be the caller's."""
+    modes = build_lattice_modes(5.0, DISP, 1.0)
+    f = gaussian_test_function(3)
+    for disp, beta in ((DISP, 1.5), (quadratic_dispersion(omega0=2.0), 1.0)):
+        with pytest.raises(ValueError, match="another dispersion or beta"):
+            phonon_gas.lattice_density(modes, disp, beta, 1.5)
+        with pytest.raises(ValueError, match="another dispersion or beta"):
+            phonon_gas.finite_volume_characteristic(modes, f, 1.5, beta, disp)
+
+
+@pytest.mark.parametrize("t", [1e-12, 1e-6, 0.3])
+def test_shell_bose_sums_match_mpmath(t):
+    """The stored-factor terms at y = 1 + t, against 1/(y e^{beta F} - 1) summed at 40
+    digits over the shells of L = 40 with F = m (2 pi / L)^2: the excited number (terms
+    w/(a + t)), f_L'(y) (terms w/(a + t)^2) and I2 (factors 1 + 2w/(a + t))."""
+    L, beta = 40.0, 1.0
+    modes = build_lattice_modes(L, DISP, beta)
+    f = gaussian_test_function(3, center=[0.3, -0.2, 0.1], width=0.7, amplitude=0.8 + 0.3j)
+    y = 1.0 + t
+    shell_f = modes.shell_sums(f.axis_factors)
+    with mpmath.workdps(40):
+        ym, tm = mpmath.mpf(y), mpmath.mpf(y) - 1
+        spacing2 = (2 * mpmath.pi / mpmath.mpf(L)) ** 2
+        excited = deriv = i2 = mpmath.mpf(0)
+        for m, count, weight in zip(modes.shells[1:].tolist(), modes.nonzero_modes[1:].tolist(),
+                                    shell_f[1:].tolist()):
+            e = mpmath.exp(beta * m * spacing2)
+            excited += count / (ym * e - 1)
+            deriv += count * e / (ym * e - 1) ** 2
+            i2 += weight * (ym * e + 1) / (ym * e - 1)
+        deriv = -(1 / tm**2 + deriv) / mpmath.mpf(L) ** 3
+        i2 *= modes.cell_volume() * abs(f.amplitude) ** 2
+    assert phonon_gas.boson_number_finite(modes, DISP, beta, y).excited == pytest.approx(float(excited), rel=1e-14)
+    assert phonon_gas.lattice_density_derivative(modes, DISP, beta, y) == pytest.approx(float(deriv), rel=1e-14)
+    assert phonon_gas.finite_volume_characteristic(modes, f, y, beta, DISP).i2 == pytest.approx(float(i2), rel=1e-14)
+
+
 def test_excited_density_converges_to_continuum():
     """L^{-d} * excited sum approaches rho_fr(beta, y) at fixed y > 1,
     monotonically over an L-doubling ladder."""
