@@ -37,7 +37,6 @@ from .decoupling import (
     build_coupled_operators,
     build_coupled_system,
     verify_dressing_identity,
-    verify_factorization,
     verify_spectral_equivalence,
 )
 from .dispersion import quadratic_dispersion, tabulated_dispersion, validate_dispersion

@@ -20,7 +20,7 @@ from dataclasses import asdict
 import numpy as np
 from numpy.random import default_rng
 
-from . import bec_states, condensation, couplings, decoupling, lattice, phonon_gas
+from . import bec_states, condensation, decoupling, lattice, phonon_gas
 from .couplings import CouplingFamily
 from .dispersion import quadratic_dispersion, tabulated_dispersion, validate_dispersion
 from .errors import (
@@ -89,7 +89,6 @@ MEMOS = {
     "quadrature_range": phonon_gas._quadrature_range,
     "q1": bec_states._q1,
     "chi_rule": bec_states._chi_rule,
-    "overlap_row": couplings._overlap_row,
     "lattice_modes": lattice.lattice_modes,
 }
 
@@ -349,7 +348,12 @@ def cmd_decouple_verify(config, emitter):
     sys_c = decoupling.build_coupled_system(
         cluster, family, disp, float(sweep["coupled_box_size"]), coords
     )
-    caps = [int(c) for c in sweep["level_caps"]]
+    caps = sweep["level_caps"]
+    integers = isinstance(caps, list) and all(type(c) is int for c in caps)
+    if not (integers and caps and caps[0] >= 1 and caps == sorted(set(caps))):
+        raise ContractViolation(
+            f"sweep.level_caps must be a nonempty, strictly increasing list of integers >= 1, not {caps!r}"
+        )
     dressing = decoupling.verify_dressing_identity(sys_c, caps)
     rng = default_rng(config.get("seed"))
     dim = cluster.sector.dim
@@ -376,13 +380,12 @@ def cmd_decouple_verify(config, emitter):
             "spectral_levels_coupled": [float(x) for x in spectral.coupled],
             "spectral_levels_decoupled": [float(x) for x in spectral.decoupled],
             "spectral_max_gap": spectral.max_gap,
-            # per cap: the dense blocks of h_full and the states diagonalised mode by mode
+            # per cap and group of components of h_full: their count, coupled modes and dense dimension
             "coupled_blocks": [
-                {
-                    "level_cap": cap,
-                    "dense_block_dims": [len(h) for _, h in ops.blocks],
-                    "states_mode_by_mode": len(ops.singles),
-                }
+                {"level_cap": cap, "groups": [
+                    dict(components=len(g.states), coupled_modes=g.coupled.tolist(), dense_dim=g.dense.shape[1])
+                    for g in ops.groups
+                ]}
                 for cap, ops in zip(caps, builds)
             ],
         },

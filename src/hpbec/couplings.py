@@ -14,11 +14,9 @@ a quarter circle by its symmetry), and 4 pi sinh(kz)/(kz) in d = 3.  The
 radial factor is handled by adaptive quadrature of the complex integrand on
 a finite interval chosen from the Gaussian decay.  A stack of drift vectors
 is integrated in one vector quadrature; on the chain the Gram matrix is
-Toeplitz, so its whole first row is one such quadrature, memoized per
-(family, dispersion, m).
+Toeplitz, so its whole first row is one such quadrature.
 """
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,22 +126,18 @@ def _check_infrared(disp, m, kappa, what):
         )
 
 
-@functools.lru_cache(maxsize=64)
 def _overlap_row(family, disp, m):
-    """G_0d for d = 0 .. num_sites - 1, read-only, from one quadrature of the
-    stacked drifts i (a_0 - a_d); the row depends on (family, disp, m) alone."""
+    """G_0d for d = 0 .. num_sites - 1, from one quadrature of the stacked drifts i (a_0 - a_d)."""
     _check_infrared(disp, m, family.kappa, "coupling overlap")
     origin = family.site_position(0)
     drifts = 1j * np.array([origin - family.site_position(d) for d in range(family.num_sites)])
     gamma = 1.0 / family.uv_width**2
     weight = None if m == 0 else (lambda k: np.asarray(disp.radial_profile(k), dtype=float) ** (2.0 * m))
-    row = radial_reduced_integral(family.dimension, family.kappa, gamma, drifts, weight)
-    row.flags.writeable = False
-    return row
+    return radial_reduced_integral(family.dimension, family.kappa, gamma, drifts, weight)
 
 
 def coupling_overlap(family, disp, m, x, y):
-    """<omega^m lambda_x, omega^m lambda_y>: entry y - x of the memoized row, conjugated below it."""
+    """<omega^m lambda_x, omega^m lambda_y>: entry y - x of the overlap row, conjugated below it."""
     d = int(family.site_position(y)[0] - family.site_position(x)[0])
     row = _overlap_row(family, disp, m)
     return complex(row[d]) if d >= 0 else complex(np.conj(row[-d]))

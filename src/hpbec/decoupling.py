@@ -12,9 +12,11 @@ coupled only through an off-diagonal entry of H_e, and H is block diagonal over
 the connected components of that entry pattern, each block being (component)
 (x) (whole boson space).  On fermion basis state s the boson side of H is the
 van Hove Hamiltonian sum_j (w_j N_j + alpha phi_j(l_sj)), a Kronecker sum of
-(cap+1) x (cap+1) single-mode Hamiltonians: a state coupled to no other is
-diagonalised mode by mode, and a dense block of two or more states is assembled
-from the same factors.  H_b is diagonal and is kept as a vector.
+(cap+1) x (cap+1) single-mode Hamiltonians.  A mode j with the same l_sj on
+every state of a component has one Hamiltonian there, so the component's block
+is (a dense part over the other modes) (x) 1 + 1 (x) (mode j's Hamiltonian),
+exactly at every cap; a state coupled to no other has no mode in its dense
+part.  H_b is diagonal and is kept as a vector.
 
 Every inner product in this module is the discrete sum over the sampled mode
 set; mixing in continuum quadrature would inject spurious residuals into
@@ -33,12 +35,12 @@ from .ladders import is_nonincreasing
 from .linalg import boltzmann_weights, gibbs, require_hermitian
 
 # Largest total fermion x boson dimension that build_coupled_operators accepts.
-# Only the blocks of h_full on components of two or more states are dense, for
-# their spectra and the Gibbs state; they are assembled from single-mode
-# factors, and single states, H_b (a vector) and the dressing identity never
-# leave them.  The cap bounds the total dimension, not the largest block: one
-# component of a hopping cluster can hold most of the sector, and a complex
-# block near the cap takes gigabytes, several times that to diagonalise.
+# Only the dense parts of the components of h_full, over their states and the
+# modes not uniform on them, are diagonalised as matrices larger than one mode;
+# H_b (a vector) and the dressing identity never leave single-mode factors.  The
+# cap bounds the total dimension, not the largest dense part: one component of a
+# hopping cluster can hold most of the sector and couple every mode, and a
+# complex matrix near the cap takes gigabytes, several times that to diagonalise.
 DIMENSION_CAP = 20000
 
 
@@ -120,64 +122,64 @@ def fermion_blocks(h_e):
 
 
 def kronecker_sum(levels):
-    """Levels of sum_j 1 (x) .. h_j .. (x) 1 from the per-mode levels[..., j, :], mode 0 slowest."""
-    out = levels[..., 0, :]
-    for j in range(1, levels.shape[-2]):
+    """Levels of sum_j 1 (x) .. h_j .. (x) 1 from per-mode levels[..., j, :], mode 0 slowest; [0] for none."""
+    out = np.zeros(levels.shape[:-2] + (1,))
+    for j in range(levels.shape[-2]):
         out = out[..., :, None] + levels[..., j, None, :]
         out = out.reshape(*out.shape[:-2], out.shape[-2] * out.shape[-1])
     return out
 
 
 def kronecker_sum_matrix(factors):
-    """Dense sum_j 1 (x) .. factors[j] .. (x) 1 of square factors[j], mode 0 slowest."""
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.kron(out, np.eye(len(f))) + np.kron(np.eye(len(out)), f)
+    """Dense sum_j 1 (x) .. factors[..., j, :, :] .. (x) 1, batched, mode 0 slowest; [[0]] for none."""
+    out = np.zeros(factors.shape[:-3] + (1, 1))
+    for j in range(factors.shape[-3]):
+        f = factors[..., j, :, :]
+        out = np.kron(out, np.eye(f.shape[-1])) + np.kron(np.eye(out.shape[-1]), f)
     return out
 
 
 @dataclass(frozen=True)
-class CoupledOperators:
-    """Operators of one build at one level cap; h_full is kept as its diagonal blocks.
+class ComponentGroup:
+    """The components of h_full with one state count and one set of uniform modes, stacked.
 
-    A fermion basis state coupled to no other by H_e is a single state: its block
-    of h_full is the Kronecker sum h_e[s, s] + sum_j mode_hamiltonians[k, j] (x) 1,
-    with s = singles[k] and the offset h_e[s, s] in single_offsets[k].  `blocks`
-    holds (fermion indices i, dense block of h_full on i (x) boson space) for each
-    component of two or more states, assembled from the same single-mode factors.
+    On component states[k], h_full is dense[k] (x) 1 + 1 (x) (Kronecker sum of
+    modes[k]), with dense[k] over the states (slowest) and the coupled modes.
+    """
+
+    states: np.ndarray  # (g, n) fermion indices of each component
+    coupled: np.ndarray  # mode indices of the dense part, ascending
+    uniform: np.ndarray  # the other mode indices, ascending
+    dense: np.ndarray = field(repr=False)  # (g, D, D), D = n (cap + 1)^len(coupled)
+    modes: np.ndarray = field(repr=False)  # (g, len(uniform), cap + 1, cap + 1)
+
+
+@dataclass(frozen=True)
+class CoupledOperators:
+    """Operators of one build at one level cap; h_full is kept as its components, in `groups`.
+
     h_full itself is never formed, and h_boson is the diagonal of H_b as a vector.
     """
 
     system: CoupledSystem = field(repr=False)
     boson_space: TruncatedBosonSpace
-    singles: np.ndarray = field(repr=False)  # (n_single,) fermion indices
-    single_offsets: np.ndarray = field(repr=False)  # (n_single,) h_e[s, s]
-    mode_hamiltonians: np.ndarray = field(repr=False)  # (n_single, M, cap + 1, cap + 1)
-    blocks: tuple = field(repr=False)
+    groups: tuple = field(repr=False)
     h_electron: np.ndarray = field(repr=False)
     h_electron_dressed: np.ndarray = field(repr=False)
     h_boson: np.ndarray = field(repr=False)  # (boson dim,) diagonal of H_b
 
     @cached_property
     def eigh(self):
-        """Per-block (levels, vectors): the eigendecomposition of the dense blocks, block by block."""
-        return [np.linalg.eigh(require_hermitian(h)) for _, h in self.blocks]
-
-    @cached_property
-    def mode_eigh(self):
-        """(levels, vectors) of every single-mode Hamiltonian, from one stacked eigh."""
-        for h in self.mode_hamiltonians.reshape(-1, *self.mode_hamiltonians.shape[-2:]):
-            require_hermitian(h)
-        return np.linalg.eigh(self.mode_hamiltonians)
-
-    def single_levels(self):
-        """(n_single, boson dim) spectra of the single-state blocks, in Kronecker order."""
-        return self.single_offsets[:, None] + kronecker_sum(self.mode_eigh[0])
+        """Per group, (levels, vectors) of the dense parts and of the uniform modes, one stacked eigh each."""
+        for g in self.groups:
+            for h in [*g.dense, *g.modes.reshape(-1, *g.modes.shape[-2:])]:
+                require_hermitian(h)
+        return [(np.linalg.eigh(g.dense), np.linalg.eigh(g.modes)) for g in self.groups]
 
     def levels(self):
-        """Ascending spectrum of h_full; the dense blocks' part from the cached `eigh`."""
-        parts = [w for w, _ in self.eigh]
-        return np.sort(np.concatenate([self.single_levels().ravel(), *parts]))
+        """Ascending spectrum of h_full: each dense level plus each Kronecker sum of uniform-mode levels."""
+        parts = [(w[..., :, None] + kronecker_sum(m)[..., None, :]).ravel() for (w, _), (m, _) in self.eigh]
+        return np.sort(np.concatenate(parts))
 
 
 def free_mode_hamiltonians(sys, level_cap):
@@ -195,7 +197,11 @@ def mode_hamiltonians(sys, amplitudes, level_cap):
 
 
 def build_coupled_operators(sys, level_cap):
-    """h_full = H_e (x) 1 + 1 (x) H_b + alpha H_I at the given cap, as its blocks, with its parts."""
+    """h_full = H_e (x) 1 + 1 (x) H_b + alpha H_I at the given cap, as its components, with its parts.
+
+    A mode is uniform on a component when its amplitudes there are exactly equal:
+    a tolerance would need a bound on the coupling it drops.
+    """
     sector = sys.hubbard.sector
     space = TruncatedBosonSpace(sys.frequencies, int(level_cap))
     if sector.dim * space.dim > DIMENSION_CAP:
@@ -203,20 +209,26 @@ def build_coupled_operators(sys, level_cap):
             f"tensor dimension {sector.dim * space.dim} exceeds cap {DIMENSION_CAP}"
         )
     h_e = build_hubbard_hamiltonian(sys.hubbard)
-    modes = mode_hamiltonians(sys, mode_amplitudes(sys), space.level_cap)
-    components = fermion_blocks(h_e)
-    singles = np.array([i[0] for i in components if len(i) == 1], dtype=int)
-    blocks = []
-    for i in [i for i in components if len(i) > 1]:
-        # h_e on the component (x) 1, as (state, boson, state, boson)
-        h = np.kron(h_e[np.ix_(i, i)], np.eye(space.dim)).reshape(len(i), space.dim, len(i), space.dim)
-        for k, s in enumerate(i):
-            h[k, :, k] += kronecker_sum_matrix(modes[s])
-        blocks.append((i, h.reshape(len(i) * space.dim, -1)))
+    amplitudes = mode_amplitudes(sys)
+    modes = mode_hamiltonians(sys, amplitudes, space.level_cap)
+    rows, grouped = amplitudes.tolist(), {}
+    for i in fermion_blocks(h_e):
+        mask = tuple(len(set(column)) == 1 for column in zip(*[rows[s] for s in i]))
+        grouped.setdefault((len(i), mask), []).append(i)
+    groups = []
+    for (n, mask), members in grouped.items():
+        states = np.array(members)
+        coupled, uniform = np.flatnonzero(np.logical_not(mask)), np.flatnonzero(mask)
+        cdim = (space.level_cap + 1) ** len(coupled)
+        # h_e on each component (x) 1 plus each state's coupled modes, as
+        # (component, state, coupled bosons, state, coupled bosons)
+        dense = np.einsum("kst,ab->ksatb", h_e[states[:, :, None], states[:, None, :]], np.eye(cdim))
+        dense += np.einsum("st,ksab->ksatb", np.eye(n), kronecker_sum_matrix(modes[states[:, :, None], coupled]))
+        dense = dense.reshape(len(states), n * cdim, n * cdim)
+        groups.append(ComponentGroup(states, coupled, uniform, dense, modes[states[:, :1], uniform]))
     h_b = kronecker_sum(np.diagonal(free_mode_hamiltonians(sys, space.level_cap), axis1=-2, axis2=-1))
     h_e_dressed = h_e - np.diag(dressing_shifts(sys).sum(axis=1))
-    offsets = h_e[singles, singles].real
-    return CoupledOperators(sys, space, singles, offsets, modes[singles], tuple(blocks), h_e, h_e_dressed, h_b)
+    return CoupledOperators(sys, space, tuple(groups), h_e, h_e_dressed, h_b)
 
 
 def mode_amplitudes(sys):
@@ -328,7 +340,7 @@ def spectral_comparison(ops, num_levels=5):
     """Low-lying levels of h_full against those of H_e_dressed (x) 1 + 1 (x) H_b.
 
     The decoupled spectrum is the Kronecker sum of the dressed electron levels
-    and the vector h_boson, so only the blocks of h_full are diagonalised.
+    and the vector h_boson, so only the factors of h_full are diagonalised.
     """
     electron = np.linalg.eigvalsh(ops.h_electron_dressed)
     decoupled = np.sort(np.add.outer(electron, ops.h_boson), axis=None)[:num_levels]
@@ -374,14 +386,13 @@ def factorization_check(ops, electron_op, f_modes):
     """Gibbs expectation of A (x) W(f) against its dressed product form, on one build.
 
     lhs = Tr[(A (x) W(f)) e^{-beta H}]/Z; the Gibbs state is block diagonal, so
-    only the diagonal blocks A[i, i] contribute.  A dense block is traced over its
-    eigenvectors.  A single state s is a Kronecker sum over modes, so its trace is
-    a product: Tr[W e^{-beta h_s}] = e^{-beta h_e[s, s]} prod_j sum_k
-    e^{-beta w_sjk} <v_sjk|W_j|v_sjk>, with (w_sjk, v_sjk) the eigenpairs of mode
-    j's Hamiltonian and W_j its Weyl factor.  rhs pairs the electron factor with
-    the density phase and the free boson Weyl value, whose Gibbs state is the
-    weight vector of the vector h_boson.  A dense block applies W as the Kronecker
-    product of the single-mode Weyl factors.
+    only the diagonal blocks A[i, i] contribute.  W is a product over modes and
+    a component's block is dense (x) 1 + 1 (x) (uniform modes), so its trace is
+    a product: the trace of A[i, i] (x) (the coupled modes' Weyl factors) over
+    the dense part's eigenvectors, times per uniform mode j sum_k e^{-beta w_jk}
+    <v_jk|W_j|v_jk>, with (w_jk, v_jk) the eigenpairs of mode j's Hamiltonian.
+    rhs pairs the electron factor with the density phase and the free boson Weyl
+    value, whose Gibbs state is the weight vector of the vector h_boson.
     """
     sys = ops.system
     beta = sys.hubbard.inverse_temperature
@@ -390,18 +401,17 @@ def factorization_check(ops, electron_op, f_modes):
     phase = density_phase(sys, f_modes)  # checks the shape of f_modes
     weyl = mode_weyl(f_modes, ops.boson_space.level_cap)
 
-    block_factors, single_factors, mode_factors, Z = _boltzmann_factors(ops, beta)
+    factors, Z = _boltzmann_factors(ops, beta)
     lhs = 0j
-    if ops.blocks:
-        W = reduce(np.kron, weyl)
-        for (i, _), (_, vectors), p in zip(ops.blocks, ops.eigh, block_factors):
-            # (A[i, i] (x) W) applied to the eigenvectors one tensor factor at a time
-            moved = W @ np.tensordot(A[np.ix_(i, i)], vectors.reshape(len(i), W.shape[1], -1), axes=1)
-            lhs += np.einsum("ik,ik,k->", vectors.conj(), moved.reshape(vectors.shape), p)
-    _, mode_vectors = ops.mode_eigh
-    expectations = np.einsum("sjak,jab,sjbk->sjk", mode_vectors.conj(), weyl, mode_vectors)
-    traces = single_factors * np.prod(np.sum(mode_factors * expectations, axis=-1), axis=-1)
-    lhs += A[ops.singles, ops.singles] @ traces
+    for group, ((_, vectors), (_, mode_vectors)), (dense, modes) in zip(ops.groups, ops.eigh, factors):
+        g, n = group.states.shape
+        W = reduce(np.kron, weyl[group.coupled], np.ones((1, 1)))
+        a = A[group.states[:, :, None], group.states[:, None, :]]
+        # (A[i, i] (x) W) applied to the eigenvectors one tensor factor at a time
+        moved = W @ (a @ vectors.reshape(g, n, -1)).reshape(g, n, len(W), -1)
+        traces = np.einsum("kim,kim,km->k", vectors.conj(), moved.reshape(vectors.shape), dense)
+        expectations = np.sum(mode_vectors.conj() * (weyl[group.uniform] @ mode_vectors), axis=-2)
+        lhs += traces @ np.prod(np.sum(modes * expectations, axis=-1), axis=-1)
     lhs = complex(lhs / Z)
 
     rho_e, _ = gibbs(ops.h_electron_dressed, beta)
@@ -412,28 +422,20 @@ def factorization_check(ops, electron_op, f_modes):
 
 
 def _boltzmann_factors(ops, beta):
-    """Factors e^{-beta (E - E_min)} of the spectrum of h_full, by part, and their sum Z.
+    """Factors e^{-beta (E - E_min)} of the spectrum of h_full, per group, and their sum Z.
 
     E_min is the lowest level of the whole spectrum, so every factor is at most 1,
-    as in `boltzmann_weights`.  A dense block gets one factor per level.  Single
-    state k gets the factor of its lowest level, single[k], and per mode j the
-    factors of w_kj - min(w_kj), modes[k, j]; its level (n_1, .., n_M) has the
-    factor single[k] * prod_j modes[k, j, n_j].
+    as in `boltzmann_weights`.  With floor[k, j] the lowest level of uniform mode j
+    on component k, a group gets (dense, modes): dense[k] for the dense levels plus
+    sum_j floor[k, j], modes[k, j] for mode j's levels minus floor[k, j], and its
+    level (m, n_1, .., n_U) has the factor dense[k, m] * prod_j modes[k, j, n_j].
     """
-    mode_levels, _ = ops.mode_eigh
-    mode_floor = mode_levels[..., 0]  # eigh returns ascending levels
-    single_floor = ops.single_offsets + mode_floor.sum(axis=-1)
-    lowest = np.concatenate([single_floor, [w[0] for w, _ in ops.eigh]]).min()
-    blocks = [np.exp(-beta * (w - lowest)) for w, _ in ops.eigh]
-    single = np.exp(-beta * (single_floor - lowest))
-    modes = np.exp(-beta * (mode_levels - mode_floor[..., None]))
-    Z = sum(p.sum() for p in blocks) + single @ np.prod(modes.sum(axis=-1), axis=-1)
-    return blocks, single, modes, Z
-
-
-def verify_factorization(sys, level_cap, electron_op, f_modes):
-    """Factorization check on a fresh build at `level_cap`."""
-    return factorization_check(build_coupled_operators(sys, level_cap), electron_op, f_modes)
+    # eigh returns ascending levels, so index 0 is each floor
+    floored = [(w + m[..., 0].sum(axis=-1)[:, None], m) for (w, _), (m, _) in ops.eigh]
+    lowest = min(w[:, 0].min() for w, _ in floored)
+    factors = [(np.exp(-beta * (w - lowest)), np.exp(-beta * (m - m[..., :1]))) for w, m in floored]
+    Z = sum(dense.sum(axis=-1) @ np.prod(modes.sum(axis=-1), axis=-1) for dense, modes in factors)
+    return factors, Z
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,7 @@ def test_gibbs_factorization_randomized_pairs():
 
     free = make_coupled_system(alpha=0.0)
     A0, f0 = random_observable_pairs(free, 1, seed=22)[0]
-    exact = decoupling.verify_factorization(free, 6, A0, f0).gap
+    exact = decoupling.factorization_check(decoupling.build_coupled_operators(free, 6), A0, f0).gap
     ok = monotone and small and exact <= 1e-10
     report(
         "Gibbs factorization of dressed observables",

@@ -2,6 +2,8 @@ import csv
 import json
 import os
 import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -316,3 +318,22 @@ def test_manifest_records_one_stage_per_command_run(tmp_path, command):
     assert all(s["wall_s"] > 0.0 for s in stages)
     rss = [s["ru_maxrss"] for s in stages]
     assert rss[0] > 0.0 and rss == sorted(rss)  # a peak never falls
+
+
+def test_no_command_loads_a_numpy_module_that_importing_the_cli_did_not(tmp_path):
+    """numpy loads some submodules (numpy.ma, numpy.random, numpy.polynomial) on
+    first use, at 10-15 ms each in a fresh interpreter.  Importing hpbec.cli
+    loads every one a command needs, so that cost is paid at import and never
+    inside a command: a full-report in a fresh process loads none."""
+    script = (
+        "import json, sys\n"
+        "from hpbec import cli\n"
+        "loaded = lambda: {m for m in sys.modules if m.split('.')[0] == 'numpy'}\n"
+        "before = loaded()\n"
+        f"code = cli.main({json.dumps(['--command', 'full-report', '--out', str(tmp_path)])})\n"
+        "print(json.dumps([code, sorted(loaded() - before)]))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == [0, []]

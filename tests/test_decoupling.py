@@ -4,6 +4,8 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpbec import cli, decoupling
 from hpbec.bosons import TruncatedBosonSpace
@@ -59,14 +61,29 @@ def tensor_rows(fermion_indices, boson_dim):
     return (np.asarray(fermion_indices)[:, None] * boson_dim + np.arange(boson_dim)).ravel()
 
 
+def factored_block(dense, modes):
+    """dense (x) 1 + 1 (x) (Kronecker sum of modes): a component's block, uniform modes fastest."""
+    uniform = decoupling.kronecker_sum_matrix(modes)
+    return np.kron(dense, np.eye(len(uniform))) + np.kron(np.eye(len(dense)), uniform)
+
+
 def all_blocks(ops):
-    """(fermion indices, dense block of h_full) for the dense blocks and for every
-    single state, whose block is assembled here from its per-mode factors."""
-    singles = [
-        ([s], offset * np.eye(ops.boson_space.dim) + decoupling.kronecker_sum_matrix(factors))
-        for s, offset, factors in zip(ops.singles, ops.single_offsets, ops.mode_hamiltonians)
-    ]
-    return list(ops.blocks) + singles
+    """(fermion indices, block of h_full) for every component, assembled here from
+    its dense part and its uniform modes' factors and put in the boson space's
+    mode order, mode 0 slowest."""
+    cap = ops.boson_space.level_cap
+    num_modes = ops.system.num_modes
+    out = []
+    for group in ops.groups:
+        # the factored block's axis of each mode: coupled modes first, then uniform ones
+        position = np.argsort(np.concatenate([group.coupled, group.uniform]))
+        axes = [0, *(1 + position)]
+        for i, dense, modes in zip(group.states, group.dense, group.modes):
+            shape = (len(i),) + (cap + 1,) * num_modes
+            block = factored_block(dense, modes).reshape(shape + shape)
+            block = block.transpose(axes + [len(shape) + a for a in axes])
+            out.append((i, block.reshape(np.prod(shape), -1)))
+    return out
 
 
 def assembled_h_full(ops):
@@ -241,7 +258,7 @@ def test_zero_coupling_exact_factorization():
     A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     A = 0.5 * (A + A.conj().T)
     f = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    res = decoupling.verify_factorization(sys, 6, A, f)
+    res = decoupling.factorization_check(decoupling.build_coupled_operators(sys, 6), A, f)
     assert res.gap < 1e-10
 
 
@@ -269,7 +286,8 @@ def test_factorization_check_with_off_block_entries_matches_dense_trace():
     state is block diagonal."""
     sys = make_system(hopping=np.zeros((2, 2)))
     ops = decoupling.build_coupled_operators(sys, 6)
-    assert len(ops.singles) == sys.hubbard.sector.dim and ops.blocks == ()
+    [group] = ops.groups
+    assert group.states.shape == (sys.hubbard.sector.dim, 1) and group.coupled.size == 0
     rng = np.random.default_rng(13)
     dim = sys.hubbard.sector.dim
     A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -331,10 +349,7 @@ def test_spectral_levels_reuse_gibbs_eigendecomposition(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", no_decomposition)
     monkeypatch.setattr(np.linalg, "eigh", no_decomposition)
-    after = ops.levels()
-    parts = [ops.single_levels().ravel()] + [w for w, _ in ops.eigh]
-    assert np.array_equal(after, np.sort(np.concatenate(parts)))
-    assert np.abs(after - before).max() < 1e-12
+    assert np.array_equal(ops.levels(), before)
 
 
 @pytest.mark.parametrize(
@@ -347,7 +362,7 @@ def test_block_levels_match_dense_eigvalsh(hopping, coords, cap, mu_b):
     dense = np.linalg.eigvalsh(dense_h_full(sys, cap))
     ops = decoupling.build_coupled_operators(sys, cap)
     assert np.abs(ops.levels() - dense).max() < 1e-12
-    assert len(ops.eigh) == len(ops.blocks)  # levels() now merges the cached per-block eigh
+    assert len(ops.eigh) == len(ops.groups)  # levels() now merges the cached per-group eigh
     assert np.abs(ops.levels() - dense).max() < 1e-12
 
 
@@ -406,36 +421,95 @@ def test_dense_h_full_vanishes_between_blocks(hopping):
 
 
 @pytest.mark.parametrize(
-    "hopping,coords,cap,dense_states",
+    "hopping,coords,cap,structure",
     [
-        (np.zeros((2, 2)), COORDS, 6, []),
-        (np.zeros((2, 2)), COORDS_3, 4, []),
-        (HOP, COORDS, 6, [4]),
+        (np.zeros((2, 2)), COORDS, 6, [(6, 1, [])]),
+        (np.zeros((2, 2)), COORDS_3, 4, [(6, 1, [])]),
+        (HOP, COORDS, 6, [(1, 4, [0]), (2, 1, [])]),
     ],
     ids=["atomic-2modes-cap6", "atomic-3modes-cap4", "hopping-2modes-cap6"],
 )
-def test_single_states_match_dense_levels_and_trace(hopping, coords, cap, dense_states):
-    """Single states are diagonalised mode by mode and merged with the dense blocks:
-    levels and the factorization lhs agree with the dense h_full."""
+def test_single_states_match_dense_levels_and_trace(hopping, coords, cap, structure):
+    """Each component is a dense part over its coupled modes and a stack of
+    uniform modes diagonalised mode by mode; a single state couples no mode.
+    Merged, levels and the factorization lhs agree with the dense h_full.
+    structure lists (components, states, coupled modes) per group."""
     sys = make_system(hopping=hopping, coords=coords)
     ops = decoupling.build_coupled_operators(sys, cap)
     dim = sys.hubbard.sector.dim
-    assert [len(i) for i, _ in ops.blocks] == dense_states
-    assert len(ops.singles) == dim - sum(dense_states)
-    assert ops.mode_hamiltonians.shape == (len(ops.singles), sys.num_modes, cap + 1, cap + 1)
+    assert [(len(g.states), g.states.shape[1], g.coupled.tolist()) for g in ops.groups] == structure
+    for (components, states, coupled), group in zip(structure, ops.groups):
+        dense_dim = states * (cap + 1) ** len(coupled)
+        assert group.dense.shape == (components, dense_dim, dense_dim)
+        assert group.modes.shape == (components, sys.num_modes - len(coupled), cap + 1, cap + 1)
     h_full = dense_h_full(sys, cap)
     assert np.abs(ops.levels() - np.linalg.eigvalsh(h_full)).max() < 1e-12
-    # each single state's levels pair with the Kronecker products of its per-mode eigenvectors
-    single_blocks = all_blocks(ops)[len(ops.blocks) :]
-    for (_, block), levels, per_mode in zip(single_blocks, ops.single_levels(), ops.mode_eigh[1]):
-        vectors = reduce(np.kron, per_mode)
-        assert np.abs(block @ vectors - vectors * levels).max() < 1e-12
+    # each component's levels pair with the Kronecker products of its dense and per-mode eigenvectors
+    for group, ((levels, vectors), (mode_levels, mode_vectors)) in zip(ops.groups, ops.eigh):
+        for k in range(len(group.states)):
+            block = factored_block(group.dense[k], group.modes[k])
+            products = reduce(np.kron, mode_vectors[k], vectors[k])
+            sums = (levels[k][:, None] + decoupling.kronecker_sum(mode_levels[k])[None, :]).ravel()
+            assert np.abs(block @ products - products * sums).max() < 1e-12
     rng = np.random.default_rng(17)
     A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     f = rng.standard_normal(sys.num_modes) + 1j * rng.standard_normal(sys.num_modes)
     rho_full, _ = gibbs(h_full, sys.hubbard.inverse_temperature)
     dense = np.trace(np.kron(A, ops.boson_space.weyl(f)) @ rho_full)
     assert abs(decoupling.factorization_check(ops, A, f).lhs - dense) < 1e-13
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    modes=st.lists(st.tuples(st.booleans(), *[st.integers(-2, 2)] * 3), min_size=2, max_size=3),
+    hopping=st.booleans(),
+    mu_b=st.sampled_from([0.0, 0.3]),
+    cap=st.integers(2, 4),
+)
+def test_factored_spectrum_and_trace_equal_the_dense_ones_property(modes, hopping, mu_b, cap):
+    """Over random integer mode coordinates, some perpendicular to the bond (a
+    first coordinate of 0), the factored levels and factorization lhs equal
+    eigvalsh and the trace of the dense h_full (dimension at most 6 x 5^3 = 750).
+    A perpendicular mode has equal couplings on both sites, so it is uniform on
+    every component and is never in a dense part."""
+    coords = np.array([[0 if perpendicular else x, y, z] for perpendicular, x, y, z in modes], dtype=float)
+    sys = make_system(coords=coords, hopping=HOP if hopping else np.zeros((2, 2)), mu_b=mu_b)
+    ops = decoupling.build_coupled_operators(sys, cap)
+    assert not any(np.any(coords[group.coupled, 0] == 0) for group in ops.groups)
+    levels, vectors = np.linalg.eigh(dense_h_full(sys, cap))
+    assert np.abs(ops.levels() - levels).max() < 1e-12
+    dim = sys.hubbard.sector.dim
+    rng = np.random.default_rng(len(modes) + 3 * cap)
+    A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    f = rng.standard_normal(len(modes)) + 1j * rng.standard_normal(len(modes))
+    p = np.exp(-sys.hubbard.inverse_temperature * (levels - levels[0]))
+    moved = np.kron(A, dense_space(sys, cap).weyl(f)) @ vectors
+    dense = np.sum(vectors.conj() * moved, axis=0) @ p / p.sum()
+    assert abs(decoupling.factorization_check(ops, A, f).lhs - dense) < 1e-13
+
+
+def test_the_default_dimer_splits_off_its_transverse_mode(monkeypatch):
+    """On the default config mode 1, (0, 1, 0), is perpendicular to the bond and
+    uniform on the four-state (1, 1) component: its dense part has dimension
+    4 (cap + 1), and no eigh of a build, its levels or its factorization check
+    is larger."""
+    config = cli.load_config(None, [])
+    coords = np.asarray(config["sweep"]["mode_coords"], dtype=float)
+    sys = decoupling.build_coupled_system(
+        cli.build_cluster(config), cli.build_family(config), cli.build_dispersion(config), 10.0, coords
+    )
+    seen = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: seen.append(np.shape(h)[-1]) or eigh(h))
+    for cap in config["sweep"]["level_caps"]:
+        ops = decoupling.build_coupled_operators(sys, cap)
+        [component] = [group for group in ops.groups if group.states.shape[1] == 4]
+        assert component.coupled.tolist() == [0] and component.uniform.tolist() == [1]
+        assert component.dense.shape == (1, 4 * (cap + 1), 4 * (cap + 1))
+        ops.levels()
+        decoupling.factorization_check(ops, np.eye(sys.hubbard.sector.dim), np.full(2, 0.2 + 0.1j))
+        assert seen and max(seen) == 4 * (cap + 1)
+        seen.clear()
 
 
 def test_atomic_cluster_never_decomposes_a_tensor_product_matrix(monkeypatch):
@@ -454,7 +528,8 @@ def test_atomic_cluster_never_decomposes_a_tensor_product_matrix(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
     dim = sys.hubbard.sector.dim
     rep = decoupling.verify_spectral_equivalence(sys, cap)
-    res = decoupling.verify_factorization(sys, cap, np.eye(dim), np.full(3, 0.2 + 0.1j))
+    ops = decoupling.build_coupled_operators(sys, cap)
+    res = decoupling.factorization_check(ops, np.eye(dim), np.full(3, 0.2 + 0.1j))
     assert rep.max_gap < 1e-10 and res.gap < 1e-3  # truncation at cap 5
     assert seen and max(seen) <= cap + 1
 
@@ -485,20 +560,36 @@ def test_decouple_verify_builds_once_per_cap(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "hopping,expected",
-    [("[[0,-1],[-1,0]]", ([4], 2)), ("[[0,0],[0,0]]", ([], 6))],
+    [("[[0,-1],[-1,0]]", [(1, [0], 4), (2, [], 1)]), ("[[0,0],[0,0]]", [(6, [], 1)])],
     ids=["hopping", "atomic"],
 )
 def test_decouple_json_records_the_block_structure(tmp_path, hopping, expected):
-    dense_states, singles = expected
+    """Per cap and group: the component count, the coupled modes and the dense
+    dimension, (states per component) x (cap + 1)^(coupled modes)."""
     cli.main(
         ["--command", "decouple-verify", "--out", str(tmp_path), "--override", "sweep.level_caps=[2,3]",
          "--override", f"hubbard.hopping={hopping}"]
     )
     summary = json.loads((tmp_path / "decouple.json").read_text())
     assert summary["coupled_blocks"] == [
-        {"level_cap": cap, "dense_block_dims": [n * (cap + 1) ** 2 for n in dense_states], "states_mode_by_mode": singles}
+        {
+            "level_cap": cap,
+            "groups": [
+                {"components": g, "coupled_modes": modes, "dense_dim": n * (cap + 1) ** len(modes)}
+                for g, modes, n in expected
+            ],
+        }
         for cap in (2, 3)
     ]
+
+
+@pytest.mark.parametrize("caps", ["[12,9,6]", "[3.7,5]", "[]", "[0,2]", "[3,3]", "4"])
+def test_decouple_verify_rejects_level_caps_that_are_not_increasing_integers(tmp_path, capsys, caps):
+    argv = ["--command", "decouple-verify", "--out", str(tmp_path), "--override", "hubbard.hopping=[[0,0],[0,0]]",
+            "--override", f"sweep.level_caps={caps}"]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert "sweep.level_caps" in capsys.readouterr().err
+    assert not (tmp_path / "decouple.json").exists()
 
 
 def test_discrete_overlap_symmetric_psd():

@@ -26,7 +26,6 @@ F = gaussian_test_function(3, center=[0.2, -0.1, 0.3], width=0.8, amplitude=0.4 
 SAMPLE_CALLS = {
     "hpbec.bec_states._chi_rule": (64, 256),
     "hpbec.bec_states._q1": (F, DISP, 1.0),
-    "hpbec.couplings._overlap_row": (couplings.CouplingFamily(3, 3, 2.0, 0.5), DISP, -0.5),
     "hpbec.lattice.lattice_modes": (8.0, DISP, 1.0),
     "hpbec.phonon_gas._quadrature_range": (DISP, 1.0),
     "hpbec.phonon_gas._rho_crit": (DISP, 1.0, 1),
