@@ -5,7 +5,7 @@ The gauge-invariant condensed state has Weyl values exp(-(q0 + q1)/4); its
 extremal fibers carry an extra pure phase (the fingerprint)
 exp[i sqrt(c r) Re(e^{i theta} fhat(0))] and average back to the invariant
 state under the measure chi = e^{-r} dr x d theta / (2 pi).  The averaging
-identity is exactly the pair of Bessel identities checked here.  On the
+identity is exactly a pair of Bessel identities, which the tests check.  On the
 equispaced angle grid theta and theta + pi give complex-conjugate
 fingerprints, so `decomposition_gap` folds the average onto half the angles:
 a real mean of cosines.
@@ -17,12 +17,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
 
-from . import numerics, phonon_gas
-from .bessel import j0
-from .couplings import gaussian_density_integral, gaussian_pair_integral, gaussian_weighted_zero_mode
+from . import phonon_gas
+from .couplings import gaussian_density_integral
 from .errors import InfraredDivergence
 from .ladders import is_nonincreasing
-from .testfunctions import GaussianTestFunction, gaussian_test_function
+from .testfunctions import gaussian_test_function
 
 
 @dataclass(frozen=True)
@@ -141,24 +140,6 @@ def psi_fiber(phase, f, disp, beta):
     return e_fingerprint(phase, f) * np.exp(-0.25 * q_form("q1", f, disp, beta))
 
 
-# --- Bessel identities behind the chi-average -------------------------------
-
-def bessel_identity_check(a, b):
-    """|quad - closed form| for integral_0^inf e^{-ar} J0(sqrt(br)) dr = e^{-b/4a}/a."""
-    if a <= 0 or b < 0:
-        raise ValueError("need a > 0 and b >= 0")
-    integrand = lambda r: np.exp(-a * r) * j0(np.sqrt(b * r))
-    val = numerics.integrate(integrand, 0.0, 60.0 / a, epsabs=1.49e-8, epsrel=1.49e-8, limit=300).value
-    return abs(val - np.exp(-b / (4.0 * a)) / a)
-
-
-def angular_identity_check(p, q):
-    """|quad - J0(sqrt(p^2+q^2))| for the angular average of e^{i(p cos + q sin)}."""
-    theta = np.linspace(0.0, 2.0 * np.pi, 1025)[:-1]
-    val = np.exp(1j * (p * np.cos(theta) + q * np.sin(theta))).mean()
-    return abs(val - j0(np.hypot(p, q)))
-
-
 @functools.lru_cache(maxsize=8)
 def _chi_rule(n_radial, n_angular):
     """Gauss-Laguerre nodes and weights and the equispaced angles, read-only.
@@ -208,21 +189,6 @@ def decomposition_gap(f, disp, beta, phase):
 
 # --- fiber observables ------------------------------------------------------
 
-def two_point(phase, f, g, disp, beta):
-    """G^{r,theta}(f, g) = (c r/2) fhat(0) conj(ghat(0)) + <g, u/(1-u) f>."""
-    _check_q1_integrable(f, disp)
-    _check_q1_integrable(g, disp)
-
-    def kernel(k):
-        # u/(1 - u) with 1 - u = -expm1(-beta F), which does not cancel near k = 0
-        bf = beta * np.asarray(disp.gap(k), dtype=float)
-        return np.exp(-bf) / -np.expm1(-bf)
-
-    condensate = 0.5 * phase.amplitude * phase.r * f.zero_mode * np.conj(g.zero_mode)
-    thermal = gaussian_pair_integral(f, g, kernel)
-    return complex(condensate + thermal)
-
-
 def fiber_density(phase, disp, beta):
     """Constant particle density of the (r, theta) fiber: r rho_0 + rho_crit."""
     return phase.r * phase.condensate_density + phonon_gas.rho_crit(
@@ -270,30 +236,7 @@ def fingerprint_recover(value_f1, value_f2):
     return RecoveredPhase(r, theta, True)
 
 
-# --- stationarity and combined finite-volume limits -------------------------
-
-@dataclass(frozen=True)
-class StationarityRecord:
-    gap: float
-    zero_mode_drift: float
-
-
-def stationarity_check(f, t, disp, beta, phase):
-    """Weyl-value change under f -> e^{i t omega} f.
-
-    q1 is exactly invariant (the kernel sees only |f|); the zero mode drifts
-    because e^{i t omega} is not constant, so q0 can change.  Both the state
-    gap and the drift are reported.
-    """
-    z0 = f.zero_mode
-    zt = gaussian_weighted_zero_mode(
-        f, lambda k: np.exp(1j * t * np.asarray(disp.omega(k), dtype=float))
-    )
-    q1 = q_form("q1", f, disp, beta)
-    before = np.exp(-0.25 * (phase.amplitude * abs(z0) ** 2 + q1))
-    after = np.exp(-0.25 * (phase.amplitude * abs(zt) ** 2 + q1))
-    return StationarityRecord(float(abs(after - before)), float(abs(zt - z0)))
-
+# --- combined finite-volume limits ------------------------------------------
 
 @dataclass(frozen=True)
 class CombinedLimitReport:

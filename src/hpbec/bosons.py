@@ -116,7 +116,3 @@ class TruncatedBosonSpace:
                 f"mode vector has shape {f.shape}, expected ({self.num_modes},)"
             )
         return f
-
-
-def build_truncated_boson_space(frequencies, level_cap):
-    return TruncatedBosonSpace(np.asarray(frequencies, dtype=float), int(level_cap))

@@ -344,9 +344,14 @@ def cmd_decouple_verify(config, emitter):
     family = build_family(config)
     cluster = build_cluster(config)
     sweep = config["sweep"]
-    coords = np.asarray(sweep["mode_coords"], dtype=float)[:, : disp.dimension]
+    coords = sweep["mode_coords"]
+    rows = isinstance(coords, list) and all(isinstance(c, list) and len(c) == disp.dimension for c in coords)
+    if not (rows and coords):
+        raise ContractViolation(
+            f"sweep.mode_coords must be a nonempty list of rows of {disp.dimension} coordinates, not {coords!r}"
+        )
     sys_c = decoupling.build_coupled_system(
-        cluster, family, disp, float(sweep["coupled_box_size"]), coords
+        cluster, family, disp, float(sweep["coupled_box_size"]), np.asarray(coords, dtype=float)
     )
     caps = sweep["level_caps"]
     integers = isinstance(caps, list) and all(type(c) is int for c in caps)

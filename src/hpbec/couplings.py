@@ -114,21 +114,21 @@ class CouplingFamily:
         return phase * envelope * (norm >= self.kappa)
 
 
-def _check_infrared(disp, m, kappa, what):
+def _check_infrared(disp, m, kappa):
     """Raise when k^{d-1} omega^{2m} is non-integrable at the origin."""
     if kappa > 0 or m >= 0 or disp.omega0 > 0:
         return
     p = disp.infrared_exponent()
     if disp.dimension + 2.0 * m * p <= 0:
         raise InfraredDivergence(
-            f"{what} diverges at k = 0: omega ~ k^{p:.3g} with weight omega^{2 * m:g} "
+            f"coupling overlap diverges at k = 0: omega ~ k^{p:.3g} with weight omega^{2 * m:g} "
             f"in dimension {disp.dimension} and no infrared cutoff"
         )
 
 
 def _overlap_row(family, disp, m):
     """G_0d for d = 0 .. num_sites - 1, from one quadrature of the stacked drifts i (a_0 - a_d)."""
-    _check_infrared(disp, m, family.kappa, "coupling overlap")
+    _check_infrared(disp, m, family.kappa)
     origin = family.site_position(0)
     drifts = 1j * np.array([origin - family.site_position(d) for d in range(family.num_sites)])
     gamma = 1.0 / family.uv_width**2
@@ -145,13 +145,7 @@ def coupling_overlap(family, disp, m, x, y):
 
 @dataclass(frozen=True)
 class OverlapMatrix:
-    power: float
-    kappa: float
     entries: np.ndarray = field(repr=False)
-
-    @property
-    def num_sites(self):
-        return self.entries.shape[0]
 
     def min_eigenvalue(self):
         return float(np.linalg.eigvalsh(self.entries).min())
@@ -168,18 +162,7 @@ def overlap_matrix(family, disp, m):
     defect = np.abs(G - G.conj().T).max()
     if defect > 1e-10 * max(np.abs(G).max(), 1e-300):
         raise ContractViolation(f"overlap matrix lost hermiticity: defect {defect:.3e}")
-    return OverlapMatrix(float(m), family.kappa, G)
-
-
-def cross_overlap(family, disp, m, f, x):
-    """<omega^m f, omega^m lambda_x> for a Gaussian test function f."""
-    _check_infrared(disp, m, family.kappa, "test-function/coupling overlap")
-    sigma2 = f.width**2
-    gamma = 0.5 / sigma2 + 0.5 / family.uv_width**2
-    drift = f.center / sigma2 - 1j * family.site_position(x)
-    pref = np.conj(f.amplitude) * np.exp(-np.sum(np.square(f.center)) / (2.0 * sigma2))
-    weight = None if m == 0 else (lambda k: np.asarray(disp.radial_profile(k), dtype=float) ** (2.0 * m))
-    return radial_reduced_integral(family.dimension, family.kappa, gamma, drift, weight, pref)
+    return OverlapMatrix(G)
 
 
 def gaussian_density_integral(f, kernel=None):
@@ -188,24 +171,3 @@ def gaussian_density_integral(f, kernel=None):
     pref = abs(f.amplitude) ** 2 * np.exp(-np.sum(np.square(f.center)) / sigma2)
     val = radial_reduced_integral(f.dimension, 0.0, 1.0 / sigma2, 2.0 * f.center / sigma2, kernel, pref)
     return float(np.real(val))
-
-
-def gaussian_pair_integral(f, g, kernel=None):
-    """integral of conj(g)(k) f(k) kernel(|k|) dk for two Gaussians (sesquilinear)."""
-    if f.dimension != g.dimension:
-        raise ContractViolation("test functions live in different dimensions")
-    gamma = 0.5 / f.width**2 + 0.5 / g.width**2
-    drift = f.center / f.width**2 + g.center / g.width**2
-    pref = np.conj(g.amplitude) * f.amplitude * np.exp(
-        -np.sum(np.square(f.center)) / (2.0 * f.width**2)
-        - np.sum(np.square(g.center)) / (2.0 * g.width**2)
-    )
-    return radial_reduced_integral(f.dimension, 0.0, gamma, drift, kernel, pref)
-
-
-def gaussian_weighted_zero_mode(f, weight):
-    """(2pi)^{-d/2} integral of weight(|k|) f(k) dk (e.g. a phase e^{i t omega})."""
-    sigma2 = f.width**2
-    pref = f.amplitude * np.exp(-np.sum(np.square(f.center)) / (2.0 * sigma2))
-    val = radial_reduced_integral(f.dimension, 0.0, 0.5 / sigma2, f.center / sigma2, weight, pref)
-    return val * (2.0 * np.pi) ** (-f.dimension / 2.0)

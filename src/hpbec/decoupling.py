@@ -74,11 +74,6 @@ class CoupledSystem:
     def num_modes(self):
         return len(self.frequencies)
 
-    def discrete_overlap(self, m):
-        """Site matrix R_xy = Re <omega^m lambda_x, omega^m lambda_y> (discrete)."""
-        w = self.frequencies ** (2.0 * m)
-        lam = self.site_mode_couplings
-        return np.real(np.conj(lam) * w @ lam.T)
 
 
 def sample_modes(family, disp, box_size, coords):
@@ -293,10 +288,6 @@ class DressingReport:
     level_caps: tuple
     residuals: tuple
     monotone: bool
-
-    @property
-    def final_residual(self):
-        return self.residuals[-1]
 
 
 def verify_dressing_identity(sys, level_caps):

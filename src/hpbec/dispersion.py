@@ -21,12 +21,16 @@ def sphere_area(d):
 
 @dataclass(frozen=True)
 class Dispersion:
+    """omega(k) = r(|k|), with r's derivative and its gap F = r - r(0) supplied
+    separately: r(k) - r(0) cancels where F is small against r(0), which is
+    where Bose integrals weigh it."""
+
     radial_profile: callable = field(repr=False)
     radial_derivative: callable = field(repr=False)
+    radial_gap: callable = field(repr=False)
     dimension: int
     growth_exponent: float
     mu_b: float = 0.0
-    label: str = "custom"
 
     @property
     def omega0(self):
@@ -36,15 +40,8 @@ class Dispersion:
         return self.radial_profile(np.abs(k))
 
     def gap(self, k):
-        """F(k) = omega(k) - omega_0 >= 0.
-
-        A profile with a `gap` method supplies F itself: r(k) - r(0) cancels
-        where F is small against r(0), which is where Bose integrals weigh it.
-        """
-        own = getattr(self.radial_profile, "gap", None)
-        if own is not None:
-            return own(np.abs(k))
-        return self.radial_profile(np.abs(k)) - self.omega0
+        """F(k) = omega(k) - omega_0 >= 0."""
+        return self.radial_gap(np.abs(k))
 
     def fugacity_floor(self, beta):
         """y = exp(beta (omega_0 - mu_b)); condensation sits at y = 1."""
@@ -78,25 +75,22 @@ class _QuadraticProfile:
     def __call__(self, k):
         return np.square(k) + self.omega0
 
-    def gap(self, k):
-        """k^2 exactly, where (k^2 + omega0) - omega0 would round."""
-        return np.square(k)
-
 
 def _quadratic_derivative(k):
     return 2.0 * np.asarray(k, dtype=float)
 
 
 def quadratic_dispersion(omega0=1.0, mu_b=0.0, dimension=3, growth_exponent=4.0):
-    """Default massive dispersion r(k) = k^2 + omega0; two built with equal
-    arguments compare and hash equal."""
+    """Default massive dispersion r(k) = k^2 + omega0, with the gap k^2 itself
+    (np.square, which compares by identity); two built with equal arguments
+    compare and hash equal."""
     return Dispersion(
         radial_profile=_QuadraticProfile(float(omega0)),
         radial_derivative=_quadratic_derivative,
+        radial_gap=np.square,
         dimension=dimension,
         growth_exponent=growth_exponent,
         mu_b=mu_b,
-        label="quadratic",
     )
 
 
@@ -105,9 +99,9 @@ def tabulated_dispersion(k_samples, r_samples, dimension=3, growth_exponent=4.0,
 
     Beyond the last sample the profile is continued with the end-point slope,
     keeping it monotone; below the first it is held at the first sample.  Its
-    profile is a closure, so a tabulated dispersion equals only itself.  The
-    profile supplies its gap as the same interpolation of r - r(0): near k = 0
-    that is the cubic's own small terms, where r(k) - r(0) would cancel.
+    profile is a closure, so a tabulated dispersion equals only itself.  Its
+    gap is the same interpolation of r - r(0): near k = 0 that is the cubic's
+    own small terms, where r(k) - r(0) would cancel.
     """
     r_samples = np.asarray(r_samples, dtype=float)
     interp, deriv = numerics.monotone_cubic(k_samples, r_samples)
@@ -123,12 +117,10 @@ def tabulated_dispersion(k_samples, r_samples, dimension=3, growth_exponent=4.0,
         k = np.asarray(k, dtype=float)
         return np.where(k <= k_end, gap_interp(k), (r_end - r_samples[0]) + slope_end * (k - k_end))
 
-    profile.gap = gap
-
     def derivative(k):
         return np.where(np.asarray(k) <= k_end, deriv(k), slope_end)
 
-    return Dispersion(profile, derivative, dimension, growth_exponent, mu_b, label="tabulated")
+    return Dispersion(profile, derivative, gap, dimension, growth_exponent, mu_b)
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,14 @@ the smallest nonzero mode; the discarded tail is bounded by a radial integral
 and recorded on the object.  Solves reach a build through `lattice_modes`,
 which memoizes `build_lattice_modes` by value.
 
-Every mode sum of a radial dispersion depends on a mode n only through |n|^2
-and, for the interior/boundary split, through how many of its coordinates are
-zero.  The mode set is therefore stored as shells: the occupied values
-m = |n|^2 up to the cut and, for each, the number of modes with z = 0..d zero
-coordinates.  The counts come from shift-and-add convolutions of square
-indicators (Grosswald, Representations of Integers as Sums of Squares, 1985),
-in O(sqrt(m_max) m_max) time and O(m_max) = O(L^2) memory, so no (2n+1)^d
-cube is enumerated: the ~1e9 modes of L = 640 are counted in under a second.
+Every mode sum of a radial dispersion depends on a mode n only through |n|^2.
+The mode set is therefore stored as shells: the occupied values m = |n|^2 up
+to the cut and, for each, the number of modes with z = 0..d zero coordinates
+(z = d is the zero mode alone).  The counts come from shift-and-add
+convolutions of square indicators (Grosswald, Representations of Integers as
+Sums of Squares, 1985), in O(sqrt(m_max) m_max) time and O(m_max) = O(L^2)
+memory, so no (2n+1)^d cube is enumerated: the ~1e9 modes of L = 640 are
+counted in under a second.
 The same shift-and-add sums a weight that factors over coordinates, such as a
 Gaussian's |f(k)|^2, shell by shell (`shell_sums`), so no mode is visited.
 
@@ -60,18 +60,6 @@ class LatticeModes:
     @property
     def num_modes(self):
         return int(self.counts.sum())
-
-    def shell_norms(self):
-        """|k| on each shell: sqrt(m) times the spacing."""
-        return np.sqrt(self.shells) * self.spacing
-
-    def interior_counts(self):
-        """Modes per shell with every coordinate nonzero."""
-        return self.counts[:, 0]
-
-    def boundary_counts(self):
-        """Nonzero modes per shell with at least one vanishing coordinate."""
-        return self.counts[:, 1 : self.dimension].sum(axis=1)
 
     def cell_volume(self):
         return self.spacing**self.dimension

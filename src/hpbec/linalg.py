@@ -56,12 +56,6 @@ def expm_hermitian(A, prefactor=1.0):
     return (V * np.exp(prefactor * w)) @ V.conj().T
 
 
-def unitary_defect(U):
-    """Frobenius norm of U^dagger U - 1."""
-    U = as_matrix(U)
-    return np.linalg.norm(U.conj().T @ U - np.eye(U.shape[0]))
-
-
 def boltzmann_weights(energies, beta):
     """Normalized weights e^{-beta E}/Z of a spectrum E, and Z = sum e^{-beta E}.
 

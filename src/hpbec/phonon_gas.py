@@ -18,18 +18,6 @@ from .dispersion import sphere_area
 from .errors import InfraredDivergence
 
 
-@dataclass(frozen=True)
-class BosonNumberRecord:
-    """Decomposition of the finite-volume expected boson number."""
-
-    total: float          # N_b_L
-    condensate: float     # N_b_0 = N_i / (y - 1)
-    infrared: float       # N_ir (dressing-induced, supplied externally)
-    excited: float        # N_b_L_1 = r_bL + R_bL
-    interior: float       # r_bL: modes with every coordinate nonzero
-    boundary: float       # R_bL: nonzero modes with some coordinate zero
-
-
 def _bose_denominators(modes, disp, beta, y):
     """Per shell a + t, with a = 1 - e^{-beta F} from the build and t = y - 1.
 
@@ -42,26 +30,6 @@ def _bose_denominators(modes, disp, beta, y):
     if beta != modes.beta or disp != modes.dispersion:
         raise ValueError("the lattice modes were built for another dispersion or beta")
     return modes.deficits + (y - 1.0)
-
-
-def boson_number_finite(modes, disp, beta, y, n_ir=0.0):
-    """Exact finite-volume number decomposition at fugacity parameter y > 1."""
-    if n_ir < 0:
-        raise ValueError("infrared number must be nonnegative")
-    n_i = modes.num_internal
-    bose = n_i * modes.weights / _bose_denominators(modes, disp, beta, y)
-    interior = float(modes.interior_counts() @ bose)
-    boundary = float(modes.boundary_counts() @ bose)
-    condensate = n_i / (y - 1.0)
-    excited = interior + boundary
-    return BosonNumberRecord(
-        total=condensate + n_ir + excited,
-        condensate=condensate,
-        infrared=float(n_ir),
-        excited=excited,
-        interior=interior,
-        boundary=boundary,
-    )
 
 
 def lattice_density(modes, disp, beta, y, n_ir=0.0):

@@ -65,36 +65,10 @@ class GaussianTestFunction:
         """(2pi)^{-d/2} * integral f(k) dk = A sigma^d, exact."""
         return self.amplitude * self.width**self.dimension
 
-    @property
-    def norm_sq(self):
-        """L^2 norm squared, |A|^2 (sqrt(pi) sigma)^d, exact."""
-        return abs(self.amplitude) ** 2 * (np.sqrt(np.pi) * self.width) ** self.dimension
-
-    @property
-    def l1_norm(self):
-        return abs(self.amplitude) * (2.0 * np.pi * self.width**2) ** (self.dimension / 2.0)
-
     def scaled(self, factor):
         """Same Gaussian with the amplitude multiplied by a complex factor."""
         return replace(self, amplitude=self.amplitude * complex(factor))
 
-    def domain_flags(self, disp, beta):
-        """Membership in L^1, dom omega^{-1/2}, dom (1 - e^{-beta omega})^{-1/2}.
-
-        A Gaussian is always L^1.  The weighted memberships can only fail when
-        the dispersion is gapless at k = 0; then the infrared exponent decides.
-        """
-        flags = {"L1": True}
-        if disp.omega0 > 0:
-            flags["omega_inv_half"] = True
-            flags["thermal_inv_half"] = True
-        else:
-            p = disp.infrared_exponent()
-            at_origin = abs(self.values(np.zeros(self.dimension)))
-            ok = disp.dimension > p or at_origin == 0
-            flags["omega_inv_half"] = bool(ok)
-            flags["thermal_inv_half"] = bool(ok)
-        return flags
 
 
 def gaussian_test_function(dimension, center=None, width=1.0, amplitude=1.0):

@@ -9,16 +9,14 @@ from hpbec import couplings
 from hpbec.couplings import (
     CouplingFamily,
     coupling_overlap,
-    cross_overlap,
     gaussian_density_integral,
-    gaussian_pair_integral,
-    gaussian_weighted_zero_mode,
     overlap_matrix,
     radial_reduced_integral,
 )
 from hpbec.dispersion import quadratic_dispersion
 from hpbec.errors import InfraredDivergence
 from hpbec.testfunctions import gaussian_test_function
+from references import cross_overlap, gaussian_norm_sq
 
 DISP = quadratic_dispersion()
 
@@ -138,23 +136,7 @@ def test_cross_overlap_against_polar_oracle():
 
 def test_density_integral_reduces_to_norm():
     f = gaussian_test_function(3, center=[0.3, -0.2, 0.1], width=0.9, amplitude=0.7 + 0.4j)
-    assert gaussian_density_integral(f) == pytest.approx(f.norm_sq, rel=1e-10)
-
-
-def test_pair_integral_consistency():
-    f = gaussian_test_function(3, center=[0.3, 0.0, 0.0], width=0.9, amplitude=0.7 + 0.4j)
-    g = gaussian_test_function(3, center=[-0.1, 0.2, 0.0], width=1.2, amplitude=1.0 - 0.3j)
-    ff = gaussian_pair_integral(f, f)
-    assert ff.real == pytest.approx(f.norm_sq, rel=1e-10)
-    fg = gaussian_pair_integral(f, g)
-    gf = gaussian_pair_integral(g, f)
-    assert abs(fg - np.conj(gf)) < 1e-10
-
-
-def test_weighted_zero_mode_trivial_weight():
-    f = gaussian_test_function(3, center=[0.3, -0.2, 0.1], width=0.9, amplitude=0.7 + 0.4j)
-    val = gaussian_weighted_zero_mode(f, lambda k: np.ones_like(np.asarray(k)))
-    assert abs(val - f.zero_mode) < 1e-12
+    assert gaussian_density_integral(f) == pytest.approx(gaussian_norm_sq(f), rel=1e-10)
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3])

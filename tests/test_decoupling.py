@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from hpbec import cli, decoupling
 from hpbec.bosons import TruncatedBosonSpace
-from hpbec.couplings import CouplingFamily, cross_overlap, overlap_matrix
+from hpbec.couplings import CouplingFamily, overlap_matrix
 from hpbec.dispersion import quadratic_dispersion
 from hpbec.errors import ContractViolation
 from hpbec.hubbard import build_hubbard_hamiltonian, build_hubbard_system, site_occupations
-from hpbec.linalg import expm_hermitian, gibbs, unitary_defect
+from hpbec.linalg import expm_hermitian, gibbs
 from hpbec.testfunctions import gaussian_test_function
+from references import cross_overlap, unitary_defect
 
 DISP = quadratic_dispersion()
 HOP = np.array([[0.0, -1.0], [-1.0, 0.0]])
@@ -31,6 +32,12 @@ def make_system(alpha=0.2, beta=1.0, kappa=0.5, coords=COORDS, hopping=HOP, mu_b
 
 # Dense references, built here from the tensor-product definitions so that the
 # structured (per fermion state, per mode) path is checked against them.
+
+
+def discrete_overlap(sys, m):
+    """Site matrix R_xy = Re <omega^m lambda_x, omega^m lambda_y>, summed over the sampled modes."""
+    lam = sys.site_mode_couplings
+    return np.real(np.conj(lam) * sys.frequencies ** (2.0 * m) @ lam.T)
 
 
 def dense_space(sys, cap):
@@ -124,7 +131,7 @@ def dense_dressing_residual(sys, cap, bound):
     alpha = sys.hubbard.coupling
     v = expm_hermitian(dense_generator(sys, space), prefactor=1j * alpha)
     h_b = np.kron(np.eye(dim_e), space.free_hamiltonian(sys.mu_b))
-    R = sys.discrete_overlap(-0.5)
+    R = discrete_overlap(sys, -0.5)
     occ = site_occupations(sys.hubbard.sector)
     shift = np.einsum("sx,xy,sy->s", occ, R, occ)
     lhs = v @ h_b @ v.conj().T
@@ -182,14 +189,14 @@ def test_zero_coupling_trivial_dressing():
     assert np.linalg.norm(dense_h_full(sys, 4) - h_free) < 1e-13
     assert np.linalg.norm(assembled_h_full(ops) - h_free) < 1e-13
     rep = decoupling.verify_dressing_identity(sys, (3, 4))
-    assert rep.final_residual < 1e-13
+    assert rep.residuals[-1] < 1e-13
 
 
 def test_density_shift_matches_overlap_form():
     """sum_j |l_sj|^2 / omega_j is the m = -1/2 overlap form sum_xy R_xy n_x n_y."""
     sys = make_system(coords=COORDS_3)
     occ = site_occupations(sys.hubbard.sector)
-    R = sys.discrete_overlap(-0.5)
+    R = discrete_overlap(sys, -0.5)
     expected = np.einsum("sx,xy,sy->s", occ, R, occ)
     shifts = decoupling.mode_density_shifts(sys).sum(axis=1)
     assert np.abs(shifts - expected).max() < 1e-14 * np.abs(expected).max()
@@ -245,7 +252,7 @@ def test_dressing_identity_scaling_ceiling():
     rep = decoupling.verify_dressing_identity(sys, (6, 9, 12))
     elapsed = time.perf_counter() - t0
     assert rep.monotone
-    assert rep.final_residual < 1e-12
+    assert rep.residuals[-1] < 1e-12
     assert elapsed < 1.0
     with pytest.raises(ValueError):
         decoupling.verify_dressing_identity(sys, (0, 2))
@@ -302,7 +309,7 @@ def test_dressing_residual_ladder_monotone():
     for caps in [(4, 6, 8), (3, 4, 5)]:
         rep = decoupling.verify_dressing_identity(make_system(), caps)
         assert rep.monotone, (caps, rep.residuals)
-        assert rep.final_residual < 1e-2
+        assert rep.residuals[-1] < 1e-2
 
 
 def test_single_site_ground_energy_displaced_oscillator():
@@ -315,7 +322,7 @@ def test_single_site_ground_energy_displaced_oscillator():
     lam2 = abs(sys.site_mode_couplings[0, 0]) ** 2
     expected = 3.0 - 2.0 * alpha**2 * lam2 / sys.frequencies[0]
     # n^2 = 4 at double occupancy, so the dressed H_e is U - 4 (alpha^2/2) R_00
-    R = sys.discrete_overlap(-0.5)
+    R = discrete_overlap(sys, -0.5)
     assert ops.h_electron_dressed[0, 0].real == pytest.approx(3.0 - 4.0 * 0.5 * alpha**2 * R[0, 0], rel=1e-12)
     assert np.linalg.eigvalsh(dense_h_full(sys, 40))[0] == pytest.approx(expected, abs=1e-10)
     assert ops.levels()[0] == pytest.approx(expected, abs=1e-10)
@@ -592,9 +599,18 @@ def test_decouple_verify_rejects_level_caps_that_are_not_increasing_integers(tmp
     assert not (tmp_path / "decouple.json").exists()
 
 
+@pytest.mark.parametrize("coords", ["[[1,0,0,7],[0,1,0,9]]", "[[1,0],[0,1]]", "[]"])
+def test_decouple_verify_rejects_mode_coords_not_of_the_dispersions_dimension(tmp_path, capsys, coords):
+    argv = ["--command", "decouple-verify", "--out", str(tmp_path), "--override", "hubbard.hopping=[[0,0],[0,0]]",
+            "--override", "sweep.level_caps=[2,3]", "--override", f"sweep.mode_coords={coords}"]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert "sweep.mode_coords" in capsys.readouterr().err
+    assert not (tmp_path / "decouple.json").exists()
+
+
 def test_discrete_overlap_symmetric_psd():
     sys = make_system()
-    R = sys.discrete_overlap(-0.5)
+    R = discrete_overlap(sys, -0.5)
     assert np.allclose(R, R.T)
     assert np.linalg.eigvalsh(R).min() > -1e-12 * np.abs(R).max()
 

@@ -27,6 +27,7 @@ def test_constant_profile_fails_monotonicity():
     disp = Dispersion(
         radial_profile=lambda k: np.ones_like(np.asarray(k, dtype=float)),
         radial_derivative=lambda k: np.zeros_like(np.asarray(k, dtype=float)),
+        radial_gap=lambda k: np.zeros_like(np.asarray(k, dtype=float)),
         dimension=3,
         growth_exponent=4.0,
     )
@@ -87,21 +88,21 @@ def test_fugacity_floor():
     assert disp.fugacity_floor(2.0) == pytest.approx(np.exp(2.0 * 0.8))
 
 
-def test_unconvergeable_inverse_gap_integral_fails_its_check():
-    """F = (k^2.5 + 1) - 1 rounds to 0 below k ~ 1e-6: 1/F is infinite at the
-    nodes the k^{-1/2} singularity draws the quadrature to, so the check fails
-    with that witness instead of passing with an infinite integral."""
+def test_supplied_gap_integrates_the_k_to_the_minus_half_singularity():
+    """With the gap k^2.5 supplied, not formed as (k^2.5 + 1) - 1 (which rounds to 0
+    below k ~ 1e-6, where the k^{-1/2} singularity draws the quadrature), the
+    integral over |k| <= 1 of k^{-2.5} is 4 pi * 2 = 8 pi and the check passes."""
     disp = Dispersion(
         radial_profile=lambda k: np.abs(k) ** 2.5 + 1.0,
         radial_derivative=lambda k: 2.5 * np.abs(k) ** 1.5,
+        radial_gap=lambda k: np.abs(k) ** 2.5,
         dimension=3,
         growth_exponent=4.0,
     )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        check = validate_dispersion(disp, beta=1.0).checks[2]
+    assert infrared_gap_integral(disp) == pytest.approx(8.0 * np.pi, rel=1e-8)
+    check = validate_dispersion(disp, beta=1.0).checks[2]
     assert check.name == "inverse gap integrable near k = 0"
-    assert not check.passed
-    assert "not finite" in check.witness
+    assert check.passed
 
 
 def test_quadratic_dispersions_compare_and_hash_by_value():

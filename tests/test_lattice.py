@@ -14,6 +14,11 @@ from lattice_ball import ball
 DISP = quadratic_dispersion()
 
 
+def shell_norms(modes):
+    """|k| on each shell: sqrt(m) times the spacing."""
+    return np.sqrt(modes.shells) * modes.spacing
+
+
 def _zero_mask(coords):
     return np.all(coords == 0, axis=1)
 
@@ -63,8 +68,8 @@ def test_masks_partition_modes():
     assert not np.any(z & boundary)
     assert not np.any(interior & boundary)
     assert np.all(z | interior | boundary)
-    assert interior.sum() == modes.interior_counts().sum()
-    assert boundary.sum() == modes.boundary_counts().sum()
+    assert interior.sum() == modes.counts[:, 0].sum()
+    assert boundary.sum() == modes.counts[:, 1 : modes.dimension].sum()
 
 
 def test_one_dimensional_has_no_boundary_modes():
@@ -73,7 +78,7 @@ def test_one_dimensional_has_no_boundary_modes():
     coords = ball(modes)
     assert _boundary_mask(coords).sum() == 0
     assert _all_nonzero_mask(coords).sum() == modes.num_modes - 1
-    assert modes.boundary_counts().sum() == 0
+    assert modes.counts[:, 1 : modes.dimension].sum() == 0
 
 
 def test_spacing_and_cell_volume():
@@ -97,7 +102,7 @@ def test_momenta_consistent_with_coords():
     assert np.allclose(grids[0], np.arange(-n_axis, n_axis + 1) * modes.spacing)
     norms = np.linalg.norm(coords * modes.spacing, axis=1)
     shell_of = np.searchsorted(modes.shells, np.square(coords).sum(axis=1))
-    assert np.allclose(norms, modes.shell_norms()[shell_of])
+    assert np.allclose(norms, shell_norms(modes)[shell_of])
 
 
 def test_mode_count_grows_like_volume():
@@ -170,13 +175,13 @@ def test_build_keeps_each_shells_bose_factors_read_only(box_size, disp):
     and the nonzero modes the Bose sums weigh them by."""
     beta = 0.8
     modes = build_lattice_modes(box_size, disp, beta)
-    exponents = -beta * np.asarray(disp.gap(modes.shell_norms()), dtype=float)
+    exponents = -beta * np.asarray(disp.gap(shell_norms(modes)), dtype=float)
     assert np.array_equal(modes.weights, np.exp(exponents))
     assert np.array_equal(modes.deficits, -np.expm1(exponents))
     assert (modes.weights[0], modes.deficits[0]) == (1.0, 0.0)
     assert modes.included_weight == float(modes.counts.sum(axis=1) @ modes.weights)
     assert (modes.dispersion, modes.beta) == (disp, beta)
-    assert np.array_equal(modes.nonzero_modes, modes.interior_counts() + modes.boundary_counts())
+    assert np.array_equal(modes.nonzero_modes, modes.counts[:, 0] + modes.counts[:, 1 : modes.dimension].sum(axis=1))
     assert modes.nonzero_modes[0] == 0.0
     for array in (modes.weights, modes.deficits, modes.nonzero_modes):
         assert not array.flags.writeable

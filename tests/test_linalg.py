@@ -7,8 +7,8 @@ from hpbec.linalg import (
     expm_hermitian,
     gibbs,
     hermiticity_defect,
-    unitary_defect,
 )
+from references import unitary_defect
 
 
 def random_hermitian(n, seed):

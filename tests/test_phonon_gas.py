@@ -85,19 +85,24 @@ def test_rho_crit_infrared_divergence_low_dimension():
         phonon_gas.rho_crit(quadratic_dispersion(dimension=2), 1.0)
 
 
+def _bose_terms(modes, y):
+    """Per shell the Bose term w/(a + t) at y = 1 + t, from the build's stored factors,
+    as `lattice_density` weighs them by the shell's nonzero modes."""
+    return modes.weights / (modes.deficits + (y - 1.0))
+
+
 def test_boson_number_single_zero_mode():
-    """Tiny box: the only retained lattice mode is k = 0 when the gap is huge."""
+    """Tiny box: the only retained lattice mode is k = 0 when the gap is huge, so the
+    number L^d f_L(y) is the zero mode's 1/(y - 1) plus N_ir."""
     big_gap = quadratic_dispersion(dimension=1)
     modes = build_lattice_modes(1.0, big_gap, beta=30.0)
-    rec = phonon_gas.boson_number_finite(modes, big_gap, 30.0, y=2.0, n_ir=0.3)
-    assert rec.excited < 1e-12
-    assert rec.total == pytest.approx(1.0 / (2.0 - 1.0) + 0.3 + rec.excited)
+    number = phonon_gas.lattice_density(modes, big_gap, 30.0, y=2.0, n_ir=0.3) * modes.box_size
+    assert abs(number - (1.0 / (2.0 - 1.0) + 0.3)) < 1e-12
 
 
 def test_boson_number_scalar_bose_factor():
     """One off-zero mode with F = 1 at beta = 1, y = e contributes 1/(e^2 - 1)."""
     modes = build_lattice_modes(2.0 * np.pi, DISP, 1.0)  # spacing 1, F(spacing) = 1
-    rec = phonon_gas.boson_number_finite(modes, DISP, 1.0, y=np.e)
     norms = _per_mode_norms(modes)
     single = np.isclose(norms, 1.0)
     assert single.sum() == 6  # +-e_i in d = 3
@@ -105,12 +110,15 @@ def test_boson_number_scalar_bose_factor():
     assert per_mode == pytest.approx(0.15651764274966565, rel=1e-12)
     direct = 1.0 / (np.e * np.exp(1.0 * DISP.gap(1.0)) - 1.0)
     assert direct == pytest.approx(per_mode)
+    shell = np.flatnonzero(modes.shells == 1)[0]
+    assert modes.nonzero_modes[shell] == 6
+    assert _bose_terms(modes, np.e)[shell] == pytest.approx(per_mode, rel=1e-12)
 
 
 def test_boson_number_strictly_decreasing_in_y():
     modes = build_lattice_modes(8.0, DISP, 1.0)
     totals = [
-        phonon_gas.boson_number_finite(modes, DISP, 1.0, y).total
+        phonon_gas.lattice_density(modes, DISP, 1.0, y)
         for y in (1.1, 1.5, 2.0, 4.0)
     ]
     assert all(a > b for a, b in zip(totals, totals[1:]))
@@ -119,7 +127,7 @@ def test_boson_number_strictly_decreasing_in_y():
 def test_boson_number_rejects_condensed_pole():
     modes = build_lattice_modes(5.0, DISP, 1.0)
     with pytest.raises(ValueError):
-        phonon_gas.boson_number_finite(modes, DISP, 1.0, y=1.0)
+        phonon_gas.lattice_density(modes, DISP, 1.0, y=1.0)
 
 
 def test_mode_sums_reject_a_build_of_another_beta_or_dispersion():
@@ -137,7 +145,9 @@ def test_mode_sums_reject_a_build_of_another_beta_or_dispersion():
 def test_shell_bose_sums_match_mpmath(t):
     """The stored-factor terms at y = 1 + t, against 1/(y e^{beta F} - 1) summed at 40
     digits over the shells of L = 40 with F = m (2 pi / L)^2: the excited number (terms
-    w/(a + t)), f_L'(y) (terms w/(a + t)^2) and I2 (factors 1 + 2w/(a + t))."""
+    w/(a + t)) and f_L(y) built from it, f_L'(y) (terms w/(a + t)^2) and I2 (factors
+    1 + 2w/(a + t)).  The excited number is checked on the terms themselves: near y = 1
+    the zero mode's 1/t dominates f_L, and subtracting it back would lose the digits."""
     L, beta = 40.0, 1.0
     modes = build_lattice_modes(L, DISP, beta)
     f = gaussian_test_function(3, center=[0.3, -0.2, 0.1], width=0.7, amplitude=0.8 + 0.3j)
@@ -153,23 +163,25 @@ def test_shell_bose_sums_match_mpmath(t):
             excited += count / (ym * e - 1)
             deriv += count * e / (ym * e - 1) ** 2
             i2 += weight * (ym * e + 1) / (ym * e - 1)
+        density = (1 / tm + excited) / mpmath.mpf(L) ** 3
         deriv = -(1 / tm**2 + deriv) / mpmath.mpf(L) ** 3
         i2 *= modes.cell_volume() * abs(f.amplitude) ** 2
-    assert phonon_gas.boson_number_finite(modes, DISP, beta, y).excited == pytest.approx(float(excited), rel=1e-14)
+    assert float(modes.nonzero_modes @ _bose_terms(modes, y)) == pytest.approx(float(excited), rel=1e-14)
+    assert phonon_gas.lattice_density(modes, DISP, beta, y) == pytest.approx(float(density), rel=1e-14)
     assert phonon_gas.lattice_density_derivative(modes, DISP, beta, y) == pytest.approx(float(deriv), rel=1e-14)
     assert phonon_gas.finite_volume_characteristic(modes, f, y, beta, DISP).i2 == pytest.approx(float(i2), rel=1e-14)
 
 
 def test_excited_density_converges_to_continuum():
-    """L^{-d} * excited sum approaches rho_fr(beta, y) at fixed y > 1,
-    monotonically over an L-doubling ladder."""
+    """The excited density f_L(y) - 1/((y - 1) L^d) approaches rho_fr(beta, y) at
+    fixed y > 1, monotonically over an L-doubling ladder."""
     y = 2.0
     target = phonon_gas.rho_fr(DISP, 1.0, y)
     gaps = []
     for L in (5.0, 10.0, 20.0, 40.0):
         modes = build_lattice_modes(L, DISP, 1.0)
-        rec = phonon_gas.boson_number_finite(modes, DISP, 1.0, y)
-        gaps.append(abs(rec.excited / L**3 - target) / target)
+        excited = phonon_gas.lattice_density(modes, DISP, 1.0, y) - 1.0 / ((y - 1.0) * L**3)
+        gaps.append(abs(excited - target) / target)
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < 1e-2
 
@@ -179,8 +191,8 @@ def test_boundary_term_scales_like_inverse_L():
     vals = []
     for L in (20.0, 40.0, 80.0):
         modes = build_lattice_modes(L, DISP, 1.0)
-        rec = phonon_gas.boson_number_finite(modes, DISP, 1.0, y=2.0)
-        vals.append(rec.boundary / L**3)
+        boundary = modes.counts[:, 1:3].sum(axis=1) @ _bose_terms(modes, 2.0)
+        vals.append(boundary / L**3)
     assert vals[0] / vals[1] == pytest.approx(2.0, rel=0.2)
     assert vals[1] / vals[2] == pytest.approx(2.0, rel=0.2)
 
@@ -322,11 +334,13 @@ def test_shell_sums_match_per_mode_sums(box_size, disp, y):
     d = modes.dimension
     w = np.exp(-beta * gaps) / y
     bose = w / (1.0 - w)
-    rec = phonon_gas.boson_number_finite(modes, disp, beta, y)
+    terms = _bose_terms(modes, y)
     interior = math.fsum(bose[zeros == 0])
     boundary = math.fsum(bose[(zeros > 0) & (zeros < d)])
-    assert rec.interior == pytest.approx(interior, rel=1e-13)
-    assert rec.boundary == pytest.approx(boundary, rel=1e-13)
+    assert float(modes.counts[:, 0] @ terms) == pytest.approx(interior, rel=1e-13)
+    assert float(modes.counts[:, 1:d].sum(axis=1) @ terms) == pytest.approx(boundary, rel=1e-13)
+    density = (1.0 / (y - 1.0) + interior + boundary) / box_size**d
+    assert phonon_gas.lattice_density(modes, disp, beta, y) == pytest.approx(density, rel=1e-13)
     e = np.exp(beta * gaps[zeros < d])
     deriv = (-1.0 / (y - 1.0) ** 2 - math.fsum(e / np.square(y * e - 1.0))) / box_size**d
     assert phonon_gas.lattice_density_derivative(modes, disp, beta, y) == pytest.approx(deriv, rel=1e-13)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hpbec.dispersion import quadratic_dispersion
 from hpbec.testfunctions import gaussian_test_function
+from references import gaussian_norm_sq
 
 
 def test_zero_mode_closed_form_vs_grid():
@@ -20,7 +20,7 @@ def test_norm_sq_closed_form_vs_grid():
     kx, ky = np.meshgrid(ax, ax, indexing="ij")
     pts = np.stack([kx, ky], axis=-1)
     val = (np.abs(f.values(pts)) ** 2).sum() * (ax[1] - ax[0]) ** 2
-    assert f.norm_sq == pytest.approx(val, rel=1e-10)
+    assert gaussian_norm_sq(f) == pytest.approx(val, rel=1e-10)
 
 
 def test_scaled_preserves_shape():
@@ -28,20 +28,6 @@ def test_scaled_preserves_shape():
     g = f.scaled(2j)
     assert g.zero_mode == pytest.approx(2j * f.zero_mode)
     assert g.width == f.width
-
-
-def test_domain_flags_default_dispersion():
-    f = gaussian_test_function(3)
-    flags = f.domain_flags(quadratic_dispersion(), beta=1.0)
-    assert flags == {"L1": True, "omega_inv_half": True, "thermal_inv_half": True}
-
-
-def test_domain_flags_gapless():
-    f = gaussian_test_function(3)
-    flags = f.domain_flags(quadratic_dispersion(omega0=0.0), beta=1.0)
-    assert flags["omega_inv_half"]  # d = 3 > p = 2
-    flags1 = f.domain_flags(quadratic_dispersion(omega0=0.0, dimension=1), beta=1.0)
-    assert not flags1["omega_inv_half"]
 
 
 def test_invalid_parameters():
