@@ -270,7 +270,7 @@ def combined_limit(box_sizes, f, disp, beta, target_density, regime_report, elec
     for L in box_sizes:
         sol = solve_fugacity(L, target_density, beta, disp, num_internal=num_internal)
         modes = lattice_modes(L, disp, beta, num_internal)  # the build the solve used
-        rec = phonon_gas.finite_volume_characteristic(modes, f, sol.y, beta, disp)
+        rec = phonon_gas.finite_volume_characteristic(modes, f, sol.t)
         val = electron_value * rec.weyl_value
         finite.append(val)
         gaps.append(abs(val - limit))

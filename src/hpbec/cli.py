@@ -297,7 +297,7 @@ def cmd_condense(config, emitter):
     seq = condensation.condensate_sequence(config["sweep"]["box_sizes"], rho, beta, disp, num_internal=n_i)
     report = seq.regime
     rows = [
-        (sol.box_size, sol.y, sol.residual, dens, report.phase)
+        (sol.box_size, 1.0 + sol.t, sol.residual, dens, report.phase)
         for sol, dens in zip(seq.solutions, seq.condensate_densities)
     ]
     emitter.csv("condense.csv", ["L", "y_L", "residual", "N_b0_over_Ld", "phase"], rows)
@@ -350,9 +350,10 @@ def cmd_decouple_verify(config, emitter):
         raise ContractViolation(
             f"sweep.mode_coords must be a nonempty list of rows of {disp.dimension} coordinates, not {coords!r}"
         )
-    sys_c = decoupling.build_coupled_system(
-        cluster, family, disp, float(sweep["coupled_box_size"]), np.asarray(coords, dtype=float)
-    )
+    box = sweep["coupled_box_size"]
+    if not (type(box) in (int, float) and 0 < box < np.inf):
+        raise ContractViolation(f"sweep.coupled_box_size must be a positive finite number, not {box!r}")
+    sys_c = decoupling.build_coupled_system(cluster, family, disp, float(box), np.asarray(coords, dtype=float))
     caps = sweep["level_caps"]
     integers = isinstance(caps, list) and all(type(c) is int for c in caps)
     if not (integers and caps and caps[0] >= 1 and caps == sorted(set(caps))):
@@ -418,9 +419,12 @@ def cmd_bec_states(config, emitter):
     phase = bec_states.CondensatePhase(
         float(config["bec"]["r"]), float(config["bec"]["theta"]), rho0, disp.dimension, n_i
     )
+    size = config["bec"]["suite_size"]
+    if not (type(size) is int and size >= 1):
+        raise ContractViolation(f"bec.suite_size must be an integer >= 1, not {size!r}")
     rng = default_rng(config.get("seed"))
     rows = []
-    for idx in range(int(config["bec"]["suite_size"])):
+    for idx in range(size):
         f = gaussian_test_function(
             disp.dimension,
             center=rng.normal(scale=0.4, size=disp.dimension),

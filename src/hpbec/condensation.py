@@ -1,15 +1,15 @@
 """Fugacity equation, phase classification, condensate sequences, and the
 critical temperature for the finite/continuum Bose gas.
 
-The fugacity equation rho_target = f_L(y) has a unique root on (1, infinity)
-because f_L is a strictly decreasing continuous bijection onto
-(rho_ir, infinity).  The solver runs Brent in u = 1/(y - 1), in which f_L is
-nearly linear past rho_crit (its zero-mode term is N_i u / L^d), on a bracket
-certified at both ends: the proof bound on y - 1 below and the zero mode
-alone above.  It stops Brent loosely and polishes with Newton steps in y
-using the analytic derivative.  Every evaluation is at a double y, so the
-residual has a floor of up to N_i (ulp(y)/2) / ((y - 1)^2 L^d); a solve that
-misses RESIDUAL_TOL reports that floor next to its residual.  Solves take
+The fugacity equation rho_target = f_L(1 + t) has a unique root t = y - 1 on
+(0, infinity) because f_L is a strictly decreasing continuous bijection onto
+(rho_ir, infinity).  The solver works in t alone: Brent in u = 1/t, in which
+f_L is nearly linear past rho_crit (its zero-mode term is N_i u / L^d), on a
+bracket certified at both ends (the proof bound on t below and the zero mode
+alone above), stopped loosely and polished with Newton steps in t using the
+analytic derivative.  A double t resolves f_L to the roundoff of rho, so the
+residual reaches that roundoff at every L; y = 1 + t is formed only for
+output.  Solves take
 their lattice from `lattice.lattice_modes` and classifications rho_crit from
 `phonon_gas.rho_crit`, memos keyed on values, so calls at one (L, beta) or one
 beta share a build or a quadrature without being handed it.
@@ -24,8 +24,11 @@ from .errors import BracketError, UnsolvableDensity
 from .lattice import lattice_modes
 
 RESIDUAL_TOL = 1e-10
-# Brent in u = 1/(y - 1) stops at this relative width; Newton in y finishes the root
+# Brent in u = 1/t stops at this relative width; Newton in t finishes the root
 BRENT_RTOL = 1e-6
+# Newton stops at this many eps of the target density (or RESIDUAL_TOL if less):
+# f_L sums thousands of shells, so its rounding is a few eps of rho
+ROUNDOFF = 4.0 * np.finfo(float).eps
 # classify_phase calls a target this close to rho_crit critical
 CRITICAL_TOL = 1e-9
 # critical_temperature brackets beta_c within this range
@@ -39,18 +42,18 @@ LOG_DENSITY_TOL = 3e-13
 @dataclass(frozen=True)
 class FugacitySolution:
     box_size: float
-    y: float
+    t: float  # y_L - 1, the variable of the solve
     residual: float
     bracket_bound: float
     target_density: float
     infrared_density: float
-    brent_iterations: int  # in u = 1/(y - 1), before the Newton polish
+    brent_iterations: int  # in u = 1/t, before the Newton polish
     newton_steps: int  # Newton polish steps taken after it
     tail_bound: float  # the lattice's certified truncation tail
 
 
 def fugacity_bracket_bound(modes, target_density, infrared_density):
-    """Upper bound on y_L - 1: [N_i/(rho - rho_ir)] L^{-d} (1 + sum e^{-beta F})."""
+    """Upper bound on t_L = y_L - 1: [N_i/(rho - rho_ir)] L^{-d} (1 + sum e^{-beta F})."""
     vol = modes.box_size**modes.dimension
     return (
         modes.num_internal
@@ -61,17 +64,16 @@ def fugacity_bracket_bound(modes, target_density, infrared_density):
 
 
 def solve_fugacity(box_size, target_density, beta, disp, n_ir=0.0, num_internal=1):
-    """Unique y > 1 with f_L(y) = target_density, residual below RESIDUAL_TOL.
+    """Unique t = y - 1 > 0 with f_L(1 + t) = target_density, residual below RESIDUAL_TOL.
 
-    Brent runs in u = 1/(y - 1), where f_L is nearly linear past rho_crit (its
+    Brent runs in u = 1/t, where f_L is nearly linear past rho_crit (its
     zero-mode term is N_i u / L^d), on a bracket certified at both ends: f_L
     is below the target at u = 1/bound, and above it at
     u = 2 (rho - rho_ir) L^d / N_i, where the zero mode alone carries twice
-    rho - rho_ir.  (At half that u it carries rho - rho_ir exactly, which is
-    the root of a lattice with no thermal weight, so rounding y could leave
-    it outside.)  Brent stops at BRENT_RTOL, and Newton steps in y finish the
-    root until a step rounds to no change of y.  Every evaluation goes
-    through `phonon_gas.lattice_density` at a double y = 1 + 1/u.
+    rho - rho_ir.  Brent stops at BRENT_RTOL, and Newton steps in t finish the
+    root until the residual is at the roundoff of the target density.  Every
+    evaluation goes through `phonon_gas.lattice_density` at t = 1/u itself, so
+    no rounding of y limits the residual.
     """
     modes = lattice_modes(box_size, disp, beta, num_internal)
     vol = box_size**modes.dimension
@@ -82,48 +84,25 @@ def solve_fugacity(box_size, target_density, beta, disp, n_ir=0.0, num_internal=
         )
     bound = fugacity_bracket_bound(modes, target_density, rho_ir)
 
-    def g(y):
-        return phonon_gas.lattice_density(modes, disp, beta, y, n_ir) - target_density
-
-    def g_u(u):
-        return g(1.0 + 1.0 / u)
+    def g(t):
+        return phonon_gas.lattice_density(modes, t, n_ir) - target_density
 
     lo, hi = 1.0 / bound, 2.0 * (target_density - rho_ir) * vol / num_internal
-    g_lo, g_hi = g_u(lo), g_u(hi)
+    g_lo, g_hi = g(1.0 / lo), g(1.0 / hi)
     if g_lo > 0 or g_hi < 0:
-        raise BracketError(
-            f"no sign change of the fugacity equation on u = 1/(y - 1) in ({lo:g}, {hi:g})"
-        )
-    root = numerics.brentq(g_u, lo, hi, xtol=0.0, rtol=BRENT_RTOL, maxiter=200, fa=g_lo, fb=g_hi)
-    y, res = 1.0 + 1.0 / root.root, root.residual
-    # Newton polish with the analytic derivative, until a step rounds to no change of y
-    # or goes back to a y already tried (two neighbouring doubles straddle the root);
-    # the y with the smallest residual is kept
-    tried = [(abs(res), y, res)]
-    for _ in range(4):
-        if res == 0.0:
-            break
-        y_new = y - res / phonon_gas.lattice_density_derivative(modes, disp, beta, y)
-        if y_new <= 1.0 or any(y_new == seen for _, seen, _ in tried):
-            break
-        y, res = y_new, g(y_new)
-        tried.append((abs(res), y, res))
-    newton_steps = len(tried) - 1
-    _, y, res = min(tried)
+        raise BracketError(f"no sign change of the fugacity equation on u = 1/t in ({lo:g}, {hi:g})")
+    root = numerics.brentq(lambda u: g(1.0 / u), lo, hi, xtol=0.0, rtol=BRENT_RTOL, maxiter=200, fa=g_lo, fb=g_hi)
+    t, res = 1.0 / root.root, root.residual
+    newton_steps, stop = 0, min(ROUNDOFF * target_density, RESIDUAL_TOL)
+    while abs(res) > stop and newton_steps < 4:
+        t -= res / phonon_gas.lattice_density_derivative(modes, t)
+        res = g(t)
+        newton_steps += 1
     residual = abs(res)
     if not residual <= RESIDUAL_TOL:  # a NaN residual fails too
-        raise BracketError(
-            f"fugacity residual {residual:.3e} at y = {y!r} above tolerance {RESIDUAL_TOL:g}; "
-            f"rounding y to a double alone leaves up to {_rounding_floor(modes, y):.3e}"
-        )
-    return FugacitySolution(float(box_size), float(y), float(residual), float(bound), float(target_density),
+        raise BracketError(f"fugacity residual {residual:.3e} at t = {t!r} above tolerance {RESIDUAL_TOL:g}")
+    return FugacitySolution(float(box_size), float(t), float(residual), float(bound), float(target_density),
                             float(rho_ir), root.iterations, newton_steps, modes.tail_bound)
-
-
-def _rounding_floor(modes, y):
-    """The residual that rounding y to a double leaves near the root: half an ulp
-    of y moves the zero-mode term N_i/((y - 1) L^d) by N_i (ulp(y)/2)/((y - 1)^2 L^d)."""
-    return modes.num_internal * (np.spacing(y) / 2.0) / ((y - 1.0) ** 2 * modes.box_size**modes.dimension)
 
 
 @dataclass(frozen=True)
@@ -161,7 +140,7 @@ def classify_phase(target_density, beta, disp, num_internal=1):
 class CondensateSequence:
     box_sizes: tuple
     solutions: tuple  # one FugacitySolution per box size
-    condensate_densities: tuple  # [N_i/(y_L - 1) + N_ir] / L^d
+    condensate_densities: tuple  # [N_i/t_L + N_ir] / L^d
     extrapolated: float
     regime: PhaseReport  # the phase whose finite-size law the extrapolation fits
 
@@ -172,7 +151,7 @@ def condensate_sequence(box_sizes, target_density, beta, disp, n_ir=0.0, num_int
     The limit estimate fits a + b / L^p through the last three points, with
     the finite-size law of the phase: p = 1 when the gas condenses or is
     critical (the boundary-mode sum is O(1/L)), p = d in the normal phase,
-    where N_b0 = N_i / (y_L - 1) stays bounded and only the volume divides it.
+    where N_b0 = N_i / t_L stays bounded and only the volume divides it.
     """
     box_sizes = [float(L) for L in box_sizes]
     if not box_sizes or any(b >= a for b, a in zip(box_sizes, box_sizes[1:])):
@@ -182,7 +161,7 @@ def condensate_sequence(box_sizes, target_density, beta, disp, n_ir=0.0, num_int
     for L in box_sizes:
         sol = solve_fugacity(L, target_density, beta, disp, n_ir, num_internal)
         solutions.append(sol)
-        densities.append((num_internal / (sol.y - 1.0) + n_ir) / L**disp.dimension)
+        densities.append((num_internal / sol.t + n_ir) / L**disp.dimension)
     tail = min(3, len(box_sizes))
     Ls = np.asarray(box_sizes[-tail:])
     vals = np.asarray(densities[-tail:])

@@ -32,7 +32,7 @@ from .bosons import TruncatedBosonSpace, mode_fields, mode_weyl
 from .errors import ContractViolation
 from .hubbard import build_hubbard_hamiltonian, site_occupations
 from .ladders import is_nonincreasing
-from .linalg import boltzmann_weights, gibbs, require_hermitian
+from .linalg import boltzmann_weights, gibbs, require_hermitian_stack
 
 # Largest total fermion x boson dimension that build_coupled_operators accepts.
 # Only the dense parts of the components of h_full, over their states and the
@@ -167,8 +167,8 @@ class CoupledOperators:
     def eigh(self):
         """Per group, (levels, vectors) of the dense parts and of the uniform modes, one stacked eigh each."""
         for g in self.groups:
-            for h in [*g.dense, *g.modes.reshape(-1, *g.modes.shape[-2:])]:
-                require_hermitian(h)
+            require_hermitian_stack(g.dense)
+            require_hermitian_stack(g.modes)
         return [(np.linalg.eigh(g.dense), np.linalg.eigh(g.modes)) for g in self.groups]
 
     def levels(self):

@@ -47,8 +47,6 @@ class LatticeModes:
     counts: np.ndarray = field(repr=False)  # (n_shells, d + 1) modes on shell m with z zero coordinates
     tail_bound: float
     included_weight: float  # sum over kept modes of exp(-beta F(k))
-    dispersion: object = field(repr=False)  # the build's dispersion and beta, which the factors hold
-    beta: float
     weights: np.ndarray = field(repr=False)  # (n_shells,) exp(-beta F) per shell, 1 on shell 0
     deficits: np.ndarray = field(repr=False)  # (n_shells,) 1 - exp(-beta F) = -expm1(-beta F), 0 on shell 0
     nonzero_modes: np.ndarray = field(repr=False)  # (n_shells,) nonzero modes per shell as floats, 0 on shell 0
@@ -170,7 +168,7 @@ def build_lattice_modes(box_size, disp, beta, num_internal=1):
         array.flags.writeable = False
     return LatticeModes(
         float(box_size), d, int(num_internal), float(k_cut), shells, counts, float(tail), included,
-        disp, float(beta), weights, deficits, nonzero,
+        weights, deficits, nonzero,
     )
 
 

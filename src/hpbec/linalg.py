@@ -46,6 +46,18 @@ def require_hermitian(A, tol=HERMITICITY_TOL, entries=None):
     return A
 
 
+def require_hermitian_stack(stack, tol=HERMITICITY_TOL):
+    """require_hermitian on each matrix of stack[..., :, :] in one pass, each defect
+    relative to its own matrix's max-norm."""
+    scale = np.abs(stack).max(axis=(-2, -1), initial=0.0)
+    defect = np.abs(stack - np.swapaxes(stack, -2, -1).conj()).max(axis=(-2, -1), initial=0.0)
+    bad = np.argwhere(defect > tol * scale)
+    if bad.size:
+        i = tuple(bad[0].tolist())
+        relative = defect[i] / scale[i]
+        raise ContractViolation(f"matrix {i} of a stack is not Hermitian: relative defect {relative:.3e} > {tol:.1e}")
+
+
 def expm_hermitian(A, prefactor=1.0):
     """exp(prefactor * A) for Hermitian A via eigendecomposition.
 

@@ -3,7 +3,8 @@
 Finite-volume quantities are sums over the truncated lattice mode set, taken
 shell by shell (one kernel per occupied |n|^2, weighted by its mode counts or
 its sum of |f|^2) from the Bose factors w = e^{-beta F} and 1 - w that the
-lattice build stores, so an evaluation computes no gap and no exponential;
+lattice build stores, at the fugacity's offset t = y - 1 from the pole, so an
+evaluation computes no gap and no exponential and never forms y;
 the continuum density rho_fr and the critical density are
 radial integrals of the Bose factor 1/(y e^{beta F(k)} - 1).
 """
@@ -18,37 +19,35 @@ from .dispersion import sphere_area
 from .errors import InfraredDivergence
 
 
-def _bose_denominators(modes, disp, beta, y):
-    """Per shell a + t, with a = 1 - e^{-beta F} from the build and t = y - 1.
-
-    The Bose term of a shell is w/(a + t) with w = e^{-beta F}: both terms of
-    the denominator are >= 0, so nothing cancels, and t is exact for y in
-    (1, 2].  Shell 0 has w = 1 and a = 0.
-    """
-    if y <= 1.0:
-        raise ValueError("y must exceed 1 (the k = 0 Bose factor has a pole at y = 1)")
-    if beta != modes.beta or disp != modes.dispersion:
-        raise ValueError("the lattice modes were built for another dispersion or beta")
-    return modes.deficits + (y - 1.0)
+def _bose_denominators(modes, t):
+    """Per shell a + t, with a = 1 - e^{-beta F} from the build and t = y - 1: the Bose
+    term w/(a + t), w = e^{-beta F}, then cancels nothing.  Shell 0 has w = 1, a = 0."""
+    if not t > 0:
+        raise ValueError("t = y - 1 must be positive (the k = 0 Bose factor has a pole at y = 1)")
+    return modes.deficits + t
 
 
-def lattice_density(modes, disp, beta, y, n_ir=0.0):
-    """f_L(y) = N_i [1/(y - 1) + sum_m c_m w/(a + y - 1)] / L^d + N_ir / L^d, the
-    density of the fugacity equation, with c_m the nonzero modes on shell m."""
+def lattice_density(modes, t, n_ir=0.0, *y_form):
+    """f_L(1 + t) = N_i [1/t + sum_m c_m w/(a + t)] / L^d + N_ir / L^d, the density
+    of the fugacity equation at y = 1 + t, with c_m the nonzero modes on shell m.
+    The former form (modes, disp, beta, y), which bench/test_bench.py still calls, is
+    read as t = y - 1 on the build's own dispersion and beta (ROADMAP item 1)."""
+    if y_form:
+        t, n_ir = y_form[0] - 1.0, 0.0
     if n_ir < 0:
         raise ValueError("infrared number must be nonnegative")
-    bose = modes.weights / _bose_denominators(modes, disp, beta, y)
+    bose = modes.weights / _bose_denominators(modes, t)
     n_i = modes.num_internal
-    total = n_i / (y - 1.0) + n_ir + n_i * float(modes.nonzero_modes @ bose)
+    total = n_i / t + n_ir + n_i * float(modes.nonzero_modes @ bose)
     return total / modes.box_size**modes.dimension
 
 
-def lattice_density_derivative(modes, disp, beta, y):
-    """d f_L / dy, analytic (the n_ir term is y-independent): a shell's Bose
+def lattice_density_derivative(modes, t):
+    """d f_L / dt, analytic (the n_ir term is t-independent): a shell's Bose
     term w/(a + t) contributes -w/(a + t)^2."""
-    denom = _bose_denominators(modes, disp, beta, y)
+    denom = _bose_denominators(modes, t)
     n_i = modes.num_internal
-    deriv = -n_i / (y - 1.0) ** 2 - n_i * float(modes.nonzero_modes @ (modes.weights / np.square(denom)))
+    deriv = -n_i / t**2 - n_i * float(modes.nonzero_modes @ (modes.weights / np.square(denom)))
     return deriv / modes.box_size**modes.dimension
 
 
@@ -126,17 +125,21 @@ class CharacteristicRecord:
     weyl_value: float
 
 
-def finite_volume_characteristic(modes, f, y, beta, disp):
-    """Finite-volume Weyl quadratic form I_L(f) = I1 + I2 and exp(-I_L/4).
+def finite_volume_characteristic(modes, f, t, *y_form):
+    """Finite-volume Weyl quadratic form I_L(f) = I1 + I2 and exp(-I_L/4) at y = 1 + t.
 
-    I1 carries the zero mode with the condensate factor (y+1)/(y-1); I2 sums
-    the remaining shells, cell |A|^2 sum_{m>0} S_f(m) (y e + 1)/(y e - 1) with
-    e = e^{beta F} and S_f(m) the shell sum of the Gaussian's per-axis factors.
-    With the build's w = 1/e and a = 1 - w that factor is 1 + 2w/(a + y - 1).
+    I1 carries the zero mode with the condensate factor (y+1)/(y-1) = (2 + t)/t;
+    I2 sums the remaining shells, cell |A|^2 sum_{m>0} S_f(m) (y e + 1)/(y e - 1)
+    with e = e^{beta F} and S_f(m) the shell sum of the Gaussian's per-axis
+    factors.  With the build's w = 1/e and a = 1 - w that factor is 1 + 2w/(a + t).
+    The former form (modes, f, y, beta, disp), which bench/test_bench.py still calls,
+    is read as t = y - 1 on the build's own dispersion and beta (ROADMAP item 1).
     """
-    denom = _bose_denominators(modes, disp, beta, y)
+    if y_form:
+        t = t - 1.0
+    denom = _bose_denominators(modes, t)
     cell = modes.cell_volume()
-    i1 = cell * abs(f.zero_mode) ** 2 * (y + 1.0) / (y - 1.0)
+    i1 = cell * abs(f.zero_mode) ** 2 * (2.0 + t) / t
     # shell 0 is the zero mode alone, which I1 carries
     shell_f = modes.shell_sums(f.axis_factors)[1:]
     i2 = cell * abs(f.amplitude) ** 2 * float(shell_f @ (1.0 + 2.0 * modes.weights[1:] / denom[1:]))

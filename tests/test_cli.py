@@ -262,6 +262,23 @@ def test_saturating_dispersion_maps_to_divergence_exit(tmp_path, capsys):
     assert "never reaches the target" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command,override,artifact",
+    [
+        ("decouple-verify", "sweep.coupled_box_size=0", "decouple.json"),
+        ("decouple-verify", "sweep.coupled_box_size=-10", "decouple.json"),
+        ("bec-states", "bec.suite_size=0", "bec_states.json"),
+    ],
+)
+def test_a_size_that_is_not_positive_is_rejected_by_name(tmp_path, capsys, command, override, artifact):
+    """Unchecked, a box size of 0 would divide by zero in the mode sampling, a negative
+    one would run and fail verification, and an empty suite has no largest gap."""
+    code = run(["--command", command, "--out", str(tmp_path), "--override", override])
+    assert code == cli.EXIT_VALIDATION
+    assert override.split("=")[0] in capsys.readouterr().err
+    assert not (tmp_path / artifact).exists()
+
+
 def test_phase_diagram_computes_rho_crit_once_per_beta(tmp_path, monkeypatch):
     phonon_gas._rho_crit.cache_clear()
     betas = []
@@ -296,7 +313,7 @@ def test_condense_writes_certificates(tmp_path):
     assert [s["box_size"] for s in solves] == [5.0, 8.0, 12.0]
     for solve, row in zip(solves, rows):
         assert solve["residual"] == float(row["residual"]) <= 1e-10
-        assert solve["y"] == float(row["y_L"])
+        assert 1.0 + solve["t"] == float(row["y_L"])
         assert solve["brent_iterations"] >= 1
         assert 0 <= solve["newton_steps"] <= 4
         assert 0.0 <= solve["tail_bound"] <= 1e-6

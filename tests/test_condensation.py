@@ -1,5 +1,4 @@
 import math
-import re
 import time
 
 import mpmath
@@ -22,21 +21,21 @@ SAMPLES = np.geomspace(1e-3, 1e3, 9)  # critical_temperature's default sample
 
 
 def test_fugacity_round_trip():
-    """Plant y* = 2, compute its density, solve back."""
+    """Plant y* = 2 (t* = 1), compute its density, solve back."""
     L, beta = 8.0, 1.0
     modes = build_lattice_modes(L, DISP, beta)
-    rho = phonon_gas.lattice_density(modes, DISP, beta, 2.0)
+    rho = phonon_gas.lattice_density(modes, 1.0)
     sol = condensation.solve_fugacity(L, rho, beta, DISP)
-    assert sol.y == pytest.approx(2.0, rel=1e-12)
+    assert sol.t == pytest.approx(1.0, rel=1e-12)
     assert sol.residual <= condensation.RESIDUAL_TOL
 
 
 def test_fugacity_round_trip_with_infrared_number():
     L, beta, n_ir = 6.0, 0.8, 1.7
     modes = build_lattice_modes(L, DISP, beta)
-    rho = phonon_gas.lattice_density(modes, DISP, beta, 1.4, n_ir)
+    rho = phonon_gas.lattice_density(modes, 0.4, n_ir)
     sol = condensation.solve_fugacity(L, rho, beta, DISP, n_ir=n_ir)
-    assert sol.y == pytest.approx(1.4, rel=1e-11)
+    assert sol.t == pytest.approx(0.4, rel=1e-11)
     assert sol.infrared_density == pytest.approx(n_ir / L**3)
 
 
@@ -44,17 +43,17 @@ def test_fugacity_satisfies_bracket_bound():
     rho = 2.0 * phonon_gas.rho_crit(DISP, 1.0)
     for L in (5.0, 10.0, 20.0):
         sol = condensation.solve_fugacity(L, rho, 1.0, DISP)
-        assert 0.0 < sol.y - 1.0 <= sol.bracket_bound
+        assert 0.0 < sol.t <= sol.bracket_bound
 
 
 def test_fugacity_root_unique_by_grid_scan():
-    """Sign changes of the residual on a dense y-grid: exactly one."""
+    """Sign changes of the residual on a dense t-grid: exactly one."""
     L, beta = 7.0, 1.0
     modes = build_lattice_modes(L, DISP, beta)
     rho = 1.5 * phonon_gas.rho_crit(DISP, beta)
     sol = condensation.solve_fugacity(L, rho, beta, DISP)
-    ys = np.linspace(1.0 + 1e-9, 1.0 + sol.bracket_bound + 1.0, 4001)
-    vals = np.array([phonon_gas.lattice_density(modes, DISP, beta, y) - rho for y in ys])
+    ts = np.linspace(1e-9, sol.bracket_bound + 1.0, 4001)
+    vals = np.array([phonon_gas.lattice_density(modes, t) - rho for t in ts])
     assert np.sum(np.sign(vals[:-1]) != np.sign(vals[1:])) == 1
 
 
@@ -142,7 +141,7 @@ def test_randomized_fixtures_residual_and_bound():
         rho = float(rng.uniform(0.3, 3.0)) * phonon_gas.rho_crit(DISP, beta)
         sol = condensation.solve_fugacity(L, rho, beta, DISP)
         assert sol.residual <= condensation.RESIDUAL_TOL
-        assert sol.y - 1.0 <= sol.bracket_bound
+        assert sol.t <= sol.bracket_bound
 
 
 def test_normal_sequence_extrapolates_to_zero():
@@ -159,7 +158,7 @@ def test_fugacity_solve_at_large_box():
     t0 = time.perf_counter()
     sol = condensation.solve_fugacity(320.0, rho, 1.0, DISP)
     assert time.perf_counter() - t0 < 10.0
-    assert sol.y - 1.0 == pytest.approx(5.1419e-7, rel=1e-4)
+    assert sol.t == pytest.approx(5.1419e-7, rel=1e-4)
     assert sol.residual <= condensation.RESIDUAL_TOL
 
 
@@ -288,34 +287,36 @@ def test_classify_phase_reuses_the_memoized_critical_density(monkeypatch):
 
 @pytest.mark.parametrize("box_size", [10.0, 40.0, 80.0, 160.0])
 def test_newton_polish_stops_once_a_step_no_longer_moves_y(box_size):
-    """The polish has no residual stop: it ends when its step rounds to no change of
-    y, so the y it returns is a fixed point of the Newton step, below L = 40 (residual
-    about 1e-16) and past it, where the residual floor is about rho0^2 L^3 eps."""
+    """One Newton step in t takes Brent's loose root to the roundoff of rho, and the t
+    it returns is a fixed point of the step to the root's conditioning: one more step
+    would move it by at most ROUNDOFF rho / |f_L'(t)|, a few ulps of t, far below an
+    ulp of the printed y = 1 + t."""
     rho = 2.0 * phonon_gas.rho_crit(DISP, 1.0)
     modes = build_lattice_modes(box_size, DISP, 1.0)
     sol = condensation.solve_fugacity(box_size, rho, 1.0, DISP)
     assert sol.newton_steps <= 1
-    res = phonon_gas.lattice_density(modes, DISP, 1.0, sol.y) - rho
-    step = res / phonon_gas.lattice_density_derivative(modes, DISP, 1.0, sol.y)
-    assert sol.y - step == sol.y
+    deriv = phonon_gas.lattice_density_derivative(modes, sol.t)
+    step = (phonon_gas.lattice_density(modes, sol.t) - rho) / deriv
+    assert abs(step) <= condensation.ROUNDOFF * rho / abs(deriv)
 
 
 def test_fugacity_solve_counts_its_density_evaluations(monkeypatch):
     """Both bracket ends once, one per Brent step after the first, one per Newton step:
-    at most 10 in all, since f_L is nearly linear in u = 1/(y - 1) past rho_crit."""
+    8 or 9 in all at rho = 2 rho_crit, since f_L is nearly linear in u = 1/t past
+    rho_crit and one Newton step in t reaches the roundoff of rho."""
     evals = []
     density = phonon_gas.lattice_density
 
     def counted(*args, **kwargs):
-        evals.append(args[3])
+        evals.append(args[1])
         return density(*args, **kwargs)
 
     monkeypatch.setattr(phonon_gas, "lattice_density", counted)
     rho = 2.0 * phonon_gas.rho_crit(DISP, 1.0)
-    for L in (5.0, 10.0, 20.0, 40.0, 80.0):
+    for L, most in ((5.0, 8), (10.0, 8), (20.0, 9), (40.0, 9), (80.0, 9)):
         evals.clear()
         sol = condensation.solve_fugacity(L, rho, 1.0, DISP)
-        assert len(evals) == 2 + (sol.brent_iterations - 1) + sol.newton_steps <= 10
+        assert len(evals) == 2 + (sol.brent_iterations - 1) + sol.newton_steps <= most
         assert sol.tail_bound > 0.0
 
 
@@ -326,32 +327,26 @@ def test_fugacity_solve_counts_its_density_evaluations(monkeypatch):
     t_star=st.floats(-8.0, 0.0).map(lambda e: 10.0**e),
 )
 def test_fugacity_root_is_unique_and_round_trips_property(box_size, beta, t_star):
-    """Plant y* = 1 + t*, solve its density back: the solve returns y* to within
-    rounding, and f_L - rho has that one sign change on a grid over the bracket."""
+    """Plant t*, solve its density back: the solve returns t* to its conditioning,
+    a few eps rho / |f_L'(t*)|, and f_L - rho has that one sign change on a grid
+    over the bracket."""
     modes = build_lattice_modes(box_size, DISP, beta)
-    y_star = 1.0 + t_star
-    rho = phonon_gas.lattice_density(modes, DISP, beta, y_star)
+    rho = phonon_gas.lattice_density(modes, t_star)
     sol = condensation.solve_fugacity(box_size, rho, beta, DISP)
-    assert abs(sol.y - y_star) <= 4.0 * np.spacing(y_star)
+    conditioning = np.finfo(float).eps * rho / abs(phonon_gas.lattice_density_derivative(modes, t_star))
+    assert abs(sol.t - t_star) <= 6.0 * conditioning
     assert sol.residual <= condensation.RESIDUAL_TOL
-    t_sol = sol.y - 1.0
-    ts = np.geomspace(1e-3 * t_sol, sol.bracket_bound + 1.0, 200)
-    ts = ts[np.abs(ts / t_sol - 1.0) > 1e-6]
-    signs = [np.sign(phonon_gas.lattice_density(modes, DISP, beta, 1.0 + t) - rho) for t in ts]
-    assert signs == [1.0 if t < t_sol else -1.0 for t in ts]
+    ts = np.geomspace(1e-3 * sol.t, sol.bracket_bound + 1.0, 200)
+    ts = ts[np.abs(ts / sol.t - 1.0) > 1e-6]
+    signs = [np.sign(phonon_gas.lattice_density(modes, t) - rho) for t in ts]
+    assert signs == [1.0 if t < sol.t else -1.0 for t in ts]
 
 
-def test_fugacity_residual_error_names_the_rounding_floor():
-    """At beta = 0.1, rho = 2 rho_crit, L = 80 half an ulp of y moves the zero-mode
-    term by more than RESIDUAL_TOL, so no double meets it; the error says so."""
-    beta, L = 0.1, 80.0
-    rho = 2.0 * phonon_gas.rho_crit(DISP, beta)
-    with pytest.raises(BracketError) as err:
-        condensation.solve_fugacity(L, rho, beta, DISP)
-    message = str(err.value)
-    y = float(re.search(r"at y = (\S+) above", message).group(1))
-    residual = float(re.search(r"residual (\S+) at", message).group(1))
-    floor = (np.spacing(y) / 2.0) / ((y - 1.0) ** 2 * L**3)
-    assert f"leaves up to {floor:.3e}" in message
-    assert condensation.RESIDUAL_TOL < residual <= floor
-    assert floor == pytest.approx(1.9e-10, rel=0.1)
+def test_former_rounding_floor_cases_solve_to_roundoff():
+    """Four cases where rounding y = 1 + t to a double alone would move the zero-mode
+    term N_i/(t L^d) by more than RESIDUAL_TOL (half an ulp of y over t^2 L^d, 2e-10
+    to 6e-10): solved in t, each residual is at the roundoff of rho."""
+    for beta, scale, box_size in ((0.1, 2.0, 80.0), (1.0, 100.0, 40.0), (0.3, 10.0, 80.0), (1.0, 2.0, 800.0)):
+        rho = scale * phonon_gas.rho_crit(DISP, beta)
+        sol = condensation.solve_fugacity(box_size, rho, beta, DISP)
+        assert sol.residual <= condensation.ROUNDOFF * rho <= condensation.RESIDUAL_TOL

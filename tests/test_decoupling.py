@@ -1,5 +1,7 @@
 import json
+import re
 import time
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
@@ -629,6 +631,25 @@ def test_phase_weight_shape_contract():
     sys = make_system()
     with pytest.raises(ContractViolation):
         decoupling.discrete_phase_weights(sys, np.zeros(3))
+
+
+def test_eigh_rejects_one_non_hermitian_matrix_inside_a_stack():
+    """The Hermiticity check runs once per stack, with each matrix's defect relative to
+    its own max-norm: one bad matrix among Hermitian ones is named, and a defect below
+    the 1e-12 tolerance still passes."""
+    ops = decoupling.build_coupled_operators(make_system(), 3)
+    group = ops.groups[1]  # two components, each with two uniform modes
+    assert group.modes.shape[:2] == (2, 2)
+    scale = np.abs(group.modes[1, 0]).max()
+    for defect, ok in ((0.5e-12, True), (1e-9, False)):
+        broken = group.modes.copy()
+        broken[1, 0, -1, 0] += 1j * defect * scale
+        perturbed = replace(ops, groups=(ops.groups[0], replace(group, modes=broken)))
+        if ok:
+            assert len(perturbed.eigh) == 2
+        else:
+            with pytest.raises(ContractViolation, match=re.escape("matrix (1, 0) of a stack is not Hermitian")):
+                perturbed.eigh
 
 
 def test_dimension_cap_enforced():

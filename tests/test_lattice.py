@@ -180,7 +180,6 @@ def test_build_keeps_each_shells_bose_factors_read_only(box_size, disp):
     assert np.array_equal(modes.deficits, -np.expm1(exponents))
     assert (modes.weights[0], modes.deficits[0]) == (1.0, 0.0)
     assert modes.included_weight == float(modes.counts.sum(axis=1) @ modes.weights)
-    assert (modes.dispersion, modes.beta) == (disp, beta)
     assert np.array_equal(modes.nonzero_modes, modes.counts[:, 0] + modes.counts[:, 1 : modes.dimension].sum(axis=1))
     assert modes.nonzero_modes[0] == 0.0
     for array in (modes.weights, modes.deficits, modes.nonzero_modes):

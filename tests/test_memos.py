@@ -145,7 +145,7 @@ def test_condense_and_combined_limit_build_each_box_once(monkeypatch):
     assert built == [10.0, 20.0, 40.0]
     for sol, value in zip(seq.solutions, out.finite_values):
         modes = build(sol.box_size, DISP, 1.0)
-        assert value == phonon_gas.finite_volume_characteristic(modes, F, sol.y, 1.0, DISP).weyl_value
+        assert value == phonon_gas.finite_volume_characteristic(modes, F, sol.t).weyl_value
 
 
 def test_manifest_records_each_stages_memo_hits_and_misses(tmp_path):

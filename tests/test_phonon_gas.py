@@ -85,18 +85,18 @@ def test_rho_crit_infrared_divergence_low_dimension():
         phonon_gas.rho_crit(quadratic_dispersion(dimension=2), 1.0)
 
 
-def _bose_terms(modes, y):
+def _bose_terms(modes, t):
     """Per shell the Bose term w/(a + t) at y = 1 + t, from the build's stored factors,
     as `lattice_density` weighs them by the shell's nonzero modes."""
-    return modes.weights / (modes.deficits + (y - 1.0))
+    return modes.weights / (modes.deficits + t)
 
 
 def test_boson_number_single_zero_mode():
     """Tiny box: the only retained lattice mode is k = 0 when the gap is huge, so the
-    number L^d f_L(y) is the zero mode's 1/(y - 1) plus N_ir."""
+    number L^d f_L(1 + t) is the zero mode's 1/t plus N_ir."""
     big_gap = quadratic_dispersion(dimension=1)
     modes = build_lattice_modes(1.0, big_gap, beta=30.0)
-    number = phonon_gas.lattice_density(modes, big_gap, 30.0, y=2.0, n_ir=0.3) * modes.box_size
+    number = phonon_gas.lattice_density(modes, 1.0, n_ir=0.3) * modes.box_size
     assert abs(number - (1.0 / (2.0 - 1.0) + 0.3)) < 1e-12
 
 
@@ -112,49 +112,40 @@ def test_boson_number_scalar_bose_factor():
     assert direct == pytest.approx(per_mode)
     shell = np.flatnonzero(modes.shells == 1)[0]
     assert modes.nonzero_modes[shell] == 6
-    assert _bose_terms(modes, np.e)[shell] == pytest.approx(per_mode, rel=1e-12)
+    assert _bose_terms(modes, np.e - 1.0)[shell] == pytest.approx(per_mode, rel=1e-12)
 
 
 def test_boson_number_strictly_decreasing_in_y():
     modes = build_lattice_modes(8.0, DISP, 1.0)
     totals = [
-        phonon_gas.lattice_density(modes, DISP, 1.0, y)
-        for y in (1.1, 1.5, 2.0, 4.0)
+        phonon_gas.lattice_density(modes, t)
+        for t in (0.1, 0.5, 1.0, 3.0)
     ]
     assert all(a > b for a, b in zip(totals, totals[1:]))
 
 
 def test_boson_number_rejects_condensed_pole():
     modes = build_lattice_modes(5.0, DISP, 1.0)
-    with pytest.raises(ValueError):
-        phonon_gas.lattice_density(modes, DISP, 1.0, y=1.0)
-
-
-def test_mode_sums_reject_a_build_of_another_beta_or_dispersion():
-    """The sums read the build's Bose factors, so its (dispersion, beta) must be the caller's."""
-    modes = build_lattice_modes(5.0, DISP, 1.0)
-    f = gaussian_test_function(3)
-    for disp, beta in ((DISP, 1.5), (quadratic_dispersion(omega0=2.0), 1.0)):
-        with pytest.raises(ValueError, match="another dispersion or beta"):
-            phonon_gas.lattice_density(modes, disp, beta, 1.5)
-        with pytest.raises(ValueError, match="another dispersion or beta"):
-            phonon_gas.finite_volume_characteristic(modes, f, 1.5, beta, disp)
+    for t in (0.0, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="pole at y = 1"):
+            phonon_gas.lattice_density(modes, t)
 
 
 @pytest.mark.parametrize("t", [1e-12, 1e-6, 0.3])
 def test_shell_bose_sums_match_mpmath(t):
     """The stored-factor terms at y = 1 + t, against 1/(y e^{beta F} - 1) summed at 40
-    digits over the shells of L = 40 with F = m (2 pi / L)^2: the excited number (terms
-    w/(a + t)) and f_L(y) built from it, f_L'(y) (terms w/(a + t)^2) and I2 (factors
-    1 + 2w/(a + t)).  The excited number is checked on the terms themselves: near y = 1
-    the zero mode's 1/t dominates f_L, and subtracting it back would lose the digits."""
+    digits over the shells of L = 40 with F = m (2 pi / L)^2, at that t exactly: the
+    excited number (terms w/(a + t)) and f_L built from it, df_L/dt (terms w/(a + t)^2)
+    and I2 (factors 1 + 2w/(a + t)).  The excited number is checked on the terms
+    themselves: near y = 1 the zero mode's 1/t dominates f_L, and subtracting it back
+    would lose the digits."""
     L, beta = 40.0, 1.0
     modes = build_lattice_modes(L, DISP, beta)
     f = gaussian_test_function(3, center=[0.3, -0.2, 0.1], width=0.7, amplitude=0.8 + 0.3j)
-    y = 1.0 + t
     shell_f = modes.shell_sums(f.axis_factors)
     with mpmath.workdps(40):
-        ym, tm = mpmath.mpf(y), mpmath.mpf(y) - 1
+        tm = mpmath.mpf(t)
+        ym = 1 + tm
         spacing2 = (2 * mpmath.pi / mpmath.mpf(L)) ** 2
         excited = deriv = i2 = mpmath.mpf(0)
         for m, count, weight in zip(modes.shells[1:].tolist(), modes.nonzero_modes[1:].tolist(),
@@ -166,10 +157,10 @@ def test_shell_bose_sums_match_mpmath(t):
         density = (1 / tm + excited) / mpmath.mpf(L) ** 3
         deriv = -(1 / tm**2 + deriv) / mpmath.mpf(L) ** 3
         i2 *= modes.cell_volume() * abs(f.amplitude) ** 2
-    assert float(modes.nonzero_modes @ _bose_terms(modes, y)) == pytest.approx(float(excited), rel=1e-14)
-    assert phonon_gas.lattice_density(modes, DISP, beta, y) == pytest.approx(float(density), rel=1e-14)
-    assert phonon_gas.lattice_density_derivative(modes, DISP, beta, y) == pytest.approx(float(deriv), rel=1e-14)
-    assert phonon_gas.finite_volume_characteristic(modes, f, y, beta, DISP).i2 == pytest.approx(float(i2), rel=1e-14)
+    assert float(modes.nonzero_modes @ _bose_terms(modes, t)) == pytest.approx(float(excited), rel=1e-14)
+    assert phonon_gas.lattice_density(modes, t) == pytest.approx(float(density), rel=1e-14)
+    assert phonon_gas.lattice_density_derivative(modes, t) == pytest.approx(float(deriv), rel=1e-14)
+    assert phonon_gas.finite_volume_characteristic(modes, f, t).i2 == pytest.approx(float(i2), rel=1e-14)
 
 
 def test_excited_density_converges_to_continuum():
@@ -180,10 +171,39 @@ def test_excited_density_converges_to_continuum():
     gaps = []
     for L in (5.0, 10.0, 20.0, 40.0):
         modes = build_lattice_modes(L, DISP, 1.0)
-        excited = phonon_gas.lattice_density(modes, DISP, 1.0, y) - 1.0 / ((y - 1.0) * L**3)
+        excited = phonon_gas.lattice_density(modes, y - 1.0) - 1.0 / ((y - 1.0) * L**3)
         gaps.append(abs(excited - target) / target)
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < 1e-2
+
+
+def epstein_z1():
+    """Z(1) of the cubic lattice, Z(s) = sum'_n |n|^{-2s} continued to s = 1, by the
+    theta-function split at t = 1 (Epstein 1903): with theta(t) = theta_3(e^{-pi t})^3,
+    pi^{-s} Gamma(s) Z(s) = -1/s + 1/(s - 3/2) + int_1^inf (t^{s-1} + t^{1/2-s}) (theta(t) - 1) dt."""
+    with mpmath.workdps(30):
+        theta = lambda t: mpmath.jtheta(3, 0, mpmath.exp(-mpmath.pi * t)) ** 3 - 1
+        return mpmath.pi * (-3 + mpmath.quad(lambda t: (1 + t**-0.5) * theta(t), [1, mpmath.inf]))
+
+
+@pytest.mark.parametrize(
+    "beta,box_size", [(1.0, 40.0), (1.0, 80.0), (0.1, 20.0), (0.3, 40.0), (2.0, 80.0), (10.0, 80.0)]
+)
+def test_excited_density_at_y_one_obeys_the_finite_size_law(beta, box_size):
+    """For the quadratic gap in d = 3, L^-3 sum_{n != 0} w/a = rho_c + Z(1)/(4 pi^2 beta L)
+    + 1/(2 L^3) + R: the poles of its Mellin transform at s = 3/2, 1 and 0.  Z vanishes at
+    the negative integers, so R ~ e^{-L sqrt(pi/beta)}, below roundoff on this grid, where
+    L sqrt(pi/beta) >= 40.  The sum is exact (math.fsum) over the build's stored factors."""
+    assert box_size * math.sqrt(math.pi / beta) >= 40.0
+    z1 = epstein_z1()
+    assert float(z1) == pytest.approx(-8.913632917585151, rel=1e-15)
+    modes = build_lattice_modes(box_size, DISP, beta)
+    terms = modes.nonzero_modes[1:] * modes.weights[1:] / modes.deficits[1:]
+    excited = math.fsum(terms.tolist()) / box_size**3
+    with mpmath.workdps(30):
+        rho_c = mpmath.zeta(1.5) * (4 * mpmath.pi * beta) ** -1.5
+        law = rho_c + z1 / (4 * mpmath.pi**2 * beta * box_size) + 1 / (2 * mpmath.mpf(box_size) ** 3)
+    assert excited == pytest.approx(float(law), rel=1e-14)
 
 
 def test_boundary_term_scales_like_inverse_L():
@@ -191,7 +211,7 @@ def test_boundary_term_scales_like_inverse_L():
     vals = []
     for L in (20.0, 40.0, 80.0):
         modes = build_lattice_modes(L, DISP, 1.0)
-        boundary = modes.counts[:, 1:3].sum(axis=1) @ _bose_terms(modes, 2.0)
+        boundary = modes.counts[:, 1:3].sum(axis=1) @ _bose_terms(modes, 1.0)
         vals.append(boundary / L**3)
     assert vals[0] / vals[1] == pytest.approx(2.0, rel=0.2)
     assert vals[1] / vals[2] == pytest.approx(2.0, rel=0.2)
@@ -200,7 +220,7 @@ def test_boundary_term_scales_like_inverse_L():
 def test_characteristic_zero_function():
     modes = build_lattice_modes(8.0, DISP, 1.0)
     f = gaussian_test_function(3, amplitude=0.0)
-    rec = phonon_gas.finite_volume_characteristic(modes, f, 2.0, 1.0, DISP)
+    rec = phonon_gas.finite_volume_characteristic(modes, f, 1.0)
     assert rec.i_total == 0.0
     assert rec.weyl_value == 1.0
 
@@ -210,7 +230,7 @@ def test_characteristic_zero_mode_only():
     zero) gives I2 ~ 0."""
     modes = build_lattice_modes(8.0, DISP, 1.0)
     f = gaussian_test_function(3, width=0.05, amplitude=100.0)
-    rec = phonon_gas.finite_volume_characteristic(modes, f, 2.0, 1.0, DISP)
+    rec = phonon_gas.finite_volume_characteristic(modes, f, 1.0)
     assert rec.i2 < 1e-10 * rec.i1
 
 
@@ -218,7 +238,7 @@ def test_characteristic_requires_uncondensed_fugacity():
     modes = build_lattice_modes(8.0, DISP, 1.0)
     f = gaussian_test_function(3)
     with pytest.raises(ValueError):
-        phonon_gas.finite_volume_characteristic(modes, f, 1.0, 1.0, DISP)
+        phonon_gas.finite_volume_characteristic(modes, f, 0.0)
 
 
 def test_characteristic_i2_converges_to_limit_integral():
@@ -236,7 +256,7 @@ def test_characteristic_i2_converges_to_limit_integral():
     gaps = []
     for L in (10.0, 20.0, 40.0):
         modes = build_lattice_modes(L, DISP, 1.0)
-        rec = phonon_gas.finite_volume_characteristic(modes, f, y, 1.0, DISP)
+        rec = phonon_gas.finite_volume_characteristic(modes, f, y - 1.0)
         gaps.append(abs(rec.i2 - limit) / limit)
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < 1e-2
@@ -262,7 +282,7 @@ def test_characteristic_i2_keeps_converging_through_large_boxes():
     gaps = []
     for L in (40.0, 80.0, 160.0):
         modes = build_lattice_modes(L, DISP, 1.0)
-        rec = phonon_gas.finite_volume_characteristic(modes, f, y, 1.0, DISP)
+        rec = phonon_gas.finite_volume_characteristic(modes, f, y - 1.0)
         gaps.append((limit - rec.i2) / limit)
         zero_cell = modes.cell_volume() * abs(f.values(np.zeros(3))) ** 2 * (y + 1.0) / (y - 1.0)
         assert gaps[-1] == pytest.approx(zero_cell / limit, rel=1e-9)
@@ -289,10 +309,10 @@ def test_shell_characteristic_matches_per_mode_sum(box_size, disp, center):
     for width in (0.05, 0.3, 1.0, 2.0):
         f = gaussian_test_function(d, center=center[:d], width=width, amplitude=0.7 - 0.4j)
         for y in (1.0 + 1e-6, 1.3):
-            rec = phonon_gas.finite_volume_characteristic(modes, f, y, beta, disp)
+            rec = phonon_gas.finite_volume_characteristic(modes, f, y - 1.0)
             assert rec.i2 == pytest.approx(_brute_i2(modes, f, y, beta, disp), rel=1e-13)
     silent = gaussian_test_function(d, center=center[:d], amplitude=0.0)
-    assert phonon_gas.finite_volume_characteristic(modes, silent, 1.3, beta, disp).i2 == 0.0
+    assert phonon_gas.finite_volume_characteristic(modes, silent, 0.3).i2 == 0.0
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -308,7 +328,7 @@ def test_shell_characteristic_matches_per_mode_sum_property(box_size, center, wi
     term stays a normal double and the relative comparison is meaningful."""
     modes = build_lattice_modes(box_size, DISP, 1.0)
     f = gaussian_test_function(3, center=center, width=width)
-    rec = phonon_gas.finite_volume_characteristic(modes, f, y, 1.0, DISP)
+    rec = phonon_gas.finite_volume_characteristic(modes, f, y - 1.0)
     assert rec.i2 == pytest.approx(_brute_i2(modes, f, y, 1.0, DISP), rel=1e-13)
 
 
@@ -334,14 +354,14 @@ def test_shell_sums_match_per_mode_sums(box_size, disp, y):
     d = modes.dimension
     w = np.exp(-beta * gaps) / y
     bose = w / (1.0 - w)
-    terms = _bose_terms(modes, y)
+    terms = _bose_terms(modes, y - 1.0)
     interior = math.fsum(bose[zeros == 0])
     boundary = math.fsum(bose[(zeros > 0) & (zeros < d)])
     assert float(modes.counts[:, 0] @ terms) == pytest.approx(interior, rel=1e-13)
     assert float(modes.counts[:, 1:d].sum(axis=1) @ terms) == pytest.approx(boundary, rel=1e-13)
     density = (1.0 / (y - 1.0) + interior + boundary) / box_size**d
-    assert phonon_gas.lattice_density(modes, disp, beta, y) == pytest.approx(density, rel=1e-13)
+    assert phonon_gas.lattice_density(modes, y - 1.0) == pytest.approx(density, rel=1e-13)
     e = np.exp(beta * gaps[zeros < d])
     deriv = (-1.0 / (y - 1.0) ** 2 - math.fsum(e / np.square(y * e - 1.0))) / box_size**d
-    assert phonon_gas.lattice_density_derivative(modes, disp, beta, y) == pytest.approx(deriv, rel=1e-13)
+    assert phonon_gas.lattice_density_derivative(modes, y - 1.0) == pytest.approx(deriv, rel=1e-13)
     assert modes.included_weight == pytest.approx(math.fsum(np.exp(-beta * gaps)), rel=1e-13)
