@@ -160,6 +160,37 @@ def load_config(path, overrides):
     return config
 
 
+def checked(config, key, ok, what):
+    """The value of the dotted config key; ContractViolation naming the key unless ok(value)."""
+    value = config
+    for part in key.split("."):
+        value = value[part]
+    if not ok(value):
+        raise ContractViolation(f"{key} must be {what}, not {value!r}")
+    return value
+
+
+def integer_at_least(minimum):
+    return lambda v: type(v) is int and v >= minimum
+
+
+def positive(v):
+    return type(v) in (int, float) and 0 < v < np.inf
+
+
+def positive_list(v):
+    return isinstance(v, list) and len(v) > 0 and all(positive(x) for x in v)
+
+
+def num_internal(config):
+    return checked(config, "thermo.num_internal", integer_at_least(1), "an integer >= 1")
+
+
+def seeded_rng(config):
+    seed = checked(config, "seed", lambda v: v is None or integer_at_least(0)(v), "null or an integer >= 0")
+    return default_rng(seed)
+
+
 def build_dispersion(config):
     d_cfg = config["dispersion"]
     if d_cfg.get("table"):
@@ -184,14 +215,15 @@ def build_dispersion(config):
 def build_family(config):
     h = config["hubbard"]
     d = int(config["dispersion"]["dimension"])
-    return CouplingFamily(int(h["num_sites"]), d, float(h["uv_width"]), float(h["kappa"]))
+    sites = checked(config, "hubbard.num_sites", integer_at_least(1), "an integer >= 1")
+    return CouplingFamily(sites, d, float(h["uv_width"]), float(h["kappa"]))
 
 
 def build_cluster(config):
     h = config["hubbard"]
     return build_hubbard_system(
-        int(h["num_sites"]),
-        int(h["num_electrons"]),
+        checked(config, "hubbard.num_sites", integer_at_least(1), "an integer >= 1"),
+        checked(config, "hubbard.num_electrons", integer_at_least(0), "an integer >= 0"),
         np.asarray(h["hopping"], dtype=float),
         float(h["repulsion"]),
         float(h["alpha"]),
@@ -201,7 +233,9 @@ def build_cluster(config):
 
 def resolve_density(config, critical_density):
     """thermo.rho_target, or twice the critical density when it is unset."""
-    target = config["thermo"]["rho_target"]
+    target = checked(
+        config, "thermo.rho_target", lambda v: v is None or positive(v), "null or a positive finite number"
+    )
     return 2.0 * critical_density if target is None else float(target)
 
 
@@ -291,7 +325,7 @@ def cmd_validate(config, emitter):
 def cmd_condense(config, emitter):
     disp = build_dispersion(config)
     beta = float(config["thermo"]["beta"])
-    n_i = int(config["thermo"]["num_internal"])
+    n_i = num_internal(config)
     rc = phonon_gas.rho_crit_quadrature(disp, beta, n_i)
     rho = resolve_density(config, rc.value)
     seq = condensation.condensate_sequence(config["sweep"]["box_sizes"], rho, beta, disp, num_internal=n_i)
@@ -321,11 +355,13 @@ def cmd_condense(config, emitter):
 
 def cmd_phase_diagram(config, emitter):
     disp = build_dispersion(config)
-    n_i = int(config["thermo"]["num_internal"])
+    n_i = num_internal(config)
     rows = []
-    for beta in config["phase_grid"]["betas"]:
+    betas = checked(config, "phase_grid.betas", positive_list, "a nonempty list of positive finite numbers")
+    scales = checked(config, "phase_grid.densities", positive_list, "a nonempty list of positive finite numbers")
+    for beta in betas:
         rc = phonon_gas.rho_crit(disp, float(beta), n_i)
-        for scale in config["phase_grid"]["densities"]:
+        for scale in scales:
             rho = float(scale) * rc
             rep = condensation.classify_phase(rho, float(beta), disp, n_i)
             rows.append(
@@ -343,25 +379,21 @@ def cmd_decouple_verify(config, emitter):
     disp = build_dispersion(config)
     family = build_family(config)
     cluster = build_cluster(config)
-    sweep = config["sweep"]
-    coords = sweep["mode_coords"]
-    rows = isinstance(coords, list) and all(isinstance(c, list) and len(c) == disp.dimension for c in coords)
-    if not (rows and coords):
-        raise ContractViolation(
-            f"sweep.mode_coords must be a nonempty list of rows of {disp.dimension} coordinates, not {coords!r}"
-        )
-    box = sweep["coupled_box_size"]
-    if not (type(box) in (int, float) and 0 < box < np.inf):
-        raise ContractViolation(f"sweep.coupled_box_size must be a positive finite number, not {box!r}")
+    d = disp.dimension
+    coords = checked(
+        config, "sweep.mode_coords",
+        lambda v: isinstance(v, list) and len(v) > 0 and all(isinstance(c, list) and len(c) == d for c in v),
+        f"a nonempty list of rows of {d} coordinates",
+    )
+    box = checked(config, "sweep.coupled_box_size", positive, "a positive finite number")
     sys_c = decoupling.build_coupled_system(cluster, family, disp, float(box), np.asarray(coords, dtype=float))
-    caps = sweep["level_caps"]
-    integers = isinstance(caps, list) and all(type(c) is int for c in caps)
-    if not (integers and caps and caps[0] >= 1 and caps == sorted(set(caps))):
-        raise ContractViolation(
-            f"sweep.level_caps must be a nonempty, strictly increasing list of integers >= 1, not {caps!r}"
-        )
+    caps = checked(
+        config, "sweep.level_caps",
+        lambda v: isinstance(v, list) and len(v) > 0 and all(map(integer_at_least(1), v)) and v == sorted(set(v)),
+        "a nonempty, strictly increasing list of integers >= 1",
+    )
     dressing = decoupling.verify_dressing_identity(sys_c, caps)
-    rng = default_rng(config.get("seed"))
+    rng = seeded_rng(config)
     dim = cluster.sector.dim
     a_e = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     a_e = 0.5 * (a_e + a_e.conj().T)
@@ -406,7 +438,7 @@ def condensed_target(config, command):
     condensed-phase command; UnsolvableDensity if the target does not condense."""
     disp = build_dispersion(config)
     beta = float(config["thermo"]["beta"])
-    n_i = int(config["thermo"]["num_internal"])
+    n_i = num_internal(config)
     rho = resolve_density(config, phonon_gas.rho_crit(disp, beta, n_i))
     report = condensation.classify_phase(rho, beta, disp, n_i)
     if report.phase != "condensed":
@@ -419,10 +451,8 @@ def cmd_bec_states(config, emitter):
     phase = bec_states.CondensatePhase(
         float(config["bec"]["r"]), float(config["bec"]["theta"]), rho0, disp.dimension, n_i
     )
-    size = config["bec"]["suite_size"]
-    if not (type(size) is int and size >= 1):
-        raise ContractViolation(f"bec.suite_size must be an integer >= 1, not {size!r}")
-    rng = default_rng(config.get("seed"))
+    size = checked(config, "bec.suite_size", integer_at_least(1), "an integer >= 1")
+    rng = seeded_rng(config)
     rows = []
     for idx in range(size):
         f = gaussian_test_function(
@@ -454,7 +484,7 @@ def cmd_fingerprint(config, emitter):
     disp, _, n_i, _, rho0 = condensed_target(config, "fingerprint")
     base = bec_states.CondensatePhase(1.0, 0.0, rho0, disp.dimension, n_i)
     f1, f2 = bec_states.canonical_probe_pair(base.amplitude, disp.dimension)
-    rng = default_rng(config.get("seed"))
+    rng = seeded_rng(config)
     rows = []
     for idx in range(32):
         r, theta = float(rng.uniform(0.05, 4.0)), float(rng.uniform(0.0, 2.0 * np.pi))

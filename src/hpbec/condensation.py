@@ -150,7 +150,8 @@ def condensate_sequence(box_sizes, target_density, beta, disp, n_ir=0.0, num_int
 
     The limit estimate fits a + b / L^p through the last three points, with
     the finite-size law of the phase: p = 1 when the gas condenses or is
-    critical (the boundary-mode sum is O(1/L)), p = d in the normal phase,
+    critical (the excited sum's leading finite-size term, Z(1)/(4 pi^2 beta L)
+    for the quadratic gap, is O(1/L)), p = d in the normal phase,
     where N_b0 = N_i / t_L stays bounded and only the volume divides it.
     """
     box_sizes = [float(L) for L in box_sizes]

@@ -7,20 +7,20 @@ which memoizes `build_lattice_modes` by value.
 
 Every mode sum of a radial dispersion depends on a mode n only through |n|^2.
 The mode set is therefore stored as shells: the occupied values m = |n|^2 up
-to the cut and, for each, the number of modes with z = 0..d zero coordinates
-(z = d is the zero mode alone).  The counts come from shift-and-add
-convolutions of square indicators (Grosswald, Representations of Integers as
-Sums of Squares, 1985), in O(sqrt(m_max) m_max) time and O(m_max) = O(L^2)
-memory, so no (2n+1)^d cube is enumerated: the ~1e9 modes of L = 640 are
-counted in under a second.
-The same shift-and-add sums a weight that factors over coordinates, such as a
-Gaussian's |f(k)|^2, shell by shell (`shell_sums`), so no mode is visited.
+to the cut and, for each, its number of nonzero modes.  One shift-and-add
+convolution over per-axis rows (Grosswald, Representations of Integers as
+Sums of Squares, 1985) sums a weight that factors over coordinates shell by
+shell, in O(sqrt(m_max) m_max) time and O(m_max) = O(L^2) memory: with unit
+rows it counts the modes, so no (2n+1)^d cube is enumerated and the ~1e9
+modes of L = 640 are counted in under a second; with a Gaussian's per-axis
+factors it gives the shell sums of |f(k)|^2 (`shell_sums`).
 
 A build is for one (L, dispersion, beta), so it also keeps each shell's Bose
 factors, w = exp(-beta F) and a = 1 - w = -expm1(-beta F), both computed
-without cancellation, and its count of nonzero modes, all read-only.  At fugacity y = 1 + t the Bose term of a
-shell is w / (a + t): every term is >= 0, nothing overflows (w underflows to 0
-on deeply gapped shells) and a mode sum is one divide and one dot product.
+without cancellation, read-only like the shells and their counts.  At
+fugacity y = 1 + t the Bose term of a shell is w / (a + t): every term is
+>= 0, nothing overflows (w underflows to 0 on deeply gapped shells) and a
+mode sum is one divide and one dot product.
 """
 
 import functools
@@ -44,7 +44,6 @@ class LatticeModes:
     num_internal: int
     cut_radius: float  # modes with |k| <= cut_radius are kept
     shells: np.ndarray = field(repr=False)  # (n_shells,) occupied m = |n|^2, increasing from 0
-    counts: np.ndarray = field(repr=False)  # (n_shells, d + 1) modes on shell m with z zero coordinates
     tail_bound: float
     included_weight: float  # sum over kept modes of exp(-beta F(k))
     weights: np.ndarray = field(repr=False)  # (n_shells,) exp(-beta F) per shell, 1 on shell 0
@@ -57,7 +56,7 @@ class LatticeModes:
 
     @property
     def num_modes(self):
-        return int(self.counts.sum())
+        return int(self.nonzero_modes.sum()) + 1  # exact: integers below 2^53
 
     def cell_volume(self):
         return self.spacing**self.dimension
@@ -71,44 +70,38 @@ class LatticeModes:
         w = np.asarray(axis_weights(np.arange(-n_axis, n_axis + 1) * self.spacing), dtype=float)
         if w.shape != (self.dimension, 2 * n_axis + 1):
             raise ValueError(f"axis weights have shape {w.shape}, expected {(self.dimension, 2 * n_axis + 1)}")
-        series = (np.arange(m_max + 1) == 0).astype(float)  # the point n = 0
-        for row in w:  # n_i = 0 keeps the shell; n_i = +-a moves it by a^2, weighing w[a] + w[-a]
-            series = _add_axis(series, row[n_axis], row[n_axis + 1 :] + row[n_axis - 1 :: -1])
-        return series[self.shells]
+        return _sphere_series(w, m_max)[self.shells]
+
+
+def _sphere_series(rows, m_max):
+    """Over m = 0..m_max, the sum over n in Z^d with |n|^2 = m of prod_i rows[i][n_i + N],
+    N = isqrt(m_max): one shift-and-add per axis, exact for integer rows."""
+    n_axis = math.isqrt(m_max)
+    series = np.zeros(m_max + 1)
+    series[0] = 1.0  # the point n = 0
+    for row in rows:  # n_i = 0 keeps the shell; n_i = +-a moves it by a^2, weighing row[a] + row[-a]
+        series = _add_axis(series, row[n_axis], row[n_axis + 1 :] + row[n_axis - 1 :: -1])
+    return series
 
 
 def _add_axis(series, zero, pairs):
-    """One more coordinate on a series over m = |n|^2, by shift-and-add (exact for integers):
-    out[m] = zero * series[m] + sum_a pairs[a - 1] * series[m - a^2]."""
+    """One more coordinate on a series over m = |n|^2:
+    out[m] = zero * series[m] + sum_a pairs[a - 1] * series[m - a^2].
+    Equal pair weights (the unit rows that count modes) are added unscaled and scaled once."""
     size = len(series)
     top = np.flatnonzero(series)[-1] + 1 if series.any() else 0  # series[top:] is zero
-    out = zero * series
+    equal = len(pairs) > 0 and bool(np.all(pairs == pairs[0]))
+    out = np.zeros(size) if equal else zero * series
     for a, w in enumerate(pairs, start=1):
         s = a * a
         n = min(top, size - s)
         if n <= 0:
             break
-        # unit weights (the shell counts) are added without a multiply
-        out[s : s + n] += series[:n] if w == 1 else w * series[:n]
+        out[s : s + n] += series[:n] if equal else w * series[:n]
+    if equal:
+        out *= pairs[0]
+        out += zero * series
     return out
-
-
-def _shell_counts(m_max, d):
-    """Occupied m <= m_max and the modes of Z^d on |n|^2 = m by zero count.
-
-    positive[j][m] counts the points of (Z_{>0})^j on the sphere |n|^2 = m;
-    one more positive coordinate a shifts it by a^2, so each step is a
-    shift-and-add over the squares a^2 <= m_max, exact in int64.  A mode with
-    z zero coordinates chooses which z axes vanish and the signs of the others:
-    counts[m, z] = C(d, z) 2^(d - z) positive[d - z][m].
-    """
-    ones = np.ones(math.isqrt(m_max), dtype=np.int64)
-    positive = [(np.arange(m_max + 1) == 0).astype(np.int64)]  # the point n = 0
-    for _ in range(d):
-        positive.append(_add_axis(positive[-1], 0, ones))
-    counts = np.stack([math.comb(d, z) * 2 ** (d - z) * positive[d - z] for z in range(d + 1)], axis=1)
-    occupied = np.flatnonzero(counts.any(axis=1))
-    return occupied, counts[occupied]
 
 
 def _cut_shell(k_cut, spacing):
@@ -149,10 +142,13 @@ def build_lattice_modes(box_size, disp, beta, num_internal=1):
     gap_cut = -np.log(EPS_TRUNC) / beta + float(disp.gap(spacing))
     for _ in range(12):
         k_cut = disp.gap_inverse(gap_cut)
-        shells, counts = _shell_counts(_cut_shell(k_cut, spacing), d)
+        m_max = _cut_shell(k_cut, spacing)
+        series = _sphere_series(np.ones((d, 2 * math.isqrt(m_max) + 1)), m_max)
+        shells = np.flatnonzero(series)
+        counts = series[shells]  # modes per shell, 1 on shell 0
         exponents = -beta * np.asarray(disp.gap(np.sqrt(shells) * spacing), dtype=float)
         weights = np.exp(exponents)
-        included = float(counts.sum(axis=1) @ weights)
+        included = float(counts @ weights)
         tail = _tail_bound(box_size, disp, beta, k_cut)
         if tail <= 1e-12 * included:
             break
@@ -163,12 +159,12 @@ def build_lattice_modes(box_size, disp, beta, num_internal=1):
             f"{included:.3e} at cut radius {k_cut:g}"
         )
     deficits = -np.expm1(exponents)
-    nonzero = counts[:, :d].sum(axis=1).astype(float)
-    for array in (shells, counts, weights, deficits, nonzero):
+    counts[0] = 0.0  # shell 0 is the zero mode alone
+    for array in (shells, weights, deficits, counts):
         array.flags.writeable = False
     return LatticeModes(
-        float(box_size), d, int(num_internal), float(k_cut), shells, counts, float(tail), included,
-        weights, deficits, nonzero,
+        float(box_size), d, int(num_internal), float(k_cut), shells, float(tail), included,
+        weights, deficits, counts,
     )
 
 

@@ -20,42 +20,35 @@ def as_matrix(A):
 
 
 def hermiticity_defect(A, entries=None):
-    """Max-norm of A - A^dagger relative to the max-norm of A.
+    """Max-norm of A - A^dagger relative to the max-norm of A, per matrix of a
+    stack A[..., :, :].
 
-    `entries`, a pair (rows, cols) that holds every nonzero entry of A, gives
-    the same number read on those entries and their transposes alone: each
+    `entries`, a pair (rows, cols) that holds every nonzero entry of a matrix A,
+    gives the same number read on those entries and their transposes alone: each
     nonzero of A - A^dagger sits at one of them.
     """
-    A = as_matrix(A)
+    A = np.asarray(A)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise ContractViolation(f"expected a square matrix or a stack of them, got shape {A.shape}")
     if entries is None:
-        values, mirrored = A, A.T
+        values, mirrored, axes = A, np.swapaxes(A, -2, -1), (-2, -1)
     else:
         rows, cols = entries
-        values, mirrored = A[rows, cols], A[cols, rows]
-    scale = np.abs(values).max(initial=0.0)
-    if scale == 0.0:
-        return 0.0
-    return np.abs(values - mirrored.conj()).max() / scale
+        values, mirrored, axes = A[rows, cols], A[cols, rows], -1
+    scale = np.abs(values).max(axis=axes, initial=0.0)
+    defect = np.abs(values - mirrored.conj()).max(axis=axes, initial=0.0)
+    return defect / np.where(scale > 0, scale, np.inf)  # 0 for a zero matrix
 
 
 def require_hermitian(A, tol=HERMITICITY_TOL, entries=None):
-    A = as_matrix(A)
+    """A, if each of its matrices (A itself, or each A[i, ..., :, :] of a stack) has a
+    hermiticity_defect of at most tol; ContractViolation naming the first that does not."""
     defect = hermiticity_defect(A, entries)
-    if defect > tol:
-        raise ContractViolation(f"matrix is not Hermitian: relative defect {defect:.3e} > {tol:.1e}")
-    return A
-
-
-def require_hermitian_stack(stack, tol=HERMITICITY_TOL):
-    """require_hermitian on each matrix of stack[..., :, :] in one pass, each defect
-    relative to its own matrix's max-norm."""
-    scale = np.abs(stack).max(axis=(-2, -1), initial=0.0)
-    defect = np.abs(stack - np.swapaxes(stack, -2, -1).conj()).max(axis=(-2, -1), initial=0.0)
-    bad = np.argwhere(defect > tol * scale)
-    if bad.size:
-        i = tuple(bad[0].tolist())
-        relative = defect[i] / scale[i]
-        raise ContractViolation(f"matrix {i} of a stack is not Hermitian: relative defect {relative:.3e} > {tol:.1e}")
+    if np.any(defect > tol):
+        i = tuple(np.argwhere(defect > tol)[0].tolist())
+        which = f"matrix {i} of a stack" if i else "matrix"
+        raise ContractViolation(f"{which} is not Hermitian: relative defect {defect[i]:.3e} > {tol:.1e}")
+    return np.asarray(A)
 
 
 def expm_hermitian(A, prefactor=1.0):
@@ -63,7 +56,7 @@ def expm_hermitian(A, prefactor=1.0):
 
     `prefactor` may be complex (e.g. 1j*t for a unitary propagator).
     """
-    A = require_hermitian(A)
+    A = require_hermitian(as_matrix(A))
     w, V = np.linalg.eigh(A)
     return (V * np.exp(prefactor * w)) @ V.conj().T
 
@@ -89,7 +82,7 @@ def gibbs(H, beta):
 
     Returns (rho, Z) with rho = exp(-beta H)/Z and Z = Tr exp(-beta H).
     """
-    H = require_hermitian(H)
+    H = require_hermitian(as_matrix(H))
     w, V = np.linalg.eigh(H)
     p, Z = boltzmann_weights(w, beta)
     rho = (V * p) @ V.conj().T

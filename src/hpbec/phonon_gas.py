@@ -1,8 +1,8 @@
 """Bose gas mode sums and continuum densities for a radial dispersion.
 
 Finite-volume quantities are sums over the truncated lattice mode set, taken
-shell by shell (one kernel per occupied |n|^2, weighted by its mode counts or
-its sum of |f|^2) from the Bose factors w = e^{-beta F} and 1 - w that the
+shell by shell (one kernel per occupied |n|^2, weighted by its count of nonzero
+modes or its sum of |f|^2) from the Bose factors w = e^{-beta F} and 1 - w that the
 lattice build stores, at the fugacity's offset t = y - 1 from the pole, so an
 evaluation computes no gap and no exponential and never forms y;
 the continuum density rho_fr and the critical density are

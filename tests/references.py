@@ -1,7 +1,10 @@
 """Reference quantities the tests compare hpbec against, which no command needs:
-closed forms, an overlap quadrature written from its definition, and the pair
-of Bessel identities behind the chi-average of `bec_states`.
+closed forms, an overlap quadrature written from its definition, the pair
+of Bessel identities behind the chi-average of `bec_states`, and the lattice
+point counts of Z^3 in integer arithmetic.
 """
+
+import math
 
 import numpy as np
 from scipy.special import j0
@@ -43,3 +46,15 @@ def angular_identity_check(p, q):
     theta = np.linspace(0.0, 2.0 * np.pi, 1025)[:-1]
     val = np.exp(1j * (p * np.cos(theta) + q * np.sin(theta))).mean()
     return abs(val - j0(np.hypot(p, q)))
+
+
+def sphere_counts_3d(m_max):
+    """r3(m) for m = 0..m_max, the points n of Z^3 with |n|^2 = m, in int64: r2 is the
+    bincount of a^2 + b^2 over the square [-N, N]^2, N = isqrt(m_max), and
+    r3(m) = sum_c r2(m - c^2) over the third coordinate c in [-N, N]."""
+    a = np.arange(-math.isqrt(m_max), math.isqrt(m_max) + 1)
+    r2 = np.bincount((a[:, None] ** 2 + a[None, :] ** 2).ravel(), minlength=m_max + 1)[: m_max + 1]
+    r3 = np.zeros(m_max + 1, dtype=np.int64)
+    for c in a:
+        r3[c * c :] += r2[: m_max + 1 - c * c]
+    return r3

@@ -279,6 +279,28 @@ def test_a_size_that_is_not_positive_is_rejected_by_name(tmp_path, capsys, comma
     assert not (tmp_path / artifact).exists()
 
 
+@pytest.mark.parametrize(
+    "command,override,artifact",
+    [
+        ("fingerprint", 'seed="x"', "fingerprint.csv"),
+        ("fingerprint", "seed=1.5", "fingerprint.csv"),
+        ("condense", "thermo.num_internal=1.7", "condense.csv"),
+        ("decouple-verify", "hubbard.num_sites=2.9", "decouple.json"),
+        ("decouple-verify", "hubbard.num_electrons=1.5", "decouple.json"),
+        ("phase-diagram", "phase_grid.betas=[-1]", "phase_diagram.csv"),
+        ("condense", "thermo.rho_target=-1", "condense.csv"),
+        ("phase-diagram", "phase_grid.densities=[]", "phase_diagram.csv"),
+    ],
+)
+def test_a_config_value_of_the_wrong_kind_is_rejected_by_name(tmp_path, capsys, command, override, artifact):
+    """Unchecked, these raised a TypeError (exit 1), ran on int()-truncated values, failed as a
+    numerical divergence (exit 3) or wrote a header-only table (exit 0)."""
+    code = run(["--command", command, "--out", str(tmp_path), "--override", override])
+    assert code == cli.EXIT_VALIDATION
+    assert override.split("=")[0] in capsys.readouterr().err
+    assert not (tmp_path / artifact).exists()
+
+
 def test_phase_diagram_computes_rho_crit_once_per_beta(tmp_path, monkeypatch):
     phonon_gas._rho_crit.cache_clear()
     betas = []

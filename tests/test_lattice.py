@@ -10,6 +10,7 @@ from hpbec.dispersion import quadratic_dispersion, tabulated_dispersion
 from hpbec.errors import BracketError
 from hpbec.lattice import build_lattice_modes
 from lattice_ball import ball
+from references import sphere_counts_3d
 
 DISP = quadratic_dispersion()
 
@@ -38,7 +39,8 @@ def test_contains_zero_mode():
     coords = ball(modes)
     assert _zero_mask(coords).sum() == 1
     assert np.all(coords[_zero_mask(coords)] == 0)
-    assert modes.shells[0] == 0 and modes.counts[0, modes.dimension] == 1
+    units = modes.shell_sums(lambda k: np.ones((modes.dimension, k.size)))
+    assert modes.shells[0] == 0 and units[0] == 1 and modes.nonzero_modes[0] == 0
 
 
 def test_closed_under_sign_flips():
@@ -68,8 +70,11 @@ def test_masks_partition_modes():
     assert not np.any(z & boundary)
     assert not np.any(interior & boundary)
     assert np.all(z | interior | boundary)
-    assert interior.sum() == modes.counts[:, 0].sum()
-    assert boundary.sum() == modes.counts[:, 1 : modes.dimension].sum()
+    # per shell, the interior and boundary modes of the cube are the build's nonzero modes
+    shell_of = np.searchsorted(modes.shells, np.square(coords).sum(axis=1))
+    split = [np.bincount(shell_of[mask], minlength=len(modes.shells)) for mask in (interior, boundary)]
+    assert interior.sum() > 0 and boundary.sum() > 0
+    assert np.array_equal(split[0] + split[1], modes.nonzero_modes)
 
 
 def test_one_dimensional_has_no_boundary_modes():
@@ -78,7 +83,9 @@ def test_one_dimensional_has_no_boundary_modes():
     coords = ball(modes)
     assert _boundary_mask(coords).sum() == 0
     assert _all_nonzero_mask(coords).sum() == modes.num_modes - 1
-    assert modes.counts[:, 1 : modes.dimension].sum() == 0
+    # each nonzero shell m = a^2 holds the two modes +-a and nothing else
+    assert np.array_equal(modes.shells, np.arange(len(modes.shells)) ** 2)
+    assert np.all(modes.nonzero_modes[1:] == 2)
 
 
 def test_spacing_and_cell_volume():
@@ -138,13 +145,11 @@ SHELL_CASES = [
 def test_shell_counts_match_cube_enumeration(box_size, disp):
     modes = build_lattice_modes(box_size, disp, 1.0)
     cube = ball(modes)
-    m = np.square(cube).sum(axis=1)
-    z = np.count_nonzero(cube == 0, axis=1)
-    brute = np.zeros((m.max() + 1, modes.dimension + 1), dtype=np.int64)
-    np.add.at(brute, (m, z), 1)
-    occupied = np.flatnonzero(brute.any(axis=1))
+    brute = np.bincount(np.square(cube).sum(axis=1))
+    occupied = np.flatnonzero(brute)
     assert np.array_equal(modes.shells, occupied)
-    assert np.array_equal(modes.counts, brute[occupied])
+    assert brute[0] == 1 and modes.nonzero_modes[0] == 0
+    assert np.array_equal(modes.nonzero_modes[1:], brute[occupied[1:]])
     assert modes.num_modes == len(cube)
 
 
@@ -164,7 +169,8 @@ def test_lazy_coords_use_the_shell_cut(box_size, disp):
 def test_shell_sums_of_unit_weights_are_the_shell_counts(box_size, disp):
     modes = build_lattice_modes(box_size, disp, 1.0)
     d = modes.dimension
-    assert np.array_equal(modes.shell_sums(lambda k: np.ones((d, k.size))), modes.counts.sum(axis=1))
+    units = modes.shell_sums(lambda k: np.ones((d, k.size)))
+    assert units[0] == 1 and np.array_equal(units[1:], modes.nonzero_modes[1:])
     with pytest.raises(ValueError):
         modes.shell_sums(lambda k: np.ones((d, k.size - 1)))
 
@@ -179,8 +185,9 @@ def test_build_keeps_each_shells_bose_factors_read_only(box_size, disp):
     assert np.array_equal(modes.weights, np.exp(exponents))
     assert np.array_equal(modes.deficits, -np.expm1(exponents))
     assert (modes.weights[0], modes.deficits[0]) == (1.0, 0.0)
-    assert modes.included_weight == float(modes.counts.sum(axis=1) @ modes.weights)
-    assert np.array_equal(modes.nonzero_modes, modes.counts[:, 0] + modes.counts[:, 1 : modes.dimension].sum(axis=1))
+    units = modes.shell_sums(lambda k: np.ones((modes.dimension, k.size)))
+    assert modes.included_weight == float(units @ modes.weights)
+    assert np.array_equal(modes.nonzero_modes, np.r_[0.0, units[1:]])
     assert modes.nonzero_modes[0] == 0.0
     for array in (modes.weights, modes.deficits, modes.nonzero_modes):
         assert not array.flags.writeable
@@ -200,6 +207,17 @@ def test_shell_build_reaches_large_boxes_without_a_cube():
     assert seconds < 5.0
     assert peak < 100 * 2**20  # the cube's coordinates alone would take ~25 GB
     assert not hasattr(modes, "coords")
+
+
+def test_shell_counts_past_1e5_shells_match_an_int64_reference():
+    """L = 640 has 318,538 shells up to m = 382,240: the float64 count series and its
+    scaling of equal pair weights stay exact there, against an int64 r3 built from the plane."""
+    modes = build_lattice_modes(640.0, DISP, 1.0)
+    assert len(modes.shells) > 1e5
+    r3 = sphere_counts_3d(int(modes.shells[-1]))
+    assert np.array_equal(modes.shells, np.flatnonzero(r3))
+    assert r3[0] == 1 and np.array_equal(modes.nonzero_modes[1:], r3[modes.shells[1:]])
+    assert modes.num_modes == r3.sum()
 
 
 def test_non_converging_truncation_raises(monkeypatch, tmp_path):

