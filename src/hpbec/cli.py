@@ -11,16 +11,16 @@ import csv
 import hashlib
 import json
 import os
-import platform
 import resource
 import sys
 import time
+from collections import namedtuple
 from dataclasses import asdict
 
 import numpy as np
 from numpy.random import default_rng
 
-from . import bec_states, condensation, decoupling, lattice, phonon_gas
+from . import __version__, bec_states, condensation, decoupling, lattice, phonon_gas
 from .couplings import CouplingFamily
 from .dispersion import quadratic_dispersion, tabulated_dispersion, validate_dispersion
 from .errors import (
@@ -42,44 +42,91 @@ OUT_DIR_ENV = "HPBEC_OUT_DIR"
 # The *_NUM_THREADS variables as this module is imported; numpy's BLAS reads them at numpy's import.
 THREAD_ENV = {k: v for k, v in os.environ.items() if k.endswith("_NUM_THREADS")}
 
-DEFAULT_CONFIG = {
+# A config leaf: its default, the text of what it accepts, and ok(value, config), its check.
+# ok sees the merged config, in which the keys before this one in SCHEMA are already checked.
+Key = namedtuple("Key", "default accepts ok")
+
+
+def finite(v, _=None):
+    """A finite JSON number; a boolean is not one."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+def positive(v, _=None):
+    return finite(v) and v > 0
+
+
+def integer(lo):
+    return lambda v, _=None: type(v) is int and v >= lo
+
+
+def listed(ok, increasing=False):
+    """A nonempty list of values that pass ok, strictly increasing if asked."""
+    return lambda v, _: (type(v) is list and v != [] and all(map(ok, v))
+                         and not (increasing and any(a >= b for a, b in zip(v, v[1:]))))
+
+
+def grid(v, width, count=None):
+    """Whether v is a nonempty list of `count` (any, if None) rows of `width` finite numbers."""
+    return (type(v) is list and v != [] and count in (None, len(v))
+            and all(type(row) is list and len(row) == width and all(map(finite, row)) for row in v))
+
+
+def dispersion_table(v, _):
+    """Whether v is null or two or more [k, r(k)] rows with k >= 0 strictly increasing."""
+    return v is None or grid(v, 2) and len(v) > 1 and v[0][0] >= 0 and all(a[0] < b[0] for a, b in zip(v, v[1:]))
+
+
+NUMBER, POSITIVE, COUNT = "a finite number", "a positive finite number", "an integer >= 1"
+INCREASING = "a nonempty, strictly increasing list of "
+
+SCHEMA = {
     "dispersion": {
-        "name": "quadratic",
-        "omega0": 1.0,
-        "mu_b": 0.0,
-        "dimension": 3,
-        "growth_exponent": 4.0,
-        "table": None,  # optional [[k, r(k)], ...] samples
+        "name": Key("quadratic", 'the string "quadratic"', lambda v, _: v == "quadratic"),
+        "omega0": Key(1.0, NUMBER, finite),
+        "mu_b": Key(0.0, NUMBER, finite),
+        "dimension": Key(3, COUNT, integer(1)),
+        "growth_exponent": Key(4.0, NUMBER, finite),
+        "table": Key(None, "null, or two or more rows [k, r(k)] of finite numbers, k >= 0 strictly increasing",
+                     dispersion_table),
     },
     "hubbard": {
-        "num_sites": 2,
-        "num_electrons": 2,
-        "hopping": [[0.0, -1.0], [-1.0, 0.0]],
-        "repulsion": 2.0,
-        "alpha": 0.2,
-        "kappa": 0.5,
-        "uv_width": 2.0,
+        "num_sites": Key(2, COUNT, integer(1)),
+        "num_electrons": Key(2, "an integer from 0 to twice hubbard.num_sites",
+                             lambda v, c: integer(0)(v) and v <= 2 * c["hubbard"]["num_sites"]),
+        "hopping": Key([[0.0, -1.0], [-1.0, 0.0]], "hubbard.num_sites rows of hubbard.num_sites finite numbers",
+                       lambda v, c: grid(v, c["hubbard"]["num_sites"], c["hubbard"]["num_sites"])),
+        "repulsion": Key(2.0, POSITIVE, positive),
+        "alpha": Key(0.2, NUMBER, finite),
+        "kappa": Key(0.5, "a finite number >= 0", lambda v, _: finite(v) and v >= 0),
+        "uv_width": Key(2.0, POSITIVE, positive),
     },
     "thermo": {
-        "beta": 1.0,
-        "temperature": None,
-        "rho_target": None,  # default: 2 x critical density
-        "num_internal": 1,
+        "beta": Key(1.0, "null or a positive finite number", lambda v, _: v is None or positive(v)),
+        "temperature": Key(
+            None, "null if thermo.beta is set, else a positive number with a finite inverse",
+            lambda v, c: v is None if c["thermo"]["beta"] is not None else positive(v) and finite(1 / v)),
+        "rho_target": Key(None, "null (twice rho_crit) or " + POSITIVE, lambda v, _: v is None or positive(v)),
+        "num_internal": Key(1, COUNT, integer(1)),
     },
     "sweep": {
-        "box_sizes": [10.0, 20.0, 40.0],
-        "level_caps": [6, 9, 12],
-        "coupled_box_size": 10.0,
-        "mode_coords": [[1, 0, 0], [0, 1, 0]],
+        "box_sizes": Key([10.0, 20.0, 40.0], INCREASING + "positive finite numbers", listed(positive, True)),
+        "level_caps": Key([6, 9, 12], INCREASING + "integers >= 1", listed(integer(1), True)),
+        "coupled_box_size": Key(10.0, POSITIVE, positive),
+        "mode_coords": Key([[1, 0, 0], [0, 1, 0]], "a nonempty list of rows of dispersion.dimension finite numbers",
+                           lambda v, c: grid(v, c["dispersion"]["dimension"])),
     },
     "bec": {
-        "r": 1.0,
-        "theta": 1.0471975511965976,
-        "suite_size": 10,
+        "r": Key(1.0, "a finite number >= 0", lambda v, _: finite(v) and v >= 0),
+        "theta": Key(1.0471975511965976, NUMBER, finite),
+        "suite_size": Key(10, COUNT, integer(1)),
     },
-    "phase_grid": {"densities": [0.5, 1.0, 2.0], "betas": [0.5, 1.0, 2.0]},
-    "seed": 12345,
-    "output": {"directory": "hpbec-out"},
+    "phase_grid": {
+        "densities": Key([0.5, 1.0, 2.0], "a nonempty list of positive finite numbers", listed(positive)),
+        "betas": Key([0.5, 1.0, 2.0], "a nonempty list of positive finite numbers", listed(positive)),
+    },
+    "seed": Key(12345, "null or an integer >= 0", lambda v, _: v is None or integer(0)(v)),
+    "output": {"directory": Key("hpbec-out", "a nonempty string", lambda v, _: type(v) is str and v != "")},
 }
 
 
@@ -115,32 +162,44 @@ def fmt(x):
     return str(x)
 
 
-def deep_merge(base, override, prefix=""):
-    """`override` merged into a copy of `base`; a key `base` lacks, a value
-    given to a section and an object given to a value are errors."""
+def defaults(schema):
+    """A fresh config holding every default of the schema."""
+    return {name: defaults(node) if isinstance(node, dict) else copy.deepcopy(node.default)
+            for name, node in schema.items()}
+
+
+def leaves(schema, config, prefix=""):
+    """(dotted key, Key, value in config) for every leaf of the schema, in its order."""
+    for name, node in schema.items():
+        if isinstance(node, dict):
+            yield from leaves(node, config[name], prefix + name + ".")
+        else:
+            yield prefix + name, node, config[name]
+
+
+def merge(config, override, prefix=""):
+    """Merge `override` into `config` in place; a key `config` lacks and a value given
+    to a section are errors (an object given to a value fails that key's check)."""
     if not isinstance(override, dict):
         raise ContractViolation(f"config section {prefix[:-1] or '<root>'!r} takes a JSON object")
-    out = copy.deepcopy(base)
     for key, val in override.items():
         name = prefix + key
-        if key not in out:
+        if key not in config:
             raise ContractViolation(f"unknown config key {name!r}")
-        if isinstance(out[key], dict):
-            out[key] = deep_merge(out[key], val, name + ".")
-        elif isinstance(val, dict):
-            raise ContractViolation(f"config key {name!r} takes a value, not a JSON object")
+        if isinstance(config[key], dict):
+            merge(config[key], val, name + ".")
         else:
-            out[key] = val
-    return out
+            config[key] = val
 
 
 def load_config(path, overrides):
-    """The defaults merged with the config file, then with each override KEY=VALUE
-    as the object its dotted KEY spells, holding VALUE parsed as JSON."""
-    config = copy.deepcopy(DEFAULT_CONFIG)
+    """The schema's defaults merged with the config file, then with each override
+    KEY=VALUE as the object its dotted KEY spells, holding VALUE parsed as JSON.  Every
+    key is then checked, whatever the command; a ContractViolation names the first rejected."""
+    config = defaults(SCHEMA)
     if path is not None:
         with open(path) as fh:
-            config = deep_merge(config, json.load(fh))
+            merge(config, json.load(fh))
     for item in overrides:
         dotted, eq, raw = item.partition("=")
         if not eq:
@@ -151,92 +210,45 @@ def load_config(path, overrides):
             value = raw
         for key in reversed(dotted.split(".")):
             value = {key: value}
-        config = deep_merge(config, value)
+        merge(config, value)
+    for dotted, key, value in leaves(SCHEMA, config):
+        if not key.ok(value, config):
+            raise ContractViolation(f"{dotted} must be {key.accepts}, not {value!r}")
     thermo = config["thermo"]
-    if (thermo.get("beta") is None) == (thermo.get("temperature") is None):
-        raise ContractViolation("exactly one of thermo.beta / thermo.temperature must be set")
-    if thermo.get("beta") is None:
-        thermo["beta"] = 1.0 / float(thermo["temperature"])
+    if thermo["beta"] is None:
+        thermo["beta"] = 1.0 / thermo["temperature"]
     return config
 
 
-def checked(config, key, ok, what):
-    """The value of the dotted config key; ContractViolation naming the key unless ok(value)."""
-    value = config
-    for part in key.split("."):
-        value = value[part]
-    if not ok(value):
-        raise ContractViolation(f"{key} must be {what}, not {value!r}")
-    return value
-
-
-def integer_at_least(minimum):
-    return lambda v: type(v) is int and v >= minimum
-
-
-def positive(v):
-    return type(v) in (int, float) and 0 < v < np.inf
-
-
-def positive_list(v):
-    return isinstance(v, list) and len(v) > 0 and all(positive(x) for x in v)
-
-
-def num_internal(config):
-    return checked(config, "thermo.num_internal", integer_at_least(1), "an integer >= 1")
-
-
-def seeded_rng(config):
-    seed = checked(config, "seed", lambda v: v is None or integer_at_least(0)(v), "null or an integer >= 0")
-    return default_rng(seed)
-
-
 def build_dispersion(config):
-    d_cfg = config["dispersion"]
-    if d_cfg.get("table"):
-        table = np.asarray(d_cfg["table"], dtype=float)
-        return tabulated_dispersion(
-            table[:, 0],
-            table[:, 1],
-            dimension=int(d_cfg["dimension"]),
-            growth_exponent=float(d_cfg["growth_exponent"]),
-            mu_b=float(d_cfg["mu_b"]),
-        )
-    if d_cfg["name"] != "quadratic":
-        raise ContractViolation(f"unknown dispersion {d_cfg['name']!r}")
-    return quadratic_dispersion(
-        omega0=float(d_cfg["omega0"]),
-        mu_b=float(d_cfg["mu_b"]),
-        dimension=int(d_cfg["dimension"]),
-        growth_exponent=float(d_cfg["growth_exponent"]),
-    )
+    d = config["dispersion"]
+    if d["table"] is not None:
+        k, r = np.asarray(d["table"], dtype=float).T
+        return tabulated_dispersion(k, r, d["dimension"], d["growth_exponent"], d["mu_b"])
+    return quadratic_dispersion(d["omega0"], d["mu_b"], d["dimension"], d["growth_exponent"])
 
 
 def build_family(config):
     h = config["hubbard"]
-    d = int(config["dispersion"]["dimension"])
-    sites = checked(config, "hubbard.num_sites", integer_at_least(1), "an integer >= 1")
-    return CouplingFamily(sites, d, float(h["uv_width"]), float(h["kappa"]))
+    return CouplingFamily(h["num_sites"], config["dispersion"]["dimension"], h["uv_width"], h["kappa"])
 
 
 def build_cluster(config):
     h = config["hubbard"]
     return build_hubbard_system(
-        checked(config, "hubbard.num_sites", integer_at_least(1), "an integer >= 1"),
-        checked(config, "hubbard.num_electrons", integer_at_least(0), "an integer >= 0"),
-        np.asarray(h["hopping"], dtype=float),
-        float(h["repulsion"]),
-        float(h["alpha"]),
-        float(config["thermo"]["beta"]),
+        h["num_sites"], h["num_electrons"], h["hopping"], h["repulsion"], h["alpha"], config["thermo"]["beta"]
     )
 
 
-def resolve_density(config, critical_density):
-    """thermo.rho_target, or twice the critical density when it is unset."""
-    target = checked(
-        config, "thermo.rho_target", lambda v: v is None or positive(v), "null or a positive finite number"
-    )
-    return 2.0 * critical_density if target is None else float(target)
+def peak_rss_kib():
+    """Peak RSS of this process in KiB: VmHWM, which exec resets (ru_maxrss, read only
+    where /proc is absent, is inherited from the process that launched this one)."""
+    try:
+        with open("/proc/self/status") as fh:
+            return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+    except OSError:
+        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        return rss // 1024 if sys.platform == "darwin" else rss  # bytes there, KiB elsewhere
 
 
 class Emitter:
@@ -251,18 +263,17 @@ class Emitter:
         os.makedirs(out_dir, exist_ok=True)
 
     def stage(self, name, fn):
-        """Run one command function; log its wall seconds, the process's ru_maxrss after it
-        (KiB on Linux) and the hits and misses of each memo during it."""
+        """Run one command function; log its wall seconds, the process's peak RSS after it
+        (KiB) and the hits and misses of each memo during it."""
         before = memo_counts()
         start = time.perf_counter()
         code = fn(self.config, self)
         wall_s = time.perf_counter() - start
-        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         memos = {
             memo: {"hits": hits - before[memo][0], "misses": misses - before[memo][1]}
             for memo, (hits, misses) in memo_counts().items()
         }
-        self.stages.append({"name": name, "wall_s": wall_s, "ru_maxrss": rss, "memos": memos})
+        self.stages.append({"name": name, "wall_s": wall_s, "peak_rss_kib": peak_rss_kib(), "memos": memos})
         return code
 
     def csv(self, name, header, rows):
@@ -273,29 +284,30 @@ class Emitter:
             for row in rows:
                 writer.writerow([fmt(v) for v in row])
         self.artifacts.append(name)
-        return path
 
     def json(self, name, payload):
+        """Write payload as strict JSON; a NaN or infinity in it is a FloatingPointError (exit 3)."""
+        try:
+            text = json.dumps(payload, indent=2, sort_keys=True, default=fmt, allow_nan=False)
+        except ValueError as err:
+            raise FloatingPointError(f"{name}: {err}") from None
         path = os.path.join(self.out_dir, name)
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, default=fmt)
-            fh.write("\n")
+            fh.write(text + "\n")
         self.artifacts.append(name)
-        return path
 
     def manifest(self):
-        digest = hashlib.sha256(
-            json.dumps(self.config, sort_keys=True).encode()
-        ).hexdigest()
+        digest = hashlib.sha256(json.dumps(self.config, sort_keys=True).encode()).hexdigest()
         self.json(
             "manifest.json",
             {
                 "command": self.command,
                 "config_sha256": digest,
-                "seed": self.config.get("seed"),
+                "seed": self.config["seed"],
                 "artifacts": sorted(self.artifacts),
-                "python": platform.python_version(),
+                "python": sys.version.split()[0],
                 "numpy": np.__version__,
+                "hpbec": __version__,
                 "thread_env": THREAD_ENV,
                 "stages": self.stages,
             },
@@ -304,17 +316,9 @@ class Emitter:
 
 def cmd_validate(config, emitter):
     disp = build_dispersion(config)
-    report = validate_dispersion(disp, float(config["thermo"]["beta"]))
-    emitter.json(
-        "validate.json",
-        {
-            "all_passed": report.all_passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "witness": c.witness}
-                for c in report.checks
-            ],
-        },
-    )
+    report = validate_dispersion(disp, config["thermo"]["beta"])
+    checks = [{"name": c.name, "passed": c.passed, "witness": c.witness} for c in report.checks]
+    emitter.json("validate.json", {"all_passed": report.all_passed, "checks": checks})
     if not report.all_passed:
         names = ", ".join(c.name for c in report.failed())
         print(f"dispersion validation failed: {names}", file=sys.stderr)
@@ -324,10 +328,9 @@ def cmd_validate(config, emitter):
 
 def cmd_condense(config, emitter):
     disp = build_dispersion(config)
-    beta = float(config["thermo"]["beta"])
-    n_i = num_internal(config)
+    beta, n_i = config["thermo"]["beta"], config["thermo"]["num_internal"]
     rc = phonon_gas.rho_crit_quadrature(disp, beta, n_i)
-    rho = resolve_density(config, rc.value)
+    rho = config["thermo"]["rho_target"] or 2.0 * rc.value  # null or positive
     seq = condensation.condensate_sequence(config["sweep"]["box_sizes"], rho, beta, disp, num_internal=n_i)
     report = seq.regime
     rows = [
@@ -355,18 +358,14 @@ def cmd_condense(config, emitter):
 
 def cmd_phase_diagram(config, emitter):
     disp = build_dispersion(config)
-    n_i = num_internal(config)
+    n_i = config["thermo"]["num_internal"]
     rows = []
-    betas = checked(config, "phase_grid.betas", positive_list, "a nonempty list of positive finite numbers")
-    scales = checked(config, "phase_grid.densities", positive_list, "a nonempty list of positive finite numbers")
-    for beta in betas:
-        rc = phonon_gas.rho_crit(disp, float(beta), n_i)
-        for scale in scales:
-            rho = float(scale) * rc
-            rep = condensation.classify_phase(rho, float(beta), disp, n_i)
-            rows.append(
-                (beta, rho, rc, rep.phase, rep.normal_fugacity, rep.condensate_density)
-            )
+    for beta in config["phase_grid"]["betas"]:
+        rc = phonon_gas.rho_crit(disp, beta, n_i)
+        for scale in config["phase_grid"]["densities"]:
+            rho = scale * rc
+            rep = condensation.classify_phase(rho, beta, disp, n_i)
+            rows.append((beta, rho, rc, rep.phase, rep.normal_fugacity, rep.condensate_density))
     emitter.csv(
         "phase_diagram.csv",
         ["beta", "rho_target", "rho_crit", "phase", "normal_fugacity", "condensate_density"],
@@ -379,21 +378,11 @@ def cmd_decouple_verify(config, emitter):
     disp = build_dispersion(config)
     family = build_family(config)
     cluster = build_cluster(config)
-    d = disp.dimension
-    coords = checked(
-        config, "sweep.mode_coords",
-        lambda v: isinstance(v, list) and len(v) > 0 and all(isinstance(c, list) and len(c) == d for c in v),
-        f"a nonempty list of rows of {d} coordinates",
-    )
-    box = checked(config, "sweep.coupled_box_size", positive, "a positive finite number")
-    sys_c = decoupling.build_coupled_system(cluster, family, disp, float(box), np.asarray(coords, dtype=float))
-    caps = checked(
-        config, "sweep.level_caps",
-        lambda v: isinstance(v, list) and len(v) > 0 and all(map(integer_at_least(1), v)) and v == sorted(set(v)),
-        "a nonempty, strictly increasing list of integers >= 1",
-    )
+    sweep = config["sweep"]
+    sys_c = decoupling.build_coupled_system(cluster, family, disp, sweep["coupled_box_size"], sweep["mode_coords"])
+    caps = sweep["level_caps"]
     dressing = decoupling.verify_dressing_identity(sys_c, caps)
-    rng = seeded_rng(config)
+    rng = default_rng(config["seed"])
     dim = cluster.sector.dim
     a_e = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     a_e = 0.5 * (a_e + a_e.conj().T)
@@ -437,37 +426,46 @@ def condensed_target(config, command):
     """The dispersion, beta, N_i, target density and condensate density of a
     condensed-phase command; UnsolvableDensity if the target does not condense."""
     disp = build_dispersion(config)
-    beta = float(config["thermo"]["beta"])
-    n_i = num_internal(config)
-    rho = resolve_density(config, phonon_gas.rho_crit(disp, beta, n_i))
+    beta, n_i = config["thermo"]["beta"], config["thermo"]["num_internal"]
+    rho = config["thermo"]["rho_target"] or 2.0 * phonon_gas.rho_crit(disp, beta, n_i)
     report = condensation.classify_phase(rho, beta, disp, n_i)
     if report.phase != "condensed":
         raise UnsolvableDensity(f"{command} requires a condensed-phase target density")
     return disp, beta, n_i, rho, report.condensate_density
 
 
+BEC_COLUMNS = ("q0", "q1", "psi_bec", "decomposition_gap")
+
+
+def require_finite(idx, values):
+    """FloatingPointError (exit 3) naming the first of test function idx's values that is not finite."""
+    for name, value in zip(BEC_COLUMNS, values):
+        if not np.isfinite(value):
+            raise FloatingPointError(f"bec-states test function {idx}: {name} = {value!r} is not finite")
+
+
 def cmd_bec_states(config, emitter):
     disp, beta, n_i, rho, rho0 = condensed_target(config, "bec-states")
-    phase = bec_states.CondensatePhase(
-        float(config["bec"]["r"]), float(config["bec"]["theta"]), rho0, disp.dimension, n_i
-    )
-    size = checked(config, "bec.suite_size", integer_at_least(1), "an integer >= 1")
-    rng = seeded_rng(config)
+    phase = bec_states.CondensatePhase(config["bec"]["r"], config["bec"]["theta"], rho0, disp.dimension, n_i)
+    rng = default_rng(config["seed"])
     rows = []
-    for idx in range(size):
+    for idx in range(config["bec"]["suite_size"]):
         f = gaussian_test_function(
             disp.dimension,
             center=rng.normal(scale=0.4, size=disp.dimension),
             width=float(rng.uniform(0.6, 1.6)),
             amplitude=complex(rng.normal(), rng.normal()) * 0.5,
         )
-        q0 = bec_states.q_form("q0", f, disp, beta, phase=phase)
-        q1 = bec_states.q_form("q1", f, disp, beta)
-        gap = bec_states.decomposition_gap(f, disp, beta, phase)
-        rows.append((idx, q0, q1, bec_states.psi_bec(f, disp, beta, phase), gap))
-    emitter.csv(
-        "bec_states.csv", ["index", "q0", "q1", "psi_bec", "decomposition_gap"], rows
-    )
+        values = [
+            bec_states.q_form("q0", f, disp, beta, phase=phase),
+            bec_states.q_form("q1", f, disp, beta),
+            bec_states.psi_bec(f, disp, beta, phase),
+        ]
+        require_finite(idx, values)  # before the gap: its chi-average at an infinite amplitude is NaN
+        values.append(bec_states.decomposition_gap(f, disp, beta, phase))
+        require_finite(idx, values)
+        rows.append((idx, *values))
+    emitter.csv("bec_states.csv", ["index", *BEC_COLUMNS], rows)
     emitter.json(
         "bec_states.json",
         {
@@ -484,7 +482,7 @@ def cmd_fingerprint(config, emitter):
     disp, _, n_i, _, rho0 = condensed_target(config, "fingerprint")
     base = bec_states.CondensatePhase(1.0, 0.0, rho0, disp.dimension, n_i)
     f1, f2 = bec_states.canonical_probe_pair(base.amplitude, disp.dimension)
-    rng = seeded_rng(config)
+    rng = default_rng(config["seed"])
     rows = []
     for idx in range(32):
         r, theta = float(rng.uniform(0.05, 4.0)), float(rng.uniform(0.0, 2.0 * np.pi))
@@ -527,11 +525,7 @@ def main(argv=None):
 
     try:
         config = load_config(args.config, args.override)
-        out_dir = (
-            args.out
-            or os.environ.get(OUT_DIR_ENV)
-            or config["output"]["directory"]
-        )
+        out_dir = args.out or os.environ.get(OUT_DIR_ENV) or config["output"]["directory"]
         emitter = Emitter(out_dir, config, args.command)
         # full-report runs every command, in this order, into one output directory
         for name in COMMANDS if args.command == "full-report" else (args.command,):

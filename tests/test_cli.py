@@ -4,11 +4,21 @@ import os
 import platform
 import subprocess
 import sys
+from itertools import cycle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hpbec
 from hpbec import bec_states, cli, couplings, numerics, phonon_gas
+
+# an artifact each command writes
+ARTIFACT = {
+    "validate": "validate.json", "condense": "condense.csv", "phase-diagram": "phase_diagram.csv",
+    "decouple-verify": "decouple.json", "bec-states": "bec_states.csv", "fingerprint": "fingerprint.csv",
+}
+SCHEMA_KEYS = [dotted for dotted, _, _ in cli.leaves(cli.SCHEMA, cli.defaults(cli.SCHEMA))]
 
 
 def run(args):
@@ -85,6 +95,8 @@ def test_temperature_beta_exclusivity(tmp_path):
         ["--command", "validate", "--out", out, "--override", "thermo.beta=null"]
     )
     assert neither == cli.EXIT_VALIDATION
+    infinite_beta = ["--override", "thermo.beta=null", "--override", "thermo.temperature=1e-320"]
+    assert run(["--command", "validate", "--out", out, *infinite_beta]) == cli.EXIT_VALIDATION
 
 
 def test_temperature_accepted_when_beta_cleared(tmp_path):
@@ -265,23 +277,6 @@ def test_saturating_dispersion_maps_to_divergence_exit(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command,override,artifact",
     [
-        ("decouple-verify", "sweep.coupled_box_size=0", "decouple.json"),
-        ("decouple-verify", "sweep.coupled_box_size=-10", "decouple.json"),
-        ("bec-states", "bec.suite_size=0", "bec_states.json"),
-    ],
-)
-def test_a_size_that_is_not_positive_is_rejected_by_name(tmp_path, capsys, command, override, artifact):
-    """Unchecked, a box size of 0 would divide by zero in the mode sampling, a negative
-    one would run and fail verification, and an empty suite has no largest gap."""
-    code = run(["--command", command, "--out", str(tmp_path), "--override", override])
-    assert code == cli.EXIT_VALIDATION
-    assert override.split("=")[0] in capsys.readouterr().err
-    assert not (tmp_path / artifact).exists()
-
-
-@pytest.mark.parametrize(
-    "command,override,artifact",
-    [
         ("fingerprint", 'seed="x"', "fingerprint.csv"),
         ("fingerprint", "seed=1.5", "fingerprint.csv"),
         ("condense", "thermo.num_internal=1.7", "condense.csv"),
@@ -290,15 +285,62 @@ def test_a_size_that_is_not_positive_is_rejected_by_name(tmp_path, capsys, comma
         ("phase-diagram", "phase_grid.betas=[-1]", "phase_diagram.csv"),
         ("condense", "thermo.rho_target=-1", "condense.csv"),
         ("phase-diagram", "phase_grid.densities=[]", "phase_diagram.csv"),
+        ("decouple-verify", "sweep.coupled_box_size=0", "decouple.json"),
+        ("decouple-verify", "sweep.coupled_box_size=-10", "decouple.json"),
+        ("bec-states", "bec.suite_size=0", "bec_states.json"),
+        ("condense", "thermo.beta=-1", "condense.csv"),
+        ("validate", "dispersion.dimension=2.5", "validate.json"),
+        ("condense", "dispersion.dimension=0", "condense.csv"),
+        ("condense", "dispersion.table=[[1]]", "condense.csv"),
+        ("validate", "dispersion.table=[1,2]", "validate.json"),
+        ("bec-states", "dispersion.table=[[0,1],[0,2]]", "bec_states.csv"),
+        ("condense", 'hubbard.repulsion="x"', "condense.csv"),
+        ("condense", "hubbard.num_electrons=5", "condense.csv"),
+        ("fingerprint", "hubbard.hopping=[[0,-1,0],[-1,0,-1],[0,-1,0]]", "fingerprint.csv"),
+        ("phase-diagram", "sweep.mode_coords=[[1,0]]", "phase_diagram.csv"),
+        ("validate", "sweep.box_sizes=[]", "validate.json"),
+        ("validate", "sweep.box_sizes=[20,10]", "validate.json"),
+        *[(command, f"{key}=true", ARTIFACT[command]) for key, command in zip(SCHEMA_KEYS, cycle(ARTIFACT))],
     ],
 )
 def test_a_config_value_of_the_wrong_kind_is_rejected_by_name(tmp_path, capsys, command, override, artifact):
-    """Unchecked, these raised a TypeError (exit 1), ran on int()-truncated values, failed as a
-    numerical divergence (exit 3) or wrote a header-only table (exit 0)."""
+    """Every key is checked at load, whatever the command: a value the schema does not accept
+    exits 2 naming its key, before any artifact or manifest.  Unchecked, some of these raised a
+    TypeError or IndexError (exit 1), ran on truncated values (thermo.beta=true as beta = 1,
+    dispersion.dimension=2.5 as 2), failed as a numerical divergence (exit 3), or passed under a
+    command that does not read the key (exit 0)."""
     code = run(["--command", command, "--out", str(tmp_path), "--override", override])
     assert code == cli.EXIT_VALIDATION
     assert override.split("=")[0] in capsys.readouterr().err
-    assert not (tmp_path / artifact).exists()
+    assert not (tmp_path / artifact).exists() and not (tmp_path / "manifest.json").exists()
+
+
+def test_readme_tables_every_config_key_with_its_default_and_what_it_accepts():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for dotted, key, _ in cli.leaves(cli.SCHEMA, cli.defaults(cli.SCHEMA)):
+        assert f"| `{dotted}` | `{json.dumps(key.default)}` | {key.accepts} |" in readme, dotted
+
+
+def test_bec_states_fails_on_a_non_finite_value_before_writing(tmp_path, capsys):
+    """At rho_target = 1e308 the condensate amplitude c = 2 (2 pi)^3 rho_0 overflows: q0 is
+    infinite and the gap's chi-average would be NaN.  The run fails before any artifact."""
+    code = run(["--command", "bec-states", "--out", str(tmp_path), "--override", "thermo.rho_target=1e308"])
+    assert code == cli.EXIT_DIVERGENCE
+    assert "test function 0: q0 = inf is not finite" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_a_non_finite_json_value_fails_the_run_naming_its_artifact(tmp_path, monkeypatch, capsys):
+    """JSON has no NaN: Emitter.json writes strict JSON or nothing."""
+
+    def report_nan(config, emitter):
+        emitter.json("report.json", {"value": float("nan")})
+        return cli.EXIT_OK
+
+    monkeypatch.setitem(cli.COMMANDS, "validate", report_nan)
+    assert run(["--command", "validate", "--out", str(tmp_path)]) == cli.EXIT_DIVERGENCE
+    assert "report.json" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_phase_diagram_computes_rho_crit_once_per_beta(tmp_path, monkeypatch):
@@ -343,6 +385,7 @@ def test_condense_writes_certificates(tmp_path):
     assert "diagnostics.json" in manifest["artifacts"]
     assert manifest["numpy"] == np.__version__
     assert manifest["python"] == platform.python_version()
+    assert manifest["hpbec"] == hpbec.__version__
     assert manifest["thread_env"] == {k: v for k, v in os.environ.items() if k.endswith("_NUM_THREADS")}
 
 
@@ -355,8 +398,26 @@ def test_manifest_records_one_stage_per_command_run(tmp_path, command):
     assert [s["name"] for s in stages] == expected
     assert len(cli.COMMANDS) == 6
     assert all(s["wall_s"] > 0.0 for s in stages)
-    rss = [s["ru_maxrss"] for s in stages]
-    assert rss[0] > 0.0 and rss == sorted(rss)  # a peak never falls
+    rss = [s["peak_rss_kib"] for s in stages]
+    assert rss[0] > 0 and rss == sorted(rss)  # a peak never falls
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="ru_maxrss is the only peak without /proc")
+def test_stage_peak_rss_is_the_commands_own_not_its_launchers(tmp_path):
+    """ru_maxrss carries a launcher's peak across exec; VmHWM does not.  A launcher that
+    holds 200 MiB runs `validate`, whose own peak is a fraction of that."""
+    held = 200 << 20
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (
+        "import subprocess, sys\n"
+        f"held = b'x' * {held}\n"
+        f"subprocess.run([sys.executable, '-m', 'hpbec.cli', '--command', 'validate', '--out', {str(tmp_path)!r}],"
+        " check=True)\n"
+    )
+    subprocess.run([sys.executable, "-c", script], env=env, check=True)
+    [stage] = json.loads((tmp_path / "manifest.json").read_text())["stages"]
+    assert 0 < stage["peak_rss_kib"] < held // 1024
 
 
 def test_no_command_loads_a_numpy_module_that_importing_the_cli_did_not(tmp_path):
