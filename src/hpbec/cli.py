@@ -23,13 +23,7 @@ from numpy.random import default_rng
 from . import __version__, bec_states, condensation, decoupling, lattice, phonon_gas
 from .couplings import CouplingFamily
 from .dispersion import quadratic_dispersion, tabulated_dispersion, validate_dispersion
-from .errors import (
-    BracketError,
-    ContractViolation,
-    InfraredDivergence,
-    UnsolvableDensity,
-    VerificationFailure,
-)
+from .errors import BracketError, ContractViolation, UnsolvableDensity, VerificationFailure
 from .hubbard import build_hubbard_system
 from .testfunctions import gaussian_test_function
 
@@ -277,6 +271,11 @@ class Emitter:
         return code
 
     def csv(self, name, header, rows):
+        """Write rows as CSV; a NaN or infinity in them is a FloatingPointError (exit 3), as in `json`."""
+        rows = [list(row) for row in rows]
+        bad = [v for row in rows for v in row if isinstance(v, (float, complex, np.inexact)) and not np.isfinite(v)]
+        if bad:
+            raise FloatingPointError(f"{name}: non-finite value {bad[0]!r}")
         path = os.path.join(self.out_dir, name)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -534,7 +533,8 @@ def main(argv=None):
                 break
         emitter.manifest()
         return code
-    except (InfraredDivergence, UnsolvableDensity, BracketError, FloatingPointError) as err:
+    # ArithmeticError holds InfraredDivergence, FloatingPointError, OverflowError and ZeroDivisionError
+    except (ArithmeticError, UnsolvableDensity, BracketError) as err:
         print(f"numerical divergence: {err}", file=sys.stderr)
         return EXIT_DIVERGENCE
     except (ContractViolation, ValueError) as err:

@@ -3,16 +3,15 @@ critical temperature for the finite/continuum Bose gas.
 
 The fugacity equation rho_target = f_L(1 + t) has a unique root t = y - 1 on
 (0, infinity) because f_L is a strictly decreasing continuous bijection onto
-(rho_ir, infinity).  The solver works in t alone: Brent in u = 1/t, in which
-f_L is nearly linear past rho_crit (its zero-mode term is N_i u / L^d), on a
-bracket certified at both ends (the proof bound on t below and the zero mode
-alone above), stopped loosely and polished with Newton steps in t using the
-analytic derivative.  A double t resolves f_L to the roundoff of rho, so the
-residual reaches that roundoff at every L; y = 1 + t is formed only for
-output.  Solves take
-their lattice from `lattice.lattice_modes` and classifications rho_crit from
-`phonon_gas.rho_crit`, memos keyed on values, so calls at one (L, beta) or one
-beta share a build or a quadrature without being handed it.
+(rho_ir, infinity).  The solver is one Newton iteration in u = 1/t, where f_L
+is increasing and concave, from a certified lower end (`solve_fugacity`).  The
+shell sums run in a fixed order, so the root and its step count do not depend
+on the BLAS thread count.  A double t resolves f_L to the roundoff of rho, so
+the residual reaches that roundoff at every L; y = 1 + t is formed only for
+output.  Solves take their lattice from `lattice.lattice_modes` and
+classifications rho_crit from `phonon_gas.rho_crit`, memos keyed on values, so
+calls at one (L, beta) or one beta share a build or a quadrature without being
+handed it.
 """
 
 from dataclasses import dataclass
@@ -24,11 +23,8 @@ from .errors import BracketError, UnsolvableDensity
 from .lattice import lattice_modes
 
 RESIDUAL_TOL = 1e-10
-# Brent in u = 1/t stops at this relative width; Newton in t finishes the root
-BRENT_RTOL = 1e-6
-# Newton stops at this many eps of the target density (or RESIDUAL_TOL if less):
-# f_L sums thousands of shells, so its rounding is a few eps of rho
-ROUNDOFF = 4.0 * np.finfo(float).eps
+# solve_fugacity fails when it takes this many Newton steps; near rho_crit at L = 640 it takes 13
+NEWTON_BUDGET = 100
 # classify_phase calls a target this close to rho_crit critical
 CRITICAL_TOL = 1e-9
 # critical_temperature brackets beta_c within this range
@@ -47,62 +43,56 @@ class FugacitySolution:
     bracket_bound: float
     target_density: float
     infrared_density: float
-    brent_iterations: int  # in u = 1/t, before the Newton polish
-    newton_steps: int  # Newton polish steps taken after it
+    newton_steps: int  # Newton steps in u = 1/t, each one density evaluation
     tail_bound: float  # the lattice's certified truncation tail
 
 
 def fugacity_bracket_bound(modes, target_density, infrared_density):
     """Upper bound on t_L = y_L - 1: [N_i/(rho - rho_ir)] L^{-d} (1 + sum e^{-beta F})."""
     vol = modes.box_size**modes.dimension
-    return (
-        modes.num_internal
-        / (target_density - infrared_density)
-        / vol
-        * (1.0 + modes.included_weight)
-    )
+    return modes.num_internal / (target_density - infrared_density) / vol * (1.0 + modes.included_weight)
 
 
 def solve_fugacity(box_size, target_density, beta, disp, n_ir=0.0, num_internal=1):
     """Unique t = y - 1 > 0 with f_L(1 + t) = target_density, residual below RESIDUAL_TOL.
 
-    Brent runs in u = 1/t, where f_L is nearly linear past rho_crit (its
-    zero-mode term is N_i u / L^d), on a bracket certified at both ends: f_L
-    is below the target at u = 1/bound, and above it at
-    u = 2 (rho - rho_ir) L^d / N_i, where the zero mode alone carries twice
-    rho - rho_ir.  Brent stops at BRENT_RTOL, and Newton steps in t finish the
-    root until the residual is at the roundoff of the target density.  Every
-    evaluation goes through `phonon_gas.lattice_density` at t = 1/u itself, so
-    no rounding of y limits the residual.
+    Newton runs in u = 1/t from u = 1/bound, where f_L is at most the target.
+    h(u) = f_L(1 + 1/u) - rho is increasing and concave in u (the zero mode
+    gives N_i u / L^d and each shell c w u / (a u + 1) / L^d with a >= 0), so
+    each tangent meets zero at or below the root and the iterates climb to it
+    monotonically; the first step that does not move u up ends the solve, a
+    stop that needs no tolerance.  dh/du = -t^2 f_L'(t).  Every evaluation
+    takes t = 1/u itself, so no rounding of y limits the residual.
     """
     modes = lattice_modes(box_size, disp, beta, num_internal)
-    vol = box_size**modes.dimension
-    rho_ir = n_ir / vol
+    rho_ir = n_ir / box_size**modes.dimension
     if target_density <= rho_ir:
         raise UnsolvableDensity(
             f"target density {target_density:g} does not exceed the infrared floor {rho_ir:g}"
         )
     bound = fugacity_bracket_bound(modes, target_density, rho_ir)
 
-    def g(t):
-        return phonon_gas.lattice_density(modes, t, n_ir) - target_density
+    def g(u):
+        return phonon_gas.lattice_density(modes, 1.0 / u, n_ir) - target_density
 
-    lo, hi = 1.0 / bound, 2.0 * (target_density - rho_ir) * vol / num_internal
-    g_lo, g_hi = g(1.0 / lo), g(1.0 / hi)
-    if g_lo > 0 or g_hi < 0:
-        raise BracketError(f"no sign change of the fugacity equation on u = 1/t in ({lo:g}, {hi:g})")
-    root = numerics.brentq(lambda u: g(1.0 / u), lo, hi, xtol=0.0, rtol=BRENT_RTOL, maxiter=200, fa=g_lo, fb=g_hi)
-    t, res = 1.0 / root.root, root.residual
-    newton_steps, stop = 0, min(ROUNDOFF * target_density, RESIDUAL_TOL)
-    while abs(res) > stop and newton_steps < 4:
-        t -= res / phonon_gas.lattice_density_derivative(modes, t)
-        res = g(t)
-        newton_steps += 1
+    u = 1.0 / bound
+    res = g(u)
+    if res > 0:
+        raise BracketError(f"the fugacity equation is positive at its certified lower end u = 1/t = {u:g}")
+    for newton_steps in range(NEWTON_BUDGET):
+        t = 1.0 / u
+        step = res / (t * t * phonon_gas.lattice_density_derivative(modes, t))  # -h / h'
+        if not u + step > u:
+            break
+        u += step
+        res = g(u)
+    else:
+        raise BracketError(f"fugacity Newton iteration still moving after {NEWTON_BUDGET} steps, at t = {1.0 / u!r}")
     residual = abs(res)
     if not residual <= RESIDUAL_TOL:  # a NaN residual fails too
         raise BracketError(f"fugacity residual {residual:.3e} at t = {t!r} above tolerance {RESIDUAL_TOL:g}")
     return FugacitySolution(float(box_size), float(t), float(residual), float(bound), float(target_density),
-                            float(rho_ir), root.iterations, newton_steps, modes.tail_bound)
+                            float(rho_ir), newton_steps, modes.tail_bound)
 
 
 @dataclass(frozen=True)

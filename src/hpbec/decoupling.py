@@ -1,9 +1,10 @@
 """Electron-phonon dressing transform on truncated tensor-product spaces.
 
-The generator S = sum_x n_x (x) phi(i lambda_x / omega) has diagonal n_x, so
-the unitary V = e^{i alpha S} is block diagonal over fermion basis states, and
-each block is a Kronecker product of single-mode exponentials; V is kept as
-those factors.  The module certifies numerically that conjugating the free
+The generator S = sum_x n_x (x) phi(i lambda_x / w), with w = omega - mu_b
+the energy H_b counts per boson, has diagonal n_x, so the unitary
+V = e^{i alpha S} is block diagonal over fermion basis states, and each block
+is a Kronecker product of single-mode exponentials; V is kept as those
+factors.  The module certifies numerically that conjugating the free
 boson part by V reproduces the interaction plus the density-density shift, that
 the spectrum of the coupled Hamiltonian H = H_e (x) 1 + 1 (x) H_b + alpha H_I
 matches the decoupled one, and that Gibbs expectations of A (x) W(f) factorize.
@@ -73,6 +74,10 @@ class CoupledSystem:
     @property
     def num_modes(self):
         return len(self.frequencies)
+
+    @property
+    def energies(self):  # w_j = omega_j - mu_b, the energy H_b gives one boson in mode j
+        return self.frequencies - self.mu_b
 
 
 
@@ -179,7 +184,7 @@ class CoupledOperators:
 
 def free_mode_hamiltonians(sys, level_cap):
     """w_j N with w_j = omega_j - mu_b: the single-mode terms of H_b, shape (M, cap + 1, cap + 1)."""
-    return (sys.frequencies - sys.mu_b)[:, None, None] * np.diag(np.arange(level_cap + 1.0))
+    return sys.energies[:, None, None] * np.diag(np.arange(level_cap + 1.0))
 
 
 def mode_hamiltonians(sys, amplitudes, level_cap):
@@ -232,16 +237,16 @@ def mode_amplitudes(sys):
 
 
 def mode_density_shifts(sys):
-    """|l[s, j]|^2 / omega_j: each mode's share of the density-density shift.
+    """|l[s, j]|^2 / w_j, w_j = omega_j - mu_b: each mode's share of the density-density shift.
 
     Summed over j it is sum_{x,y} R_xy n_x(s) n_y(s), with R the m = -1/2
-    discrete overlap.
+    discrete overlap in w (the one in omega at mu_b = 0).
     """
-    return np.abs(mode_amplitudes(sys)) ** 2 / sys.frequencies
+    return np.abs(mode_amplitudes(sys)) ** 2 / sys.energies
 
 
 def dressing_shifts(sys):
-    """(alpha^2/2) |l_sj|^2 / omega_j: each mode's share of the shift V takes off H_e.
+    """(alpha^2/2) |l_sj|^2 / w_j: each mode's share of the shift V takes off H_e.
 
     The conjugation identity closes with alpha^2/2 times the m = -1/2 overlap
     form under this field convention; this is the one place that factor lives.
@@ -250,16 +255,16 @@ def dressing_shifts(sys):
 
 
 def dressing_factors(sys, level_cap):
-    """V = e^{i alpha S} as its factors U[s, j] = exp(i alpha phi(g_sj)), g_s = i l_s / omega.
+    """V = e^{i alpha S} as its factors U[s, j] = exp(i alpha phi(g_sj)), g_s = i l_s / w.
 
-    S = sum_x n_x (x) phi(i lambda_x / omega) has diagonal n_x, so V is block
-    diagonal over the fermion basis states s, and S restricted to block s is
-    phi(g_s).  The truncated single-mode fields of phi(g_s) act on different
-    tensor factors and commute, so block s is exactly the Kronecker product
-    over modes j of the (cap+1) x (cap+1) matrices U[s, j].  The result has
-    shape (sector dim, num_modes, cap + 1, cap + 1).
+    S = sum_x n_x (x) phi(i lambda_x / w), w = omega - mu_b, has diagonal n_x,
+    so V is block diagonal over the fermion basis states s, and S restricted
+    to block s is phi(g_s).  The truncated single-mode fields of phi(g_s) act
+    on different tensor factors and commute, so block s is exactly the
+    Kronecker product over modes j of the (cap+1) x (cap+1) matrices U[s, j].
+    The result has shape (sector dim, num_modes, cap + 1, cap + 1).
     """
-    g = 1j * mode_amplitudes(sys) / sys.frequencies
+    g = 1j * mode_amplitudes(sys) / sys.energies
     return mode_weyl(sys.hubbard.coupling * g, level_cap)
 
 
@@ -299,7 +304,7 @@ def verify_dressing_identity(sys, level_caps):
     the truncation alone and must be monotone nonincreasing.  It is computed
     block by block and mode by mode: on fermion basis state s both sides are
     sums over modes j of single-mode operators, U[s, j] (w_j N) U[s, j]^dagger
-    on the left and w_j N + alpha phi(l_sj) + (alpha^2/2) |l_sj|^2 / omega_j on
+    on the left and w_j N + alpha phi(l_sj) + (alpha^2/2) |l_sj|^2 / w_j on
     the right (`mode_hamiltonians` plus the shift), with w_j = omega_j - mu_b,
     so no tensor-product matrix is formed.
     """
@@ -345,13 +350,13 @@ def verify_spectral_equivalence(sys, level_cap, num_levels=5):
 
 
 def discrete_phase_weights(sys, f_modes):
-    """w_x = Re <omega^{-1/2} f, omega^{-1/2} lambda_x> over the sampled modes."""
+    """Re <w^{-1/2} f, w^{-1/2} lambda_x> over the sampled modes, w_j = omega_j - mu_b."""
     f_modes = np.asarray(f_modes, dtype=complex)
     if f_modes.shape != (sys.num_modes,):
         raise ContractViolation(
             f"test vector has shape {f_modes.shape}, expected ({sys.num_modes},)"
         )
-    return np.real(sys.site_mode_couplings @ (np.conj(f_modes) / sys.frequencies))
+    return np.real(sys.site_mode_couplings @ (np.conj(f_modes) / sys.energies))
 
 
 def density_phase(sys, f_modes):

@@ -20,7 +20,8 @@ factors, w = exp(-beta F) and a = 1 - w = -expm1(-beta F), both computed
 without cancellation, read-only like the shells and their counts.  At
 fugacity y = 1 + t the Bose term of a shell is w / (a + t): every term is
 >= 0, nothing overflows (w underflows to 0 on deeply gapped shells) and a
-mode sum is one divide and one dot product.
+mode sum is one divide and one pairwise `np.sum` over the shells, whose
+order no BLAS thread count changes.
 """
 
 import functools
@@ -148,7 +149,7 @@ def build_lattice_modes(box_size, disp, beta, num_internal=1):
         counts = series[shells]  # modes per shell, 1 on shell 0
         exponents = -beta * np.asarray(disp.gap(np.sqrt(shells) * spacing), dtype=float)
         weights = np.exp(exponents)
-        included = float(counts @ weights)
+        included = float(np.sum(counts * weights))
         tail = _tail_bound(box_size, disp, beta, k_cut)
         if tail <= 1e-12 * included:
             break

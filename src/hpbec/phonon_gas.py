@@ -4,9 +4,11 @@ Finite-volume quantities are sums over the truncated lattice mode set, taken
 shell by shell (one kernel per occupied |n|^2, weighted by its count of nonzero
 modes or its sum of |f|^2) from the Bose factors w = e^{-beta F} and 1 - w that the
 lattice build stores, at the fugacity's offset t = y - 1 from the pole, so an
-evaluation computes no gap and no exponential and never forms y;
-the continuum density rho_fr and the critical density are
-radial integrals of the Bose factor 1/(y e^{beta F(k)} - 1).
+evaluation computes no gap and no exponential and never forms y.  Each shell
+sum is numpy's pairwise `np.sum` of the products, not a BLAS dot, so its
+rounding does not depend on the BLAS thread count.  The continuum density
+rho_fr and the critical density are radial integrals of the Bose factor
+1/(y e^{beta F(k)} - 1).
 """
 
 import functools
@@ -38,7 +40,7 @@ def lattice_density(modes, t, n_ir=0.0, *y_form):
         raise ValueError("infrared number must be nonnegative")
     bose = modes.weights / _bose_denominators(modes, t)
     n_i = modes.num_internal
-    total = n_i / t + n_ir + n_i * float(modes.nonzero_modes @ bose)
+    total = n_i / t + n_ir + n_i * float(np.sum(modes.nonzero_modes * bose))
     return total / modes.box_size**modes.dimension
 
 
@@ -47,7 +49,7 @@ def lattice_density_derivative(modes, t):
     term w/(a + t) contributes -w/(a + t)^2."""
     denom = _bose_denominators(modes, t)
     n_i = modes.num_internal
-    deriv = -n_i / t**2 - n_i * float(modes.nonzero_modes @ (modes.weights / np.square(denom)))
+    deriv = -n_i / t**2 - n_i * float(np.sum(modes.nonzero_modes * modes.weights / np.square(denom)))
     return deriv / modes.box_size**modes.dimension
 
 
@@ -142,6 +144,6 @@ def finite_volume_characteristic(modes, f, t, *y_form):
     i1 = cell * abs(f.zero_mode) ** 2 * (2.0 + t) / t
     # shell 0 is the zero mode alone, which I1 carries
     shell_f = modes.shell_sums(f.axis_factors)[1:]
-    i2 = cell * abs(f.amplitude) ** 2 * float(shell_f @ (1.0 + 2.0 * modes.weights[1:] / denom[1:]))
+    i2 = cell * abs(f.amplitude) ** 2 * float(np.sum(shell_f * (1.0 + 2.0 * modes.weights[1:] / denom[1:])))
     total = i1 + i2
     return CharacteristicRecord(float(i1), float(i2), float(total), float(np.exp(-total / 4.0)))

@@ -287,37 +287,70 @@ def test_classify_phase_reuses_the_memoized_critical_density(monkeypatch):
 
 @pytest.mark.parametrize("box_size", [10.0, 40.0, 80.0, 160.0])
 def test_newton_polish_stops_once_a_step_no_longer_moves_y(box_size):
-    """One Newton step in t takes Brent's loose root to the roundoff of rho, and the t
-    it returns is a fixed point of the step to the root's conditioning: one more step
-    would move it by at most ROUNDOFF rho / |f_L'(t)|, a few ulps of t, far below an
-    ulp of the printed y = 1 + t."""
+    """The t the solve returns is a fixed point of its Newton step in u = 1/t: the
+    step there, res / (t^2 f_L'(t)), does not move u up, so it does not move y = 1 + t
+    either.  The step in t there is at most 4 eps rho / |f_L'(t)|, a few ulps of t,
+    far below an ulp of the printed y."""
     rho = 2.0 * phonon_gas.rho_crit(DISP, 1.0)
     modes = build_lattice_modes(box_size, DISP, 1.0)
     sol = condensation.solve_fugacity(box_size, rho, 1.0, DISP)
-    assert sol.newton_steps <= 1
-    deriv = phonon_gas.lattice_density_derivative(modes, sol.t)
-    step = (phonon_gas.lattice_density(modes, sol.t) - rho) / deriv
-    assert abs(step) <= condensation.ROUNDOFF * rho / abs(deriv)
+    t = sol.t
+    res = phonon_gas.lattice_density(modes, t) - rho
+    assert abs(res) == sol.residual
+    deriv = phonon_gas.lattice_density_derivative(modes, t)
+    u = 1.0 / t
+    assert not u + res / (t * t * deriv) > u
+    assert abs(res / deriv) <= 4.0 * np.finfo(float).eps * rho / abs(deriv)
+
+
+def _count_density_calls(monkeypatch):
+    """Lists that collect the t of every lattice_density and lattice_density_derivative call."""
+    evals, derivs = [], []
+    density, derivative = phonon_gas.lattice_density, phonon_gas.lattice_density_derivative
+    monkeypatch.setattr(phonon_gas, "lattice_density", lambda *a, **k: evals.append(a[1]) or density(*a, **k))
+    monkeypatch.setattr(
+        phonon_gas, "lattice_density_derivative", lambda *a, **k: derivs.append(a[1]) or derivative(*a, **k)
+    )
+    return evals, derivs
 
 
 def test_fugacity_solve_counts_its_density_evaluations(monkeypatch):
-    """Both bracket ends once, one per Brent step after the first, one per Newton step:
-    8 or 9 in all at rho = 2 rho_crit, since f_L is nearly linear in u = 1/t past
-    rho_crit and one Newton step in t reaches the roundoff of rho."""
-    evals = []
-    density = phonon_gas.lattice_density
-
-    def counted(*args, **kwargs):
-        evals.append(args[1])
-        return density(*args, **kwargs)
-
-    monkeypatch.setattr(phonon_gas, "lattice_density", counted)
+    """One density evaluation at the certified lower end u = 1/bound and one per
+    Newton step, one derivative per step and one more for the step that stops:
+    at most 7 evaluations at rho = 2 rho_crit, where f_L is nearly linear in
+    u = 1/t.  The iterates climb: t falls at every step."""
+    evals, derivs = _count_density_calls(monkeypatch)
     rho = 2.0 * phonon_gas.rho_crit(DISP, 1.0)
-    for L, most in ((5.0, 8), (10.0, 8), (20.0, 9), (40.0, 9), (80.0, 9)):
+    for L in (5.0, 10.0, 20.0, 40.0, 80.0):
+        evals.clear(), derivs.clear()
+        sol = condensation.solve_fugacity(L, rho, 1.0, DISP)
+        assert len(evals) == len(derivs) == sol.newton_steps + 1 <= 7
+        assert evals == sorted(evals, reverse=True) and evals[-1] == sol.t
+        assert sol.tail_bound > 0.0
+
+
+def test_normal_phase_solve_needs_few_density_evaluations(monkeypatch):
+    """Below rho_crit the root sits far from the zero mode's regime, yet Newton from
+    the lower end reaches it in at most 8 density evaluations."""
+    evals, _ = _count_density_calls(monkeypatch)
+    rho = 0.5 * phonon_gas.rho_crit(DISP, 1.0)
+    for L in (20.0, 40.0, 80.0):
         evals.clear()
         sol = condensation.solve_fugacity(L, rho, 1.0, DISP)
-        assert len(evals) == 2 + (sol.brent_iterations - 1) + sol.newton_steps <= most
-        assert sol.tail_bound > 0.0
+        assert len(evals) == sol.newton_steps + 1 <= 8
+        assert sol.residual <= 4.0 * np.finfo(float).eps * rho
+
+
+def test_fugacity_solve_fails_loudly_outside_its_certificate(monkeypatch):
+    """A lower end at which f_L already exceeds the target, and an iteration that
+    is still climbing when its step budget runs out, each raise BracketError."""
+    rho = 2.0 * phonon_gas.rho_crit(DISP, 1.0)
+    monkeypatch.setattr(condensation, "NEWTON_BUDGET", 2)
+    with pytest.raises(BracketError, match="still moving after 2 steps"):
+        condensation.solve_fugacity(10.0, rho, 1.0, DISP)
+    monkeypatch.setattr(condensation, "fugacity_bracket_bound", lambda *args: 1e-9)
+    with pytest.raises(BracketError, match="positive at its certified lower end"):
+        condensation.solve_fugacity(10.0, rho, 1.0, DISP)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -349,4 +382,4 @@ def test_former_rounding_floor_cases_solve_to_roundoff():
     for beta, scale, box_size in ((0.1, 2.0, 80.0), (1.0, 100.0, 40.0), (0.3, 10.0, 80.0), (1.0, 2.0, 800.0)):
         rho = scale * phonon_gas.rho_crit(DISP, beta)
         sol = condensation.solve_fugacity(box_size, rho, beta, DISP)
-        assert sol.residual <= condensation.ROUNDOFF * rho <= condensation.RESIDUAL_TOL
+        assert sol.residual <= 4.0 * np.finfo(float).eps * rho <= condensation.RESIDUAL_TOL

@@ -186,7 +186,7 @@ def test_build_keeps_each_shells_bose_factors_read_only(box_size, disp):
     assert np.array_equal(modes.deficits, -np.expm1(exponents))
     assert (modes.weights[0], modes.deficits[0]) == (1.0, 0.0)
     units = modes.shell_sums(lambda k: np.ones((modes.dimension, k.size)))
-    assert modes.included_weight == float(units @ modes.weights)
+    assert modes.included_weight == float(np.sum(units * modes.weights))  # fixed order, not a BLAS dot
     assert np.array_equal(modes.nonzero_modes, np.r_[0.0, units[1:]])
     assert modes.nonzero_modes[0] == 0.0
     for array in (modes.weights, modes.deficits, modes.nonzero_modes):
