@@ -1,13 +1,13 @@
 """Command-line driver: config ingestion, experiment orchestration, and
 machine-readable emission (CSV tables, JSON summaries, run manifest).
 
-Exit codes: 0 success, 2 validation/contract failure, 3 numerical divergence,
+Exit codes: 0 success, 2 usage error or validation/contract failure, 3 numerical divergence,
 4 verification failure (a residual ladder came back non-monotone).
 """
 
-import argparse
 import copy
 import csv
+import getopt
 import hashlib
 import json
 import os
@@ -508,26 +508,67 @@ COMMANDS = {
 }
 
 
+CHOICES = sorted([*COMMANDS, "full-report"])
+
+USAGE = f"""\
+usage: hpbec --command COMMAND [--config PATH] [--out DIR] [--override KEY=VALUE]...
+
+Finite Hubbard-phonon laboratory: condensation, dressing, and BEC states.
+
+options:
+  -h, --help            print this help and exit
+  --command COMMAND     the command to run (below)
+  --config PATH         JSON config path (defaults applied)
+  --out DIR             output directory
+  --override KEY=VALUE  dotted-path config override, value parsed as JSON; repeatable
+
+commands:
+  {", ".join(CHOICES)}
+"""
+
+
+def usage_error(problem):
+    """Print USAGE and the problem on stderr and exit 2."""
+    print(f"{USAGE}\nhpbec: error: {problem}", file=sys.stderr)
+    sys.exit(EXIT_VALIDATION)
+
+
+def parse_args(argv):
+    """The command, config path, output directory and overrides that argv gives.  A long
+    option may be any unique prefix of its name and may take its value after `=`; the
+    last of a repeated option wins, except --override, which collects.  -h/--help
+    prints USAGE and exits 0; a usage error exits 2 (`usage_error`)."""
+    try:
+        opts, rest = getopt.getopt(argv, "h", ["help", "command=", "config=", "out=", "override="])
+    except getopt.GetoptError as err:
+        usage_error(err)
+    if rest:
+        usage_error(f"unexpected argument {rest[0]!r}")
+    found = {"--command": None, "--config": None, "--out": None, "--override": []}
+    for opt, value in opts:
+        if opt in ("-h", "--help"):
+            print(USAGE, end="")
+            sys.exit(EXIT_OK)
+        if opt == "--override":
+            found[opt].append(value)
+        else:
+            found[opt] = value
+    if found["--command"] is None:
+        usage_error("--command is required")
+    if found["--command"] not in CHOICES:
+        usage_error(f"--command {found['--command']!r} is not one of {', '.join(CHOICES)}")
+    return found["--command"], found["--config"], found["--out"], found["--override"]
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="hpbec",
-        description="Finite Hubbard-phonon laboratory: condensation, dressing, and BEC states.",
-    )
-    parser.add_argument("--command", choices=sorted([*COMMANDS, "full-report"]), required=True)
-    parser.add_argument("--config", default=None, help="JSON config path (defaults applied)")
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument(
-        "--override", action="append", default=[], metavar="KEY=VALUE",
-        help="dotted-path config override, value parsed as JSON",
-    )
-    args = parser.parse_args(argv)
+    command, config_path, out, overrides = parse_args(sys.argv[1:] if argv is None else argv)
 
     try:
-        config = load_config(args.config, args.override)
-        out_dir = args.out or os.environ.get(OUT_DIR_ENV) or config["output"]["directory"]
-        emitter = Emitter(out_dir, config, args.command)
+        config = load_config(config_path, overrides)
+        out_dir = out or os.environ.get(OUT_DIR_ENV) or config["output"]["directory"]
+        emitter = Emitter(out_dir, config, command)
         # full-report runs every command, in this order, into one output directory
-        for name in COMMANDS if args.command == "full-report" else (args.command,):
+        for name in COMMANDS if command == "full-report" else (command,):
             code = emitter.stage(name, COMMANDS[name])
             if code != EXIT_OK:
                 break

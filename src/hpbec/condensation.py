@@ -62,7 +62,8 @@ def solve_fugacity(box_size, target_density, beta, disp, n_ir=0.0, num_internal=
     each tangent meets zero at or below the root and the iterates climb to it
     monotonically; the first step that does not move u up ends the solve, a
     stop that needs no tolerance.  dh/du = -t^2 f_L'(t).  Every evaluation
-    takes t = 1/u itself, so no rounding of y limits the residual.
+    takes t = 1/u itself, so no rounding of y limits the residual.  A target
+    so dense that t^2 underflows is a BracketError naming it and L.
     """
     modes = lattice_modes(box_size, disp, beta, num_internal)
     rho_ir = n_ir / box_size**modes.dimension
@@ -81,6 +82,11 @@ def solve_fugacity(box_size, target_density, beta, disp, n_ir=0.0, num_internal=
         raise BracketError(f"the fugacity equation is positive at its certified lower end u = 1/t = {u:g}")
     for newton_steps in range(NEWTON_BUDGET):
         t = 1.0 / u
+        if t * t == 0.0:
+            raise BracketError(
+                f"target density {target_density:g} at L = {box_size:g} takes t = y - 1 to {t!r}, "
+                "whose square underflows to 0"
+            )
         step = res / (t * t * phonon_gas.lattice_density_derivative(modes, t))  # -h / h'
         if not u + step > u:
             break

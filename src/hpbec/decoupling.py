@@ -250,8 +250,14 @@ def dressing_shifts(sys):
 
     The conjugation identity closes with alpha^2/2 times the m = -1/2 overlap
     form under this field convention; this is the one place that factor lives.
+    OverflowError, naming alpha, if alpha^2 overflows.
     """
-    return 0.5 * sys.hubbard.coupling**2 * mode_density_shifts(sys)
+    alpha = sys.hubbard.coupling
+    try:
+        alpha_sq = alpha**2
+    except OverflowError:
+        raise OverflowError(f"hubbard.alpha = {alpha:g} is too large: alpha^2 overflows") from None
+    return 0.5 * alpha_sq * mode_density_shifts(sys)
 
 
 def dressing_factors(sys, level_cap):

@@ -1,7 +1,8 @@
 """Reference quantities the tests compare hpbec against, which no command needs:
 closed forms, an overlap quadrature written from its definition, the pair
-of Bessel identities behind the chi-average of `bec_states`, and the lattice
-point counts of Z^3 in integer arithmetic.
+of Bessel identities behind the chi-average of `bec_states`, the lattice
+point counts of Z^3 in integer arithmetic, and the shell series of a product
+weight built one axis at a time.
 """
 
 import math
@@ -9,7 +10,7 @@ import math
 import numpy as np
 from scipy.special import j0
 
-from hpbec import numerics
+from hpbec import lattice, numerics
 from hpbec.couplings import radial_reduced_integral
 
 
@@ -58,3 +59,14 @@ def sphere_counts_3d(m_max):
     for c in a:
         r3[c * c :] += r2[: m_max + 1 - c * c]
     return r3
+
+
+def per_axis_sphere_series(rows, m_max):
+    """The shell series of `lattice._sphere_series` with every axis a shift-and-add:
+    from the point n = 0, one `lattice._add_axis` per row, N = isqrt(m_max)."""
+    n_axis = math.isqrt(m_max)
+    series = np.zeros(m_max + 1)
+    series[0] = 1.0
+    for row in rows:
+        series = lattice._add_axis(series, row[n_axis], row[n_axis + 1 :] + row[n_axis - 1 :: -1])
+    return series

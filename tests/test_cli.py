@@ -182,6 +182,56 @@ def test_threads_flag_is_gone():
         run(["--command", "validate", "--threads", "1"])
 
 
+def test_help_exits_0_with_a_usage_that_names_every_command(capsys):
+    for flag in ("-h", "--help", "--he"):
+        with pytest.raises(SystemExit) as exit_:
+            run([flag])
+        assert exit_.value.code == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert out == cli.USAGE
+        assert all(name in out for name in [*cli.COMMANDS, "full-report"])
+
+
+@pytest.mark.parametrize("argv,problem", [
+    ([], "--command is required"),
+    (["--command", "condence"], "'condence' is not one of"),
+    (["--command", "validate", "--seed", "1"], "--seed not recognized"),
+    (["--command", "validate", "stray"], "unexpected argument 'stray'"),
+    (["--co", "validate"], "--co not a unique prefix"),
+    (["--command"], "--command requires argument"),
+], ids=["missing-command", "unknown-command", "unknown-option", "stray-argument", "ambiguous-prefix", "no-value"])
+def test_usage_errors_exit_2_with_the_usage_on_stderr(capsys, argv, problem):
+    with pytest.raises(SystemExit) as exit_:
+        run(argv)
+    assert exit_.value.code == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(cli.USAGE) and problem in captured.err
+
+
+def test_option_values_may_follow_an_equals_sign_or_a_prefix(tmp_path):
+    """--override=K=V is --override K=V; repeated overrides apply in order, as before."""
+    spellings = [
+        ["--command", "validate", "--out", str(tmp_path / "a"),
+         "--override", "thermo.beta=2.0", "--override", "sweep.level_caps=[3]", "--override", "thermo.beta=0.5"],
+        ["--comm=validate", "--ou", str(tmp_path / "b"),
+         "--override=thermo.beta=2.0", "--overr=sweep.level_caps=[3]", "--override", "thermo.beta=0.5"],
+    ]
+    for argv in spellings:
+        assert run(argv) == cli.EXIT_OK
+    manifests = [json.loads((tmp_path / sub / "manifest.json").read_text()) for sub in "ab"]
+    assert manifests[0]["config_sha256"] == manifests[1]["config_sha256"]
+    overrides = cli.parse_args(spellings[1])[3]
+    assert overrides == ["thermo.beta=2.0", "sweep.level_caps=[3]", "thermo.beta=0.5"]
+    assert cli.load_config(None, overrides) == cli.load_config(None, ["thermo.beta=0.5", "sweep.level_caps=[3]"])
+
+
+def test_module_entry_point_prints_help():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-m", "hpbec.cli", "--help"], env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stdout, out.stderr) == (cli.EXIT_OK, cli.USAGE, "")
+
+
 def test_bec_states_makes_one_q1_quadrature_per_test_function(tmp_path, monkeypatch):
     """The CSV column computes q1; decomposition_gap and psi_bec reuse it."""
     bec_states._q1.cache_clear()
@@ -420,18 +470,18 @@ def test_stage_peak_rss_is_the_commands_own_not_its_launchers(tmp_path):
     assert 0 < stage["peak_rss_kib"] < held // 1024
 
 
-def test_no_command_loads_a_numpy_module_that_importing_the_cli_did_not(tmp_path):
-    """numpy loads some submodules (numpy.ma, numpy.random, numpy.polynomial) on
-    first use, at 10-15 ms each in a fresh interpreter.  Importing hpbec.cli
-    loads every one a command needs, so that cost is paid at import and never
-    inside a command: a full-report in a fresh process loads none."""
+def test_no_command_loads_a_module_that_importing_the_cli_did_not(tmp_path):
+    """A module a command loads on first use is paid for inside the command, in every
+    fresh process: numpy's submodules (numpy.ma, numpy.random, numpy.polynomial) take
+    10-15 ms each, and an argparse parser's first message lookup loads `locale`.
+    Importing hpbec.cli loads every module a command needs, so a full-report in a
+    fresh process loads none."""
     script = (
         "import json, sys\n"
         "from hpbec import cli\n"
-        "loaded = lambda: {m for m in sys.modules if m.split('.')[0] == 'numpy'}\n"
-        "before = loaded()\n"
+        "before = set(sys.modules)\n"
         f"code = cli.main({json.dumps(['--command', 'full-report', '--out', str(tmp_path)])})\n"
-        "print(json.dumps([code, sorted(loaded() - before)]))\n"
+        "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n"
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -446,10 +496,14 @@ def test_no_command_loads_a_numpy_module_that_importing_the_cli_did_not(tmp_path
 )
 def test_arithmetic_errors_map_to_divergence_exit(tmp_path, capsys, command, override):
     """Values the schema accepts but that overflow downstream: at rho = 1e300 the root
-    t underflows, so t^2 divides by zero, and alpha = 1e200 overflows alpha^2.  Both are
-    ArithmeticErrors, exit 3 with a message, not a traceback."""
+    t underflows so far that t^2 is 0, and alpha = 1e200 overflows alpha^2.  Each exits 3
+    with a message that names the input, not a traceback."""
     assert run(["--command", command, "--out", str(tmp_path / "r"), "--override", override]) == cli.EXIT_DIVERGENCE
-    assert capsys.readouterr().err.startswith("numerical divergence: ")
+    err = capsys.readouterr().err
+    assert err.startswith("numerical divergence: ")
+    names = {"condense": ["target density 1e+300", "L = 10", "underflows"],
+             "decouple-verify": ["hubbard.alpha = 1e+200", "overflows"]}[command]
+    assert all(name in err for name in names), err
 
 
 def test_non_finite_csv_rows_map_to_divergence_exit(tmp_path):

@@ -10,7 +10,8 @@ from hpbec.dispersion import quadratic_dispersion, tabulated_dispersion
 from hpbec.errors import BracketError
 from hpbec.lattice import build_lattice_modes
 from lattice_ball import ball
-from references import sphere_counts_3d
+from hpbec.testfunctions import gaussian_test_function
+from references import per_axis_sphere_series, sphere_counts_3d
 
 DISP = quadratic_dispersion()
 
@@ -218,6 +219,20 @@ def test_shell_counts_past_1e5_shells_match_an_int64_reference():
     assert np.array_equal(modes.shells, np.flatnonzero(r3))
     assert r3[0] == 1 and np.array_equal(modes.nonzero_modes[1:], r3[modes.shells[1:]])
     assert modes.num_modes == r3.sum()
+
+
+@pytest.mark.parametrize("m_max", [0, 1, 49, 50, 5973], ids=["zero", "one", "square", "non-square", "L80-cut"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sphere_series_matches_the_per_axis_shift_and_add_bitwise(d, m_max):
+    """The bincount over the first two axes adds each shell's terms in the order the
+    second axis's shift-and-add did, so counts and Gaussian shell sums are the same bits.
+    m_max = 5973 is the cut of L = 80 at beta = 1."""
+    n_axis = math.isqrt(m_max)
+    units = np.ones((d, 2 * n_axis + 1))
+    axis_k = np.arange(-n_axis, n_axis + 1) * 2.0 * np.pi / 80.0
+    gaussian = gaussian_test_function(d, center=[0.3, -0.2, 0.1][:d], width=0.7).axis_factors(axis_k)
+    for rows in (units, gaussian):
+        assert np.array_equal(lattice._sphere_series(rows, m_max), per_axis_sphere_series(rows, m_max))
 
 
 def test_non_converging_truncation_raises(monkeypatch, tmp_path):
