@@ -263,7 +263,7 @@ def combined_limit(box_sizes, f, disp, beta, target_density, regime_report, elec
         )
         boson_limit = psi_bec(f, disp, beta, phase)
     else:
-        boson_limit = psi_normal(f, disp, beta, regime_report.y_infinity)
+        boson_limit = psi_normal(f, disp, beta, regime_report.normal_fugacity)
     limit = electron_value * boson_limit
 
     finite, gaps = [], []

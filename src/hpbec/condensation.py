@@ -104,32 +104,28 @@ def solve_fugacity(box_size, target_density, beta, disp, n_ir=0.0, num_internal=
 @dataclass(frozen=True)
 class PhaseReport:
     phase: str  # condensed | normal | critical
-    y_infinity: float
     normal_fugacity: float  # b solving rho_fr(beta, b) = rho_target (1.0 if condensed/critical)
     condensate_density: float
     critical_density: float
 
 
 def classify_phase(target_density, beta, disp, num_internal=1):
-    """Condensed/normal/critical trichotomy against rho_crit(beta)."""
+    """Condensed/normal/critical trichotomy against rho_crit(beta).  The normal
+    root lies in [1, rho_crit / rho]: rho_fr(y) = sum_n a_n y^{-n}, every a_n > 0,
+    so rho_fr(y) <= rho_crit / y.  Brent solves it to the last ulp of y; a root
+    above the bracket's cap at y = 1e18 is a BracketError."""
     rc = phonon_gas.rho_crit(disp, beta, num_internal)
     if abs(target_density - rc) <= CRITICAL_TOL:
-        return PhaseReport("critical", 1.0, 1.0, 0.0, rc)
+        return PhaseReport("critical", 1.0, 0.0, rc)
     if target_density > rc:
-        return PhaseReport("condensed", 1.0, 1.0, target_density - rc, rc)
+        return PhaseReport("condensed", 1.0, target_density - rc, rc)
 
     def g(y):
         return phonon_gas.rho_fr(disp, beta, y, num_internal) - target_density
 
-    hi = 2.0
-    g_hi = g(hi)
-    while g_hi > 0:
-        hi *= 4.0
-        if hi > 1e18:
-            raise BracketError("normal-phase fugacity bracket not found")
-        g_hi = g(hi)
-    b = numerics.brentq(g, 1.0 + 1e-13, hi, xtol=1e-13, rtol=8.9e-16, maxiter=300, fb=g_hi).root
-    return PhaseReport("normal", float(b), float(b), 0.0, rc)
+    hi = rc / max(target_density, 1e-18 * rc)  # rho_crit / rho, capped at 1e18, which a target <= 0 also gets
+    b = numerics.brentq(g, 1.0, hi, xtol=0.0, rtol=2.0 * np.finfo(float).eps, maxiter=300, fa=rc - target_density)
+    return PhaseReport("normal", float(b.root), 0.0, rc)
 
 
 @dataclass(frozen=True)

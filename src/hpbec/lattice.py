@@ -88,11 +88,16 @@ def _sphere_series(rows, m_max):
         return np.bincount(squares, weights=folded[0], minlength=m_max + 1)
     # the pairs (a, b) with a^2 + b^2 <= m_max, b-major, so that each shell adds its terms
     # in the order of b, as a shift-and-add of the second axis onto the first does; b's
-    # weights and squares are repeats, so no array of b is formed
+    # weights and squares are repeats, and at most three pair-sized arrays are ever alive
     runs = np.array([math.isqrt(m_max - s) + 1 for s in squares.tolist()])  # a = 0..runs[b] - 1
     a = np.arange(runs.sum()) - np.repeat(np.cumsum(runs) - runs, runs)
-    weights = np.repeat(folded[1], runs) * folded[0][a]
-    series = np.bincount(squares[a] + np.repeat(squares, runs), weights=weights, minlength=m_max + 1)
+    weights = folded[0][a]
+    weights *= np.repeat(folded[1], runs)
+    index = squares[a]
+    del a
+    index += np.repeat(squares, runs)
+    series = np.bincount(index, weights=weights, minlength=m_max + 1)
+    del index, weights
     for row in folded[2:]:
         series = _add_axis(series, row[0], row[1:])
     return series

@@ -62,7 +62,7 @@ def _kronrod_panels(f, lo, hi):
     shape of those axes, () for a scalar integrand.
     """
     center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    fv = np.asarray(f(center[:, None] + half[:, None] * _NODES))
+    fv = np.asarray(f(center[..., None] + half[..., None] * _NODES))
     resk, resg = fv @ _KRONROD, fv @ _GAUSS
     width = np.abs(half)
     resabs = width * (np.abs(fv) @ _KRONROD)
@@ -71,7 +71,7 @@ def _kronrod_panels(f, lo, hi):
     scaled = resasc * np.minimum(1.0, (200.0 * err / np.where(resasc > 0, resasc, 1.0)) ** 1.5)
     err = np.where((resasc != 0) & (err != 0), scaled, err)
     err = np.where(resabs > _TINY / (50.0 * _EPS), np.maximum(50.0 * _EPS * resabs, err), err)
-    flat = (-1, len(lo))
+    flat = (-1, lo.shape[-1])
     return (resk * half).reshape(flat), err.reshape(flat), resabs.reshape(flat), fv.shape[:-2]
 
 
@@ -89,37 +89,40 @@ def _first_occurrences(indices):
 def integrate(f, a, b, epsabs, epsrel, limit):
     """Globally adaptive G7-K15 quadrature of f over [a, b].
 
-    `f` maps an (intervals, 15) array of nodes to values of shape
-    (..., intervals, 15), real or complex; it is called once per pass.  Axes
-    before the last two are components: a stack of integrands that share
-    their panels, each held to its own tolerance.  The first pass evaluates
-    8 equal panels of [a, b] (at most `limit`) rather than QUADPACK's one:
-    the integrands here are smooth on intervals cut from their decay, so a
-    one-panel start spends its first passes on predictable bisections, and
-    each pass has a fixed cost however few panels it evaluates.  (A
-    `bec-suite` benchmark round, seed 11, makes 322, 159, 133 and 168 passes
-    from 1, 4, 8 and 16 starting panels.)  Each later pass bisects the
-    largest-error panels whose removal would bring a component's summed
-    error estimate within max(epsabs, epsrel |value|, 100 eps integral |f|),
-    over the union of the panels the unconverged components need.  The last
-    term is the estimator's own floor: each panel's estimate is at least
-    50 eps times its integral of |f|, so a tolerance below it cannot be met.
-    Returns Quadrature(value, error, evaluations, passes), with value and error
-    arrays of the components' shape if there are any; raises BracketError if
-    the integrand is not finite at a node or `limit` panels do not reach the
-    tolerance.
+    `f` maps nodes of shape (..., intervals, 15) to values of that shape with
+    any further leading axes, real or complex, once per pass.  Value axes
+    before the last two are components: a stack of integrands, each held to
+    its own tolerance, that share their panels by index and either one
+    interval or, when `a` and `b` are arrays of their shape, one each (the
+    nodes then carry that shape).  The first pass evaluates 8 equal panels of
+    each interval (at most `limit`), with np.linspace's edges a + i ((b - a)/8)
+    and b last, not QUADPACK's one: the integrands here are smooth on intervals
+    cut from their decay, and each pass has a fixed cost however few panels
+    it evaluates.  (A `bec-suite` benchmark round, seed 11, makes 322, 159,
+    133 and 168 passes from 1, 4, 8 and 16 starting panels.)  Each later pass
+    bisects, over the union the unconverged components need, the largest-error
+    panels whose removal would bring a component's summed error estimate within
+    max(epsabs, epsrel |value|, 100 eps integral |f|); the last term is the
+    estimator's own floor, each panel's estimate being at least 50 eps times
+    its integral of |f|.  Returns Quadrature(value, error, evaluations, passes),
+    value and error of the components' shape if there are any, evaluations
+    counted per component; raises BracketError if the integrand is not finite
+    at a node or `limit` panels do not reach the tolerance.
     """
-    edges = np.linspace(float(a), float(b), min(_START_PANELS, limit) + 1)
-    lo, hi = edges[:-1], edges[1:]
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    start = min(_START_PANELS, limit)
+    edges = a[..., None] + np.arange(start + 1.0) * ((b - a) / start)[..., None]
+    edges[..., -1] = b
+    lo, hi = edges[..., :-1], edges[..., 1:]
     vals, errs, absvals, shape = _kronrod_panels(f, lo, hi)
-    evaluations, passes = 15 * len(lo), 1
+    evaluations, passes = 15 * start, 1
     while True:
         value, error, integral_abs = vals.sum(axis=1), errs.sum(axis=1), absvals.sum(axis=1)
         # each component's tolerance test, on Python floats; a scalar integrand is one component
         needs, worst = [], ()
         for panel_errs, v, e, s in zip(errs, value.tolist(), error.tolist(), integral_abs.tolist()):
             if not math.isfinite(e):
-                raise BracketError(f"integrand is not finite on [{a:g}, {b:g}]")
+                raise BracketError(f"integrand is not finite on [{a.min():g}, {b.max():g}]")
             tol = max(epsabs, epsrel * abs(v), 100.0 * _EPS * s)
             if e > tol:
                 needs.append(_largest_errors(panel_errs, e - tol))
@@ -128,22 +131,22 @@ def integrate(f, a, b, epsabs, epsrel, limit):
             if shape:
                 return Quadrature(value.reshape(shape), error.reshape(shape), evaluations, passes)
             return Quadrature(value[0].item(), error[0].item(), evaluations, passes)
-        if len(lo) >= limit:
+        if lo.shape[-1] >= limit:
             raise BracketError(
-                f"quadrature on [{a:g}, {b:g}] reached {limit} intervals with error "
+                f"quadrature on [{a.min():g}, {b.max():g}] reached {limit} intervals with error "
                 f"estimate {worst[1]:.3e} above tolerance {worst[2]:.3e}"
             )
         split = needs[0] if len(needs) == 1 else _first_occurrences(np.concatenate(needs))
-        split = split[: limit - len(lo)]
-        keep = np.ones(len(lo), dtype=bool)
+        split = split[: limit - lo.shape[-1]]
+        keep = np.ones(lo.shape[-1], dtype=bool)
         keep[split] = False
         kept = keep.nonzero()[0]
-        mid = 0.5 * (lo[split] + hi[split])
-        new_lo, new_hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+        mid = 0.5 * (lo[..., split] + hi[..., split])
+        new_lo, new_hi = np.concatenate([lo[..., split], mid], axis=-1), np.concatenate([mid, hi[..., split]], axis=-1)
         new_vals, new_errs, new_abs, _ = _kronrod_panels(f, new_lo, new_hi)
-        evaluations += 15 * len(new_lo)
+        evaluations += 15 * new_lo.shape[-1]
         passes += 1
-        lo, hi = np.concatenate([lo[kept], new_lo]), np.concatenate([hi[kept], new_hi])
+        lo, hi = np.concatenate([lo[..., kept], new_lo], axis=-1), np.concatenate([hi[..., kept], new_hi], axis=-1)
         vals = np.concatenate([vals.take(kept, axis=1), new_vals], axis=1)
         errs = np.concatenate([errs.take(kept, axis=1), new_errs], axis=1)
         absvals = np.concatenate([absvals.take(kept, axis=1), new_abs], axis=1)

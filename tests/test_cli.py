@@ -408,6 +408,13 @@ def test_phase_diagram_computes_rho_crit_once_per_beta(tmp_path, monkeypatch):
     assert betas == [0.5, 1.0, 2.0]  # one rho_crit quadrature per grid beta; the 9 classifications reuse it
 
 
+def test_phase_diagram_exits_divergent_on_a_target_beyond_the_bracket(tmp_path):
+    """A normal-phase root above y = 1e18 is a BracketError, exit 3."""
+    out = tmp_path / "r"
+    code = run(["--command", "phase-diagram", "--out", str(out), "--override", "phase_grid.densities=[1e-19]"])
+    assert code == cli.EXIT_DIVERGENCE
+
+
 def test_condense_writes_certificates(tmp_path):
     out = tmp_path / "run"
     code = run(
@@ -421,7 +428,7 @@ def test_condense_writes_certificates(tmp_path):
     rc = diag["rho_crit"]
     closed_form = 2.612375348685488 * (4.0 * np.pi) ** -1.5  # zeta(3/2) (4 pi beta)^{-3/2}, beta = 1
     assert abs(rc["value"] - closed_form) <= rc["error"] <= 1e-8 * closed_form
-    assert rc["evaluations"] == 2 * 8 * 15 and rc["passes"] == 2  # each piece converges on its 8 starting panels
+    assert rc["evaluations"] == 8 * 15 and rc["passes"] == 1  # both pieces converge on their 8 starting panels
     rows = list(csv.DictReader((out / "condense.csv").open()))
     solves = diag["fugacity_solves"]
     assert [s["box_size"] for s in solves] == [5.0, 8.0, 12.0]

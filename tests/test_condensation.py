@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import mpmath
 import numpy as np
@@ -67,7 +68,7 @@ def test_classify_phase_trichotomy():
     cond = condensation.classify_phase(2.0 * rc, 1.0, DISP)
     assert cond.phase == "condensed"
     assert cond.condensate_density == pytest.approx(rc, rel=1e-12)
-    assert cond.y_infinity == 1.0
+    assert cond.normal_fugacity == 1.0
 
     crit = condensation.classify_phase(rc, 1.0, DISP)
     assert crit.phase == "critical"
@@ -83,6 +84,47 @@ def test_normal_fugacity_solves_continuum_equation():
     rep = condensation.classify_phase(0.5 * rc, 1.0, DISP)
     back = phonon_gas.rho_fr(DISP, 1.0, rep.normal_fugacity)
     assert back == pytest.approx(0.5 * rc, rel=1e-10)
+
+
+def _mpmath_normal_root(rho, beta):
+    """The y with Li_{3/2}(1/y) (4 pi beta)^{-3/2} = rho on the quadratic gas, at 40 digits."""
+    with mpmath.workdps(40):
+        scale = (4 * mpmath.pi * mpmath.mpf(beta)) ** -1.5
+        return mpmath.findroot(
+            lambda y: mpmath.polylog(1.5, 1 / y) * scale - mpmath.mpf(rho),
+            (mpmath.mpf(1), mpmath.mpf(phonon_gas.rho_crit(DISP, beta) / rho)), solver="anderson",
+        )
+
+
+@pytest.mark.parametrize("gap, t_star", [(1e-7, 5.4308e-15), (1e-6, 5.4308e-13)])
+def test_near_critical_normal_fugacity_is_within_an_ulp_of_the_root(gap, t_star):
+    """Just below rho_crit the root sits tens of ulps above y = 1, inside the
+    Bose pole's width; classify_phase still returns it to within one ulp."""
+    rho = (1.0 - gap) * phonon_gas.rho_crit(DISP, 1.0)
+    rep = condensation.classify_phase(rho, 1.0, DISP)
+    root = _mpmath_normal_root(rho, 1.0)
+    assert float(root - 1) == pytest.approx(t_star, rel=1e-4)
+    assert rep.phase == "normal"
+    assert abs(mpmath.mpf(rep.normal_fugacity) - root) <= np.spacing(rep.normal_fugacity)
+
+
+@pytest.mark.parametrize("disp", [quadratic_dispersion(), CURVED], ids=["quadratic", "curved"])
+@pytest.mark.parametrize("y", [1.0 + 1e-12, 1.5, 10.0, 1e6])
+def test_rho_fr_is_at_most_rho_crit_over_y(disp, y):
+    """rho_fr(y) = sum_n a_n y^{-n} with every a_n > 0, so rho_fr(y) <= rho_crit / y:
+    the upper end of classify_phase's bracket."""
+    assert phonon_gas.rho_fr(disp, 1.0, y) <= phonon_gas.rho_crit(disp, 1.0) / y
+
+
+@pytest.mark.parametrize("scale", [1e-19, 0.0, -0.5])
+def test_a_target_beyond_the_bracket_cap_raises_without_warnings(scale):
+    """At 1e-19 rho_crit the root lies above y = 1e18, where the bracket stops;
+    a target <= 0 has no root at all."""
+    rho = scale * phonon_gas.rho_crit(DISP, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BracketError):
+            condensation.classify_phase(rho, 1.0, DISP)
 
 
 def test_condensed_sequence_approaches_excess_density():

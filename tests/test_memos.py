@@ -96,7 +96,7 @@ def test_the_manifest_lists_every_cache():
     assert set(cli.MEMOS.values()) == set(_caches().values())
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(centers, widths, amplitudes, betas, omega0s)
 def test_a_warm_memo_returns_the_cold_value_bitwise(center, width, amplitude, beta, omega0):
     f = gaussian_test_function(3, center=center, width=width, amplitude=amplitude)
@@ -111,7 +111,7 @@ def test_a_warm_memo_returns_the_cold_value_bitwise(center, width, amplitude, be
     assert _bits(values()) == _bits(cold)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(centers, widths, amplitudes, betas, omega0s)
 def test_value_equal_inputs_built_apart_share_the_memo(center, width, amplitude, beta, omega0):
     _clear()

@@ -48,10 +48,26 @@ def test_rho_crit_error_estimate_bounds_its_miss_property(beta):
 
 @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
 def test_rho_crit_converges_in_one_pass_per_piece(beta):
-    """Each of the two pieces meets its tolerance on the 8 starting panels."""
+    """Both pieces, the components of one quadrature, meet their tolerances on
+    their 8 starting panels: one pass of 8 panels of 15 nodes per component."""
     rc = phonon_gas.rho_crit_quadrature(DISP, beta)
-    assert rc.passes == 2
-    assert rc.evaluations == 2 * 8 * 15
+    assert rc.passes == 1
+    assert rc.evaluations == 8 * 15
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("t", [1e-15, 1e-13, 1e-11, 1e-9, 1e-6, 1e-3, 0.5, 10.0])
+def test_rho_fr_certificate_covers_its_miss_near_the_pole(beta, t):
+    """On the quadratic gas rho_fr(y) = Li_{3/2}(1/y) (4 pi beta)^{-3/2}.  The pieces
+    graded by 4 toward the pole's width put the pole on the starting panels: one
+    pass at every t, and the error estimate covers the distance from the 40-digit
+    value down to t = 1e-15."""
+    y = 1.0 + t
+    q = phonon_gas.rho_fr_quadrature(DISP, beta, y)
+    assert q.passes == 1
+    with mpmath.workdps(40):
+        exact = mpmath.polylog(1.5, 1 / mpmath.mpf(y)) * (4 * mpmath.pi * mpmath.mpf(beta)) ** -1.5
+        assert abs(q.value - exact) <= q.error
 
 
 def test_rho_fr_series_oracle_above_one():
