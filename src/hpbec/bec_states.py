@@ -12,6 +12,7 @@ a real mean of cosines.
 """
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,12 +40,14 @@ class CondensatePhase:
             raise ValueError("r must be nonnegative")
         if self.condensate_density <= 0:
             raise ValueError("condensate density must be positive")
+        if not math.isfinite(self.amplitude):
+            raise OverflowError(f"condensate density {self.condensate_density:g}: its amplitude c overflows")
         object.__setattr__(self, "theta", float(np.mod(self.theta, 2.0 * np.pi)))
 
     @property
     def amplitude(self):
-        """c = 2 (2 pi)^d rho_0 / N_i > 0."""
-        return 2.0 * (2.0 * np.pi) ** self.dimension * self.condensate_density / self.num_internal
+        """c = 2 (2 pi)^d rho_0 / N_i > 0, in Python floats: an overflow gives inf, not a numpy warning."""
+        return 2.0 * (2.0 * np.pi) ** self.dimension * float(self.condensate_density) / self.num_internal
 
     def with_angles(self, r=None, theta=None):
         return replace(

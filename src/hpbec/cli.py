@@ -76,7 +76,6 @@ INCREASING = "a nonempty, strictly increasing list of "
 
 SCHEMA = {
     "dispersion": {
-        "name": Key("quadratic", 'the string "quadratic"', lambda v, _: v == "quadratic"),
         "omega0": Key(1.0, NUMBER, finite),
         "mu_b": Key(0.0, NUMBER, finite),
         "dimension": Key(3, COUNT, integer(1)),

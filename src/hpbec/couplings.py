@@ -13,8 +13,9 @@ scalar z = sqrt(c . c) (non-conjugated dot product): 2 cosh(kz) in d = 1,
 a quarter circle by its symmetry), and 4 pi sinh(kz)/(kz) in d = 3.  The
 radial factor is handled by adaptive quadrature of the complex integrand on
 a finite interval chosen from the Gaussian decay.  A stack of drift vectors
-is integrated in one vector quadrature; on the chain the Gram matrix is
-Toeplitz, so its whole first row is one such quadrature.
+is integrated in one quadrature call, each drift refined on panels of its
+own; on the chain the Gram matrix is Toeplitz, so its whole first row is one
+such call.
 """
 
 from dataclasses import dataclass, field
@@ -35,10 +36,9 @@ _QUARTER_WEIGHTS = np.concatenate([[2.0], np.full(63, 4.0), [2.0]]) / 256.0
 def _angular_factor(dimension, k, z):
     """Integral of exp(k . c) over the sphere |k| fixed, as a function of kz.
 
-    `k` is an array of radii; `z` is the complex scalar sqrt(c . c), or an
-    array of them whose axes lead those of the result.
+    `k` is an array of radii and `z` the complex sqrt(c . c), broadcast against it.
     """
-    kz = k * z[..., None, None] if np.ndim(z) else k * z
+    kz = k * z
     if dimension == 1:
         return 2.0 * np.cosh(kz)
     if dimension == 2:
@@ -55,8 +55,9 @@ def radial_reduced_integral(dimension, kappa, gamma, drift, weight=None, prefact
     """integral over |k| >= kappa of w(|k|) e^{-gamma|k|^2} e^{k.c} dk.
 
     `drift` is the complex vector c, or a stack (..., d) of them integrated
-    in one quadrature on the interval the widest one needs, each to its own
-    tolerance; `weight` maps an array of radii to complex values (default 1).
+    in one quadrature call on the interval the widest one needs, each on
+    panels of its own and to its own tolerance; `weight` maps an array of
+    radii to complex values (default 1).
     Returns a complex number, or an array of the stack's shape.
     """
     if gamma <= 0:
@@ -64,20 +65,19 @@ def radial_reduced_integral(dimension, kappa, gamma, drift, weight=None, prefact
     c = np.asarray(drift, dtype=complex)
     if c.shape[-1:] != (dimension,):
         raise ValueError(f"drift has shape {c.shape}, expected (..., {dimension})")
-    z = np.sqrt(np.sum(c * c, axis=-1) + 0j)
-    zmod = max(map(abs, z.ravel().tolist()))  # Python's abs: np.abs can differ in the last bit, and so move k_max
-    z = complex(z) if z.ndim == 0 else z
+    z = np.sqrt((c * c).sum(axis=-1) + 0j).reshape(-1)
+    zmod = max(map(abs, z.tolist()))  # Python's abs: np.abs can differ in the last bit, and so move k_max
     # beyond k_max the integrand is below exp(-_LOG_CUTOFF) of its peak
     k_max = (zmod + np.sqrt(zmod * zmod + 4.0 * gamma * _LOG_CUTOFF)) / (2.0 * gamma)
     k_max = max(k_max, kappa + 1.0)
 
-    def integrand(k):
-        base = k ** (dimension - 1) * np.exp(-gamma * k * k) * _angular_factor(dimension, k, z)
+    def integrand(k, comp):
+        base = k ** (dimension - 1) * np.exp(-gamma * k * k) * _angular_factor(dimension, k, z[comp][:, None])
         if weight is not None:
             base = base * weight(k)
         return base
 
-    quad = numerics.integrate(integrand, kappa, k_max, epsabs=1e-13, epsrel=1e-12, limit=300)
+    quad = numerics.integrate(integrand, np.full(c.shape[:-1], kappa), k_max, epsabs=1e-13, epsrel=1e-12, limit=300)
     return complex(prefactor) * quad.value
 
 

@@ -153,7 +153,7 @@ def infrared_gap_integral(disp, radius=1.0):
         raise InfraredDivergence(
             f"1/(omega - omega0) not integrable at k=0: local exponent {p:.3g} >= d={disp.dimension}"
         )
-    integrand = lambda k: k ** (disp.dimension - 1) / disp.gap(k)
+    integrand = lambda k, _: k ** (disp.dimension - 1) / disp.gap(k)
     val = numerics.integrate(integrand, 0.0, radius, epsabs=1.49e-8, epsrel=1.49e-8, limit=200).value
     return sphere_area(disp.dimension) * val
 

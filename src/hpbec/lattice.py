@@ -140,7 +140,7 @@ def _tail_bound(box_size, disp, beta, k_cut):
     spacing = 2.0 * np.pi / box_size
     r0 = max(k_cut - 0.5 * np.sqrt(d) * spacing, 0.0)
     hi = disp.gap_inverse(disp.gap(k_cut) + 200.0 / beta)
-    integrand = lambda k: k ** (d - 1) * np.exp(-beta * disp.gap(k))
+    integrand = lambda k, _: k ** (d - 1) * np.exp(-beta * disp.gap(k))
     val = numerics.integrate(integrand, r0, hi, epsabs=1.49e-8, epsrel=1.49e-8, limit=200).value
     return (box_size / (2.0 * np.pi)) ** d * sphere_area(d) * val
 

@@ -1,9 +1,9 @@
 """Numpy-only quadrature, root finding, Toeplitz fill and monotone interpolation.
 
 Each solver returns its certificate with its result: `integrate` the error
-estimate and the number of integrand evaluations (an integrand with leading
-component axes is a stack of integrands sharing one panel set, and gets a
-value and an error estimate per component), `brentq` the function value
+estimate and the number of integrand evaluations (arrays of intervals are a
+stack of integrals, each refined on panels of its own and given a value and
+an error estimate), `brentq` the function value
 at the root and the number of iterations.  Both raise BracketError when their
 budget runs out before the tolerance is met, instead of returning an
 unconverged value.
@@ -54,25 +54,20 @@ class Root(NamedTuple):
     iterations: int
 
 
-def _kronrod_panels(f, lo, hi):
-    """K15 values, QUADPACK error estimates and K15 integrals of |f| on the panels [lo_i, hi_i].
-
-    Each is an array (components, intervals): the integrand's leading
-    component axes flattened, then one entry per panel.  Also returns the
-    shape of those axes, () for a scalar integrand.
-    """
-    center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    fv = np.asarray(f(center[..., None] + half[..., None] * _NODES))
+def _kronrod_panels(f, lo, hi, comp):
+    """K15 values, QUADPACK error estimates and K15 integrals of |f| on the panels [lo_i, hi_i],
+    each of the shape of `lo`; f sees the panels flattened, with `comp` the component of each."""
+    center, half = 0.5 * (lo + hi).reshape(-1, 1), 0.5 * (hi - lo).reshape(-1)
+    fv = np.asarray(f(center + half[:, None] * _NODES, comp))
     resk, resg = fv @ _KRONROD, fv @ _GAUSS
     width = np.abs(half)
     resabs = width * (np.abs(fv) @ _KRONROD)
-    resasc = width * (np.abs(fv - 0.5 * resk[..., None]) @ _KRONROD)
+    resasc = width * (np.abs(fv - 0.5 * resk[:, None]) @ _KRONROD)
     err = np.abs((resk - resg) * half)
     scaled = resasc * np.minimum(1.0, (200.0 * err / np.where(resasc > 0, resasc, 1.0)) ** 1.5)
     err = np.where((resasc != 0) & (err != 0), scaled, err)
     err = np.where(resabs > _TINY / (50.0 * _EPS), np.maximum(50.0 * _EPS * resabs, err), err)
-    flat = (-1, lo.shape[-1])
-    return (resk * half).reshape(flat), err.reshape(flat), resabs.reshape(flat), fv.shape[:-2]
+    return (resk * half).reshape(lo.shape), err.reshape(lo.shape), resabs.reshape(lo.shape)
 
 
 def _largest_errors(errs, excess):
@@ -81,75 +76,78 @@ def _largest_errors(errs, excess):
     return order[: int(np.searchsorted(np.cumsum(errs[order]), excess)) + 1]
 
 
-def _first_occurrences(indices):
-    """`indices` without repeats, each where it first occurs: a panel two components need is split once."""
-    return indices[np.sort(np.unique(indices, return_index=True)[1])]
-
-
 def integrate(f, a, b, epsabs, epsrel, limit):
     """Globally adaptive G7-K15 quadrature of f over [a, b].
 
-    `f` maps nodes of shape (..., intervals, 15) to values of that shape with
-    any further leading axes, real or complex, once per pass.  Value axes
-    before the last two are components: a stack of integrands, each held to
-    its own tolerance, that share their panels by index and either one
-    interval or, when `a` and `b` are arrays of their shape, one each (the
-    nodes then carry that shape).  The first pass evaluates 8 equal panels of
-    each interval (at most `limit`), with np.linspace's edges a + i ((b - a)/8)
-    and b last, not QUADPACK's one: the integrands here are smooth on intervals
-    cut from their decay, and each pass has a fixed cost however few panels
-    it evaluates.  (A `bec-suite` benchmark round, seed 11, makes 322, 159,
-    133 and 168 passes from 1, 4, 8 and 16 starting panels.)  Each later pass
-    bisects, over the union the unconverged components need, the largest-error
-    panels whose removal would bring a component's summed error estimate within
-    max(epsabs, epsrel |value|, 100 eps integral |f|); the last term is the
-    estimator's own floor, each panel's estimate being at least 50 eps times
-    its integral of |f|.  Returns Quadrature(value, error, evaluations, passes),
-    value and error of the components' shape if there are any, evaluations
-    counted per component; raises BracketError if the integrand is not finite
-    at a node or `limit` panels do not reach the tolerance.
+    `a` and `b` broadcast to the shape of the components, one interval each.
+    Once per pass `f(nodes, comp)` gets nodes of shape (panels, 15) and the
+    flat component index of each panel, and returns values of the nodes'
+    shape, real or complex.  The first pass evaluates 8 equal panels of each
+    interval (at most `limit`), with np.linspace's edges a + i ((b - a)/8)
+    and b last, not QUADPACK's one: the integrands here are smooth on
+    intervals cut from their decay, and each pass has a fixed cost however
+    few panels it evaluates.  (A `bec-suite` benchmark round, seed 11, makes
+    322, 159, 133 and 168 passes from 1, 4, 8 and 16 starting panels.)  Each
+    later pass bisects, in each component above its tolerance max(epsabs,
+    epsrel |value|, 100 eps integral |f|), the largest-error panels whose
+    removal would bring its summed error estimate within it, as if it were
+    integrated alone; the last term is the estimator's own floor, each
+    panel's estimate being at least 50 eps of its integral of |f|.  Returns
+    Quadrature(value, error, evaluations, passes), value and error of the
+    components' shape unless a and b are scalars, evaluations the integrand
+    values computed; raises BracketError if the integrand is not finite at a
+    node or `limit` panels of a component do not reach its tolerance.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     start = min(_START_PANELS, limit)
     edges = a[..., None] + np.arange(start + 1.0) * ((b - a) / start)[..., None]
     edges[..., -1] = b
-    lo, hi = edges[..., :-1], edges[..., 1:]
-    vals, errs, absvals, shape = _kronrod_panels(f, lo, hi)
-    evaluations, passes = 15 * start, 1
+    shape, edges = edges.shape[:-1], edges.reshape(-1, start + 1)
+    # (components, slots) storage: a split panel's lower half keeps its slot, its upper half takes the next free one
+    lo, hi = edges[:, :-1], edges[:, 1:]
+    vals, errs, absvals = _kronrod_panels(f, lo, hi, np.arange(len(lo)).repeat(start))
+    value, error, integral_abs = vals.sum(axis=1), errs.sum(axis=1), absvals.sum(axis=1)
+    used, evaluations, passes = [start] * len(lo), 15 * lo.size, 1
     while True:
-        value, error, integral_abs = vals.sum(axis=1), errs.sum(axis=1), absvals.sum(axis=1)
-        # each component's tolerance test, on Python floats; a scalar integrand is one component
-        needs, worst = [], ()
-        for panel_errs, v, e, s in zip(errs, value.tolist(), error.tolist(), integral_abs.tolist()):
+        rows, slots, fresh, worst = [], [], [], ()  # the panels to bisect, and their upper halves' slots
+        for c, (v, e, s) in enumerate(zip(value.tolist(), error.tolist(), integral_abs.tolist())):
             if not math.isfinite(e):
                 raise BracketError(f"integrand is not finite on [{a.min():g}, {b.max():g}]")
             tol = max(epsabs, epsrel * abs(v), 100.0 * _EPS * s)
-            if e > tol:
-                needs.append(_largest_errors(panel_errs, e - tol))
+            if e > tol and used[c] >= limit:
                 worst = max(worst, (e - tol, e, tol))
-        if not needs:
-            if shape:
-                return Quadrature(value.reshape(shape), error.reshape(shape), evaluations, passes)
-            return Quadrature(value[0].item(), error[0].item(), evaluations, passes)
-        if lo.shape[-1] >= limit:
+            elif e > tol:
+                split = _largest_errors(errs[c, : used[c]], e - tol)[: limit - used[c]].tolist()
+                rows += [c] * len(split)
+                slots += split
+                fresh += range(used[c], used[c] + len(split))
+                used[c] += len(split)
+        if worst:
             raise BracketError(
                 f"quadrature on [{a.min():g}, {b.max():g}] reached {limit} intervals with error "
                 f"estimate {worst[1]:.3e} above tolerance {worst[2]:.3e}"
             )
-        split = needs[0] if len(needs) == 1 else _first_occurrences(np.concatenate(needs))
-        split = split[: limit - lo.shape[-1]]
-        keep = np.ones(lo.shape[-1], dtype=bool)
-        keep[split] = False
-        kept = keep.nonzero()[0]
-        mid = 0.5 * (lo[..., split] + hi[..., split])
-        new_lo, new_hi = np.concatenate([lo[..., split], mid], axis=-1), np.concatenate([mid, hi[..., split]], axis=-1)
-        new_vals, new_errs, new_abs, _ = _kronrod_panels(f, new_lo, new_hi)
-        evaluations += 15 * new_lo.shape[-1]
+        if not rows:
+            if shape:
+                return Quadrature(value.reshape(shape), error.reshape(shape), evaluations, passes)
+            return Quadrature(value[0].item(), error[0].item(), evaluations, passes)
+        if vals.shape[1] < limit:  # at the first split, storage for `limit` panels per component
+            grown = [np.zeros((len(x), limit), x.dtype) for x in (lo, hi, vals, errs, absvals)]
+            for g, x in zip(grown, (lo, hi, vals, errs, absvals)):
+                g[:, :start] = x
+            lo, hi, vals, errs, absvals = grown
+        rows, slots = np.array(rows), np.array(slots)
+        left, right = lo[rows, slots], hi[rows, slots]
+        mid = 0.5 * (left + right)
+        new_lo, new_hi = np.concatenate([left, mid]), np.concatenate([mid, right])
+        rows, slots = np.concatenate([rows, rows]), np.concatenate([slots, fresh])
+        lo[rows, slots], hi[rows, slots] = new_lo, new_hi
+        vals[rows, slots], errs[rows, slots], absvals[rows, slots] = _kronrod_panels(f, new_lo, new_hi, rows)
+        evaluations += 15 * len(rows)
         passes += 1
-        lo, hi = np.concatenate([lo[..., kept], new_lo], axis=-1), np.concatenate([hi[..., kept], new_hi], axis=-1)
-        vals = np.concatenate([vals.take(kept, axis=1), new_vals], axis=1)
-        errs = np.concatenate([errs.take(kept, axis=1), new_errs], axis=1)
-        absvals = np.concatenate([absvals.take(kept, axis=1), new_abs], axis=1)
+        width = max(used)
+        value = vals[:, :width].sum(axis=1)
+        error, integral_abs = errs[:, :width].sum(axis=1), absvals[:, :width].sum(axis=1)
 
 
 def brentq(f, a, b, xtol, rtol, maxiter, fa=None, fb=None):

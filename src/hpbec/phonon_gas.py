@@ -8,8 +8,8 @@ evaluation computes no gap and no exponential and never forms y.  Each shell
 sum is numpy's pairwise `np.sum` of the products, not a BLAS dot, so its
 rounding does not depend on the BLAS thread count.  The continuum density
 rho_fr and the critical density are radial integrals of the Bose factor
-1/(y e^{beta F(k)} - 1), each one numerics.integrate call over pieces graded
-by 4 toward the pole's width, so the pole lands on the starting panels.
+1/(y e^{beta F(k)} - 1), each one numerics.integrate call over pieces, each on its own
+panels, graded by 4 toward the pole's width, so the pole lands on the starting panels.
 """
 
 import functools
@@ -75,7 +75,7 @@ def rho_fr_quadrature(disp, beta, y, num_internal=1):
             f"Bose integral diverges at y = 1: the inverse gap is not integrable near k = 0 in dimension {d}"
         )
 
-    def integrand(k):
+    def integrand(k, _):
         # y e^{beta F} - 1 as two terms that are >= 0 for y >= 1, so nothing cancels near k = 0
         bf = beta * disp.gap(k)
         return k ** (d - 1) / (np.expm1(bf) + t * np.exp(bf))

@@ -37,7 +37,7 @@ def cross_overlap(family, disp, m, f, x):
 
 def bessel_identity_check(a, b):
     """|quad - closed form| for integral_0^inf e^{-ar} J0(sqrt(br)) dr = e^{-b/4a}/a."""
-    integrand = lambda r: np.exp(-a * r) * j0(np.sqrt(b * r))
+    integrand = lambda r, _: np.exp(-a * r) * j0(np.sqrt(b * r))
     val = numerics.integrate(integrand, 0.0, 60.0 / a, epsabs=1.49e-8, epsrel=1.49e-8, limit=300).value
     return abs(val - np.exp(-b / (4.0 * a)) / a)
 

@@ -365,5 +365,7 @@ def test_invalid_phase_parameters():
         bec_states.CondensatePhase(-0.1, 0.0, 0.05)
     with pytest.raises(ValueError):
         bec_states.CondensatePhase(1.0, 0.0, 0.0)
+    with pytest.raises(OverflowError, match="condensate density"):  # c = 2 (2 pi)^3 rho_0 is inf
+        bec_states.CondensatePhase(1.0, 0.0, np.float64(1e308))
     with pytest.raises(ValueError):
         bec_states.q_form("q3", gaussian_test_function(3), DISP, BETA)

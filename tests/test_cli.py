@@ -15,8 +15,8 @@ from hpbec import bec_states, cli, couplings, numerics, phonon_gas
 
 # an artifact each command writes
 ARTIFACT = {
-    "validate": "validate.json", "condense": "condense.csv", "phase-diagram": "phase_diagram.csv",
-    "decouple-verify": "decouple.json", "bec-states": "bec_states.csv", "fingerprint": "fingerprint.csv",
+    "condense": "condense.csv", "phase-diagram": "phase_diagram.csv", "decouple-verify": "decouple.json",
+    "bec-states": "bec_states.csv", "fingerprint": "fingerprint.csv", "validate": "validate.json",
 }
 SCHEMA_KEYS = [dotted for dotted, _, _ in cli.leaves(cli.SCHEMA, cli.defaults(cli.SCHEMA))]
 
@@ -115,7 +115,7 @@ def test_invalid_parameter_maps_to_validation_exit(tmp_path):
     code = run(
         [
             "--command", "condense", "--out", str(tmp_path / "r"),
-            "--override", "dispersion.name=\"bogus\"",
+            "--override", "dispersion.omega0=\"bogus\"",
         ]
     )
     assert code == cli.EXIT_VALIDATION
@@ -372,11 +372,12 @@ def test_readme_tables_every_config_key_with_its_default_and_what_it_accepts():
 
 
 def test_bec_states_fails_on_a_non_finite_value_before_writing(tmp_path, capsys):
-    """At rho_target = 1e308 the condensate amplitude c = 2 (2 pi)^3 rho_0 overflows: q0 is
-    infinite and the gap's chi-average would be NaN.  The run fails before any artifact."""
+    """At rho_target = 1e308 the condensate amplitude c = 2 (2 pi)^3 rho_0 overflows: the
+    phase refuses it where it is formed, before q0 or the gap's chi-average could be
+    computed from it.  The run fails before any artifact."""
     code = run(["--command", "bec-states", "--out", str(tmp_path), "--override", "thermo.rho_target=1e308"])
     assert code == cli.EXIT_DIVERGENCE
-    assert "test function 0: q0 = inf is not finite" in capsys.readouterr().err
+    assert "condensate density 1e+308: its amplitude c overflows" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
@@ -428,7 +429,7 @@ def test_condense_writes_certificates(tmp_path):
     rc = diag["rho_crit"]
     closed_form = 2.612375348685488 * (4.0 * np.pi) ** -1.5  # zeta(3/2) (4 pi beta)^{-3/2}, beta = 1
     assert abs(rc["value"] - closed_form) <= rc["error"] <= 1e-8 * closed_form
-    assert rc["evaluations"] == 8 * 15 and rc["passes"] == 1  # both pieces converge on their 8 starting panels
+    assert rc["evaluations"] == 2 * 8 * 15 and rc["passes"] == 1  # both pieces converge on their 8 starting panels
     rows = list(csv.DictReader((out / "condense.csv").open()))
     solves = diag["fugacity_solves"]
     assert [s["box_size"] for s in solves] == [5.0, 8.0, 12.0]
@@ -514,16 +515,30 @@ def test_arithmetic_errors_map_to_divergence_exit(tmp_path, capsys, command, ove
 
 
 def test_non_finite_csv_rows_map_to_divergence_exit(tmp_path):
-    """At rho = 1e308 the condensate amplitude overflows, and fingerprint recovers
-    NaN angles: the CSV artifact refuses them, names itself, and the run exits 3.
-    Run as a user runs it, where numpy's RuntimeWarning is a warning, not an error."""
+    """At rho = 1e308 the condensate amplitude overflows where the phase is formed,
+    before fingerprint computes a NaN angle from it: the run exits 3 naming the
+    condensate density.  Run as a user runs it, where numpy's RuntimeWarning is a
+    warning, not an error, and none is printed."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     argv = ["--command", "fingerprint", "--out", str(tmp_path), "--override", "thermo.rho_target=1e308"]
     out = subprocess.run([sys.executable, "-m", "hpbec.cli", *argv], env=env, capture_output=True, text=True)
     assert out.returncode == cli.EXIT_DIVERGENCE
-    assert "numerical divergence: fingerprint.csv: non-finite value nan" in out.stderr
+    assert out.stderr == "numerical divergence: condensate density 1e+308: its amplitude c overflows\n"
     assert not (tmp_path / "fingerprint.csv").exists()
+
+
+def test_a_non_finite_csv_value_fails_the_run_naming_its_artifact(tmp_path, monkeypatch, capsys):
+    """A CSV row with a NaN or an infinity is refused before the file is written."""
+
+    def report_nan(config, emitter):
+        emitter.csv("report.csv", ["index", "value"], [(0, 1.0), (1, float("nan"))])
+        return cli.EXIT_OK
+
+    monkeypatch.setitem(cli.COMMANDS, "validate", report_nan)
+    assert run(["--command", "validate", "--out", str(tmp_path)]) == cli.EXIT_DIVERGENCE
+    assert "numerical divergence: report.csv: non-finite value nan" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_condense_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):

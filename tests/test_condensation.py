@@ -12,6 +12,7 @@ from hpbec import condensation, phonon_gas
 from hpbec.dispersion import Dispersion, quadratic_dispersion, tabulated_dispersion
 from hpbec.errors import BracketError, UnsolvableDensity
 from hpbec.lattice import build_lattice_modes
+from test_numerics import count_integrand_values
 
 DISP = quadratic_dispersion()
 # r = k^2 + 0.3 k^3/(1+k) + 1: quadratic near 0, 1.3 k^2 far out, so
@@ -114,6 +115,16 @@ def test_rho_fr_is_at_most_rho_crit_over_y(disp, y):
     """rho_fr(y) = sum_n a_n y^{-n} with every a_n > 0, so rho_fr(y) <= rho_crit / y:
     the upper end of classify_phase's bracket."""
     assert phonon_gas.rho_fr(disp, 1.0, y) <= phonon_gas.rho_crit(disp, 1.0) / y
+
+
+def test_curved_rho_fr_refines_each_graded_piece_on_its_own_panels(monkeypatch):
+    """Near the pole the 15 graded pieces of CURVED's rho_fr converge after
+    different numbers of passes; a converged piece is not evaluated again, so
+    the quadrature computes at most 4,300 integrand values, where one panel
+    set shared by the pieces computed 26,550."""
+    counts = count_integrand_values(monkeypatch)
+    phonon_gas.rho_fr_quadrature(CURVED, 1.0, 1.0 + 1e-15)
+    assert sum(counts) <= 4300
 
 
 @pytest.mark.parametrize("scale", [1e-19, 0.0, -0.5])

@@ -17,6 +17,7 @@ from hpbec.dispersion import quadratic_dispersion
 from hpbec.errors import InfraredDivergence
 from hpbec.testfunctions import gaussian_test_function
 from references import cross_overlap, gaussian_norm_sq
+from test_numerics import count_integrand_values
 
 DISP = quadratic_dispersion()
 
@@ -254,6 +255,17 @@ def test_the_overlap_row_is_one_quadrature_shared_by_every_entry(monkeypatch):
             assert coupling_overlap(fam, DISP, -0.5, x, y) == G[x, y]
     with pytest.raises(ValueError):
         coupling_overlap(fam, DISP, -0.5, 0, 5)
+
+
+@pytest.mark.parametrize("kappa, m, budget", [(0.0, 0.0, 3780), (0.5, -0.5, 3210)])
+def test_the_overlap_row_refines_each_distance_on_its_own_panels(monkeypatch, kappa, m, budget):
+    """A distance whose integral has converged is not evaluated again when a
+    farther, more oscillatory one needs more panels: 8 sites in d = 3 compute
+    at most `budget` integrand values, where one panel set shared by the
+    stack computed 6,000 and 4,560."""
+    counts = count_integrand_values(monkeypatch)
+    overlap_matrix(CouplingFamily(8, 3, 2.0, kappa), DISP, m)
+    assert sum(counts) <= budget
 
 
 def test_the_folded_planar_angular_rule_is_the_256_angle_trapezoid():

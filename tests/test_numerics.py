@@ -33,7 +33,7 @@ INTEGRANDS = {
 @pytest.mark.parametrize("name", sorted(INTEGRANDS))
 def test_integrate_against_mpmath_and_quad(name):
     f, f_mp, a, b = INTEGRANDS[name]
-    got = numerics.integrate(f, a, b, epsabs=1e-13, epsrel=1e-12, limit=300)
+    got = numerics.integrate(lambda k, _: f(k), a, b, epsabs=1e-13, epsrel=1e-12, limit=300)
     with mp.workdps(30):
         exact = complex(mp.quad(f_mp, [a, (a + b) / 2, b]))
     ref = complex(
@@ -50,8 +50,9 @@ def test_integrate_against_mpmath_and_quad(name):
 def test_integrate_calls_once_per_pass_on_panel_arrays():
     shapes = []
 
-    def f(k):
+    def f(k, comp):
         shapes.append(k.shape)
+        assert comp.shape == k.shape[:1] and not comp.any()  # a scalar integral is component 0
         return np.sqrt(k)
 
     got = numerics.integrate(f, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=100)
@@ -64,7 +65,7 @@ def test_integrate_calls_once_per_pass_on_panel_arrays():
 
 def test_integrate_starts_on_equal_panels_and_never_more_than_limit():
     calls = []
-    f = lambda k: (calls.append(k), np.exp(-k))[1]  # noqa: E731
+    f = lambda k, _: (calls.append(k), np.exp(-k))[1]  # noqa: E731
     got = numerics.integrate(f, 1.0, 3.0, epsabs=1e-10, epsrel=1e-10, limit=300)
     assert got.passes == len(calls) == 1 and got.evaluations == 8 * 15
     assert got.value == pytest.approx(np.exp(-1.0) - np.exp(-3.0), rel=1e-14)
@@ -77,7 +78,7 @@ def test_integrate_starts_on_equal_panels_and_never_more_than_limit():
 
 def test_integrate_raises_when_limit_is_reached():
     with pytest.raises(BracketError, match="3 intervals"):
-        numerics.integrate(lambda k: k**-0.5, 0.0, 1.0, epsabs=1e-14, epsrel=1e-14, limit=3)
+        numerics.integrate(lambda k, _: k**-0.5, 0.0, 1.0, epsabs=1e-14, epsrel=1e-14, limit=3)
 
 
 ROOT_CASES = [
@@ -159,9 +160,9 @@ def test_integrate_floors_its_tolerance_at_the_estimators_own():
     estimate is at least 50 eps of its integral of |f|, so the request alone
     could never be."""
     f = lambda k: 1e3 * np.exp(-k * k) * np.cos(8.0 * k)
-    got = numerics.integrate(f, 0.0, 8.0, epsabs=1e-16, epsrel=0.0, limit=300)
+    got = numerics.integrate(lambda k, _: f(k), 0.0, 8.0, epsabs=1e-16, epsrel=0.0, limit=300)
     exact = 1e3 * np.sqrt(np.pi) / 2.0 * np.exp(-16.0)
-    l1 = numerics.integrate(lambda k: np.abs(f(k)), 0.0, 8.0, epsabs=1e-13, epsrel=1e-13, limit=300).value
+    l1 = numerics.integrate(lambda k, _: np.abs(f(k)), 0.0, 8.0, epsabs=1e-13, epsrel=1e-13, limit=300).value
     assert 1e-16 < got.error <= 100.0 * np.finfo(float).eps * l1
     assert abs(got.value - exact) <= got.error
 
@@ -170,17 +171,33 @@ def test_integrate_still_raises_when_the_integrand_cannot_converge():
     """1/k has no integral on [0, 1]: the first panel's estimate never falls,
     and the floor, tied to integral |f| over the panels, stays far below it."""
     with pytest.raises(BracketError, match="300 intervals"):
-        numerics.integrate(lambda k: 1.0 / k, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=300)
+        numerics.integrate(lambda k, _: 1.0 / k, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=300)
 
 
-# --- integrands with component axes -----------------------------------------------
+# --- stacks: one integral per interval -------------------------------------------
+
+
+def count_integrand_values(monkeypatch):
+    """A list that each later numerics.integrate call appends its integrand's values per pass to."""
+    counts, integrate = [], numerics.integrate
+
+    def counted(f, *args, **kwargs):
+        def g(*nodes):
+            values = f(*nodes)
+            counts.append(np.size(values))
+            return values
+
+        return integrate(g, *args, **kwargs)
+
+    monkeypatch.setattr(numerics, "integrate", counted)
+    return counts
 
 
 @pytest.mark.parametrize("name", sorted(INTEGRANDS))
 def test_a_one_component_stack_returns_the_scalar_bits(name):
     f, _, a, b = INTEGRANDS[name]
-    scalar = numerics.integrate(f, a, b, epsabs=1e-13, epsrel=1e-12, limit=300)
-    stack = numerics.integrate(lambda k: f(k)[None], a, b, epsabs=1e-13, epsrel=1e-12, limit=300)
+    scalar = numerics.integrate(lambda k, _: f(k), a, b, epsabs=1e-13, epsrel=1e-12, limit=300)
+    stack = numerics.integrate(lambda k, _: f(k), np.array([a]), b, epsabs=1e-13, epsrel=1e-12, limit=300)
     assert type(scalar.value) in (float, complex) and type(scalar.error) is float
     assert stack.value.shape == stack.error.shape == (1,)
     assert np.asarray(scalar.value).tobytes() == stack.value.tobytes()
@@ -195,34 +212,60 @@ MIXED = (
 )
 
 
+def stacked(integrands, shapes=None):
+    """One integrand whose component c is integrands[c], selected panel by panel through comp."""
+
+    def f(k, comp):
+        if shapes is not None:
+            shapes.append(k.shape)
+        out = np.empty(k.shape, dtype=complex)
+        for c, g in enumerate(integrands):
+            out[comp == c] = g(k[comp == c])
+        return out
+
+    return f
+
+
 def test_each_component_of_a_mixed_stack_meets_its_own_tolerance():
-    """Smooth, oscillatory and zero integrands on one panel set: each agrees
+    """Smooth, oscillatory and zero integrands in one quadrature: each agrees
     with its own scalar quadrature within the sum of the two error estimates."""
     shapes = []
-
-    def stack(k):
-        shapes.append(k.shape)
-        return np.stack([np.asarray(g(k), dtype=complex) for g in MIXED])
-
-    got = numerics.integrate(stack, 0.0, 9.0, epsabs=1e-13, epsrel=1e-12, limit=300)
+    got = numerics.integrate(stacked(MIXED, shapes), np.zeros(3), 9.0, epsabs=1e-13, epsrel=1e-12, limit=300)
     assert got.value.shape == got.error.shape == (3,)
     assert got.evaluations == 15 * sum(s[0] for s in shapes)
     for component, g in enumerate(MIXED):
-        alone = numerics.integrate(g, 0.0, 9.0, epsabs=1e-13, epsrel=1e-12, limit=300)
+        alone = numerics.integrate(lambda k, _: g(k), 0.0, 9.0, epsabs=1e-13, epsrel=1e-12, limit=300)
         assert abs(got.value[component] - alone.value) <= got.error[component] + alone.error
         assert got.error[component] <= max(1e-13, 1e-12 * abs(got.value[component]))
     assert got.value[2] == 0.0 and got.error[2] == 0.0
 
 
+def test_a_stack_computes_what_its_components_compute_alone():
+    """Each component is refined by its own errors alone: the stack computes as
+    many integrand values as its components integrated one by one, and each value
+    agrees with its value alone within the two error estimates."""
+    integrands = (*MIXED, lambda k: k**0.5)
+    got = numerics.integrate(stacked(integrands), np.zeros(4), 9.0, epsabs=1e-13, epsrel=1e-12, limit=300)
+    alone = [
+        numerics.integrate(lambda k, _: g(k), 0.0, 9.0, epsabs=1e-13, epsrel=1e-12, limit=300) for g in integrands
+    ]
+    assert got.evaluations == sum(q.evaluations for q in alone)
+    assert got.passes == max(q.passes for q in alone) > 1
+    for component, q in enumerate(alone):
+        assert abs(got.value[component] - q.value) <= got.error[component] + q.error
+
+
 def test_a_stack_keeps_its_leading_axes():
+    powers = np.array([1.0, 2.0, 3.0, 0.0])
     got = numerics.integrate(
-        lambda k: np.stack([[k, k * k], [k**3, np.ones_like(k)]]), 0.0, 1.0, epsabs=1e-14, epsrel=1e-14, limit=50
+        lambda k, comp: k ** powers[comp, None], np.zeros((2, 2)), 1.0, epsabs=1e-14, epsrel=1e-14, limit=50
     )
     assert got.value == pytest.approx(np.array([[1 / 2, 1 / 3], [1 / 4, 1.0]]), rel=1e-14)
 
 
 def test_a_stack_raises_on_one_non_finite_component_and_on_an_exhausted_limit():
+    nan_above = stacked((np.cos, lambda k: np.where(k > 0.9, np.nan, k)))
     with pytest.raises(BracketError, match="not finite"):
-        numerics.integrate(lambda k: np.stack([np.cos(k), np.where(k > 0.9, np.nan, k)]), 0.0, 1.0, 1e-12, 1e-12, 300)
+        numerics.integrate(nan_above, np.zeros(2), 1.0, 1e-12, 1e-12, 300)
     with pytest.raises(BracketError, match="3 intervals"):
-        numerics.integrate(lambda k: np.stack([np.cos(k), k**-0.5]), 0.0, 1.0, 1e-14, 1e-14, limit=3)
+        numerics.integrate(stacked((np.cos, lambda k: k**-0.5)), np.zeros(2), 1.0, 1e-14, 1e-14, limit=3)

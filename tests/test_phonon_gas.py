@@ -49,10 +49,10 @@ def test_rho_crit_error_estimate_bounds_its_miss_property(beta):
 @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
 def test_rho_crit_converges_in_one_pass_per_piece(beta):
     """Both pieces, the components of one quadrature, meet their tolerances on
-    their 8 starting panels: one pass of 8 panels of 15 nodes per component."""
+    their 8 starting panels: one pass of 8 panels of 15 nodes for each."""
     rc = phonon_gas.rho_crit_quadrature(DISP, beta)
     assert rc.passes == 1
-    assert rc.evaluations == 8 * 15
+    assert rc.evaluations == 2 * 8 * 15
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
