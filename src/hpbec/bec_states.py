@@ -8,7 +8,9 @@ state under the measure chi = e^{-r} dr x d theta / (2 pi).  The averaging
 identity is exactly a pair of Bessel identities, which the tests check.  On the
 equispaced angle grid theta and theta + pi give complex-conjugate
 fingerprints, so `decomposition_gap` folds the average onto half the angles:
-a real mean of cosines.
+a real mean of cosines.  The phase is formed as sqrt(c) sqrt(r), which stays
+finite wherever c does.  The normal-phase form q2 takes the fugacity as
+t = y - 1, as the continuum density does, and at t = 0 it is q1.
 """
 
 import functools
@@ -67,13 +69,13 @@ def _check_q1_integrable(f, disp):
         )
 
 
-def _normal_kernel(disp, beta, y_infinity):
-    """(y + u)/(y - u) with u = e^{-beta F}, as 1 + 2u/((y - 1) + (1 - u)): the
+def _normal_kernel(disp, beta, t):
+    """(y + u)/(y - u) with u = e^{-beta F} at y = 1 + t, as 1 + 2u/(t + (1 - u)): the
     denominator is two terms >= 0, with 1 - u = -expm1(-beta F), so nothing
-    cancels near k = 0 at y = 1."""
+    cancels near k = 0 at t = 0."""
     def kernel(k):
         bf = beta * np.asarray(disp.gap(k), dtype=float)
-        return 1.0 + 2.0 * np.exp(-bf) / ((y_infinity - 1.0) - np.expm1(-bf))
+        return 1.0 + 2.0 * np.exp(-bf) / (t - np.expm1(-bf))
 
     return kernel
 
@@ -84,7 +86,7 @@ def _q1(f, disp, beta):
     once; test functions and dispersions equal by value share an entry.
     Called on `_gauge_fixed(f)`, so a whole gauge orbit shares it too."""
     _check_q1_integrable(f, disp)
-    return gaussian_density_integral(f, _normal_kernel(disp, beta, 1.0))
+    return gaussian_density_integral(f, _normal_kernel(disp, beta, 0.0))
 
 
 def _gauge_fixed(f):
@@ -93,12 +95,12 @@ def _gauge_fixed(f):
     return f if f.amplitude == modulus else replace(f, amplitude=modulus)
 
 
-def q_form(kind, f, disp, beta, y_infinity=1.0, phase=None):
+def q_form(kind, f, disp, beta, t=0.0, phase=None):
     """Quadratic forms of the limiting Gaussian states.
 
     q0 = c |fhat(0)|^2; q1 integrates |f|^2 against (1+u)/(1-u) with
-    u = e^{-beta F}; q2 uses (y+u)/(y-u) at the normal-phase fugacity, so at
-    y = 1 it is q1 and comes from the same memo.
+    u = e^{-beta F}; q2 uses (y+u)/(y-u) at the normal-phase fugacity
+    y = 1 + t, so at t = 0 it is q1 and comes from the same memo.
     """
     if kind == "q0":
         if phase is None:
@@ -107,11 +109,11 @@ def q_form(kind, f, disp, beta, y_infinity=1.0, phase=None):
     if kind == "q1":
         return _q1(_gauge_fixed(f), disp, beta)
     if kind == "q2":
-        if y_infinity < 1.0:
-            raise ValueError("y_infinity must be >= 1")
-        if y_infinity == 1.0:
+        if not t >= 0.0:
+            raise ValueError("t = y - 1 must be >= 0")
+        if t == 0.0:
             return _q1(_gauge_fixed(f), disp, beta)
-        return gaussian_density_integral(f, _normal_kernel(disp, beta, y_infinity))
+        return gaussian_density_integral(f, _normal_kernel(disp, beta, t))
     raise ValueError(f"unknown quadratic form {kind!r}")
 
 
@@ -122,14 +124,14 @@ def psi_bec(f, disp, beta, phase):
     return float(np.exp(-0.25 * (q0 + q1)))
 
 
-def psi_normal(f, disp, beta, y_infinity):
-    """Weyl value of the normal-phase limit state."""
-    return float(np.exp(-0.25 * q_form("q2", f, disp, beta, y_infinity=y_infinity)))
+def psi_normal(f, disp, beta, t):
+    """Weyl value of the normal-phase limit state at fugacity y = 1 + t."""
+    return float(np.exp(-0.25 * q_form("q2", f, disp, beta, t=t)))
 
 
 def _fingerprint(c, r, theta, zero_mode):
     """exp[i sqrt(c r) Re(e^{i theta} zero_mode)] for broadcastable r, theta."""
-    arg = np.sqrt(c * r) * np.real(np.exp(1j * theta) * zero_mode)
+    arg = np.sqrt(c) * np.sqrt(r) * np.real(np.exp(1j * theta) * zero_mode)
     return np.exp(1j * arg)
 
 
@@ -178,7 +180,7 @@ def _fingerprint_average(c, zero_mode):
     """
     nodes, weights, thetas = _chi_rule(64, 256)
     half = thetas[: len(thetas) // 2]
-    arg = np.sqrt(c * nodes)[:, None] * np.real(np.exp(1j * half) * zero_mode)
+    arg = (np.sqrt(c) * np.sqrt(nodes))[:, None] * np.real(np.exp(1j * half) * zero_mode)
     return weights @ np.cos(arg).mean(axis=1)
 
 
@@ -266,7 +268,7 @@ def combined_limit(box_sizes, f, disp, beta, target_density, regime_report, elec
         )
         boson_limit = psi_bec(f, disp, beta, phase)
     else:
-        boson_limit = psi_normal(f, disp, beta, regime_report.normal_fugacity)
+        boson_limit = psi_normal(f, disp, beta, regime_report.t)
     limit = electron_value * boson_limit
 
     finite, gaps = [], []

@@ -9,9 +9,11 @@ shell sums run in a fixed order, so the root and its step count do not depend
 on the BLAS thread count.  A double t resolves f_L to the roundoff of rho, so
 the residual reaches that roundoff at every L; y = 1 + t is formed only for
 output.  Solves take their lattice from `lattice.lattice_modes` and
-classifications rho_crit from `phonon_gas.rho_crit`, memos keyed on values, so
-calls at one (L, beta) or one beta share a build or a quadrature without being
-handed it.
+classifications rho_crit from `phonon_gas.rho_crit_quadrature`, memos keyed on
+values, so calls at one (L, beta) or one beta share a build or a quadrature
+without being handed it.  The continuum root rho_fr(1 + t) = rho_target is
+solved in t too: near rho_crit, rho_fr(1 + t) ~ rho_crit - C sqrt(t) puts it far
+below an ulp of y.
 """
 
 from dataclasses import dataclass
@@ -25,8 +27,6 @@ from .lattice import lattice_modes
 RESIDUAL_TOL = 1e-10
 # solve_fugacity fails when it takes this many Newton steps; near rho_crit at L = 640 it takes 13
 NEWTON_BUDGET = 100
-# classify_phase calls a target this close to rho_crit critical
-CRITICAL_TOL = 1e-9
 # critical_temperature brackets beta_c within this range
 BETA_RANGE = (1e-3, 1e3)
 # critical_temperature accepts beta_c once log rho_crit(beta_c) is this close
@@ -104,27 +104,34 @@ def solve_fugacity(box_size, target_density, beta, disp, n_ir=0.0, num_internal=
 @dataclass(frozen=True)
 class PhaseReport:
     phase: str  # condensed | normal | critical
-    normal_fugacity: float  # b solving rho_fr(beta, b) = rho_target (1.0 if condensed/critical)
+    t: float  # y - 1 solving rho_fr(beta, 1 + t) = rho_target (0 if condensed/critical)
     condensate_density: float
     critical_density: float
 
+    @property
+    def normal_fugacity(self):
+        """y = 1 + t, formed for output."""
+        return 1.0 + self.t
+
 
 def classify_phase(target_density, beta, disp, num_internal=1):
-    """Condensed/normal/critical trichotomy against rho_crit(beta).  The normal
-    root lies in [1, rho_crit / rho]: rho_fr(y) = sum_n a_n y^{-n}, every a_n > 0,
-    so rho_fr(y) <= rho_crit / y.  Brent solves it to the last ulp of y; a root
-    above the bracket's cap at y = 1e18 is a BracketError."""
-    rc = phonon_gas.rho_crit(disp, beta, num_internal)
-    if abs(target_density - rc) <= CRITICAL_TOL:
-        return PhaseReport("critical", 1.0, 0.0, rc)
+    """Condensed/normal/critical trichotomy against rho_crit(beta): critical when
+    |rho - rho_crit| is within rho_crit's certified quadrature error.  The normal
+    root lies in [0, (rho_crit - rho) / rho]: rho_fr(y) = sum_n a_n y^{-n}, every
+    a_n > 0, so rho_fr(y) <= rho_crit / y.  Brent solves it in t to the last ulp
+    of t; a root above the bracket's cap at t = 1e18 is a BracketError."""
+    rc, band, *_ = phonon_gas.rho_crit_quadrature(disp, beta, num_internal)
+    if abs(target_density - rc) <= band:
+        return PhaseReport("critical", 0.0, 0.0, rc)
     if target_density > rc:
-        return PhaseReport("condensed", 1.0, target_density - rc, rc)
+        return PhaseReport("condensed", 0.0, target_density - rc, rc)
 
-    def g(y):
-        return phonon_gas.rho_fr(disp, beta, y, num_internal) - target_density
+    def g(t):
+        return phonon_gas.rho_fr(disp, beta, t, num_internal) - target_density
 
-    hi = rc / max(target_density, 1e-18 * rc)  # rho_crit / rho, capped at 1e18, which a target <= 0 also gets
-    b = numerics.brentq(g, 1.0, hi, xtol=0.0, rtol=2.0 * np.finfo(float).eps, maxiter=300, fa=rc - target_density)
+    # rho_crit / rho - 1 with rho floored at 1e-18 rho_crit, which a target <= 0 also gets
+    hi = (rc - target_density) / max(target_density, 1e-18 * rc)
+    b = numerics.brentq(g, 0.0, hi, xtol=0.0, rtol=2.0 * np.finfo(float).eps, maxiter=300, fa=rc - target_density)
     return PhaseReport("normal", float(b.root), 0.0, rc)
 
 

@@ -19,35 +19,25 @@ def as_matrix(A):
     return A
 
 
-def hermiticity_defect(A, entries=None):
+def hermiticity_defect(A):
     """Max-norm of A - A^dagger relative to the max-norm of A, per matrix of a
-    stack A[..., :, :].
-
-    `entries`, a pair (rows, cols) that holds every nonzero entry of a matrix A,
-    gives the same number read on those entries and their transposes alone: each
-    nonzero of A - A^dagger sits at one of them.
-    """
+    stack A[..., :, :]."""
     A = np.asarray(A)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ContractViolation(f"expected a square matrix or a stack of them, got shape {A.shape}")
-    if entries is None:
-        values, mirrored, axes = A, np.swapaxes(A, -2, -1), (-2, -1)
-    else:
-        rows, cols = entries
-        values, mirrored, axes = A[rows, cols], A[cols, rows], -1
-    scale = np.abs(values).max(axis=axes, initial=0.0)
-    defect = np.abs(values - mirrored.conj()).max(axis=axes, initial=0.0)
+    scale = np.abs(A).max(axis=(-2, -1), initial=0.0)
+    defect = np.abs(A - np.swapaxes(A, -2, -1).conj()).max(axis=(-2, -1), initial=0.0)
     return defect / np.where(scale > 0, scale, np.inf)  # 0 for a zero matrix
 
 
-def require_hermitian(A, tol=HERMITICITY_TOL, entries=None):
+def require_hermitian(A):
     """A, if each of its matrices (A itself, or each A[i, ..., :, :] of a stack) has a
-    hermiticity_defect of at most tol; ContractViolation naming the first that does not."""
-    defect = hermiticity_defect(A, entries)
-    if np.any(defect > tol):
-        i = tuple(np.argwhere(defect > tol)[0].tolist())
+    hermiticity_defect of at most HERMITICITY_TOL; ContractViolation naming the first that does not."""
+    defect = hermiticity_defect(A)
+    if np.any(defect > HERMITICITY_TOL):
+        i = tuple(np.argwhere(defect > HERMITICITY_TOL)[0].tolist())
         which = f"matrix {i} of a stack" if i else "matrix"
-        raise ContractViolation(f"{which} is not Hermitian: relative defect {defect[i]:.3e} > {tol:.1e}")
+        raise ContractViolation(f"{which} is not Hermitian: relative defect {defect[i]:.3e} > {HERMITICITY_TOL:.1e}")
     return np.asarray(A)
 
 

@@ -7,9 +7,11 @@ lattice build stores, at the fugacity's offset t = y - 1 from the pole, so an
 evaluation computes no gap and no exponential and never forms y.  Each shell
 sum is numpy's pairwise `np.sum` of the products, not a BLAS dot, so its
 rounding does not depend on the BLAS thread count.  The continuum density
-rho_fr and the critical density are radial integrals of the Bose factor
-1/(y e^{beta F(k)} - 1), each one numerics.integrate call over pieces, each on its own
-panels, graded by 4 toward the pole's width, so the pole lands on the starting panels.
+rho_fr takes the same t: it is the radial integral of the Bose factor
+1/(expm1(beta F) + t e^{beta F}), two terms >= 0, so t resolves the approach to
+the pole, which a double y = 1 + t cannot.  The critical density is rho_fr at
+t = 0.  Each is one numerics.integrate call over pieces, each on its own panels,
+graded by 4 toward the pole's width, so the pole lands on the starting panels.
 """
 
 import functools
@@ -64,19 +66,19 @@ def _quadrature_range(disp, beta):
     return disp.gap_inverse(1.0 / beta), disp.gap_inverse(60.0 / beta)
 
 
-def rho_fr_quadrature(disp, beta, y, num_internal=1):
-    """rho_fr with its certificate: one numerics.integrate call, a component per piece
-    (_quadrature_range's [0, split] and [split, end], the first cut by 4 while beta F > t)."""
-    d, t = disp.dimension, y - 1.0
-    if y < 1.0:
-        raise ValueError("y must be >= 1")
-    if y == 1.0 and d - disp.infrared_exponent() <= 0:
+def rho_fr_quadrature(disp, beta, t, num_internal=1):
+    """rho_fr at y = 1 + t with its certificate: one numerics.integrate call, a component per
+    piece (_quadrature_range's [0, split] and [split, end], the first cut by 4 while beta F > t)."""
+    d = disp.dimension
+    if not t >= 0.0:
+        raise ValueError("t = y - 1 must be >= 0")
+    if t == 0.0 and d - disp.infrared_exponent() <= 0:
         raise InfraredDivergence(
             f"Bose integral diverges at y = 1: the inverse gap is not integrable near k = 0 in dimension {d}"
         )
 
     def integrand(k, _):
-        # y e^{beta F} - 1 as two terms that are >= 0 for y >= 1, so nothing cancels near k = 0
+        # y e^{beta F} - 1 as two terms that are >= 0, so nothing cancels near k = 0
         bf = beta * disp.gap(k)
         return k ** (d - 1) / (np.expm1(bf) + t * np.exp(bf))
 
@@ -90,13 +92,13 @@ def rho_fr_quadrature(disp, beta, y, num_internal=1):
     return numerics.Quadrature(scale * float(q.value.sum()), scale * float(q.error.sum()), q.evaluations, q.passes)
 
 
-def rho_fr(disp, beta, y, num_internal=1):
-    """Continuum free-gas density N_i (2pi)^{-d} integral of the Bose factor."""
-    return rho_fr_quadrature(disp, beta, y, num_internal).value
+def rho_fr(disp, beta, t, num_internal=1):
+    """Continuum free-gas density N_i (2pi)^{-d} integral of the Bose factor at y = 1 + t."""
+    return rho_fr_quadrature(disp, beta, t, num_internal).value
 
 
 def rho_crit(disp, beta, num_internal=1):
-    """Critical density: the free-gas density at y = 1."""
+    """Critical density: the free-gas density at t = 0."""
     return rho_crit_quadrature(disp, beta, num_internal).value
 
 
@@ -107,10 +109,10 @@ def rho_crit_quadrature(disp, beta, num_internal=1):
 
 @functools.lru_cache(maxsize=256)
 def _rho_crit(disp, beta, num_internal):
-    """rho_fr_quadrature at y = 1.  It depends on (disp, beta, num_internal)
+    """rho_fr_quadrature at t = 0.  It depends on (disp, beta, num_internal)
     alone, so each value's quadrature runs once; dispersions equal by value
     share an entry."""
-    return rho_fr_quadrature(disp, beta, 1.0, num_internal)
+    return rho_fr_quadrature(disp, beta, 0.0, num_internal)
 
 
 @dataclass(frozen=True)

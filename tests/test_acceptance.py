@@ -274,7 +274,7 @@ def test_state_axioms():
         )
         bounded &= bec_states.psi_bec(f, DISP, BETA, phase) <= 1.0 + 1e-14
         bounded &= abs(bec_states.psi_fiber(phase, f, DISP, BETA)) <= 1.0 + 1e-14
-        bounded &= bec_states.psi_normal(f, DISP, BETA, 1.3) <= 1.0 + 1e-14
+        bounded &= bec_states.psi_normal(f, DISP, BETA, 0.3) <= 1.0 + 1e-14
 
     # the fiber density is affine in r, so its chi-average is its value at <r>
     mean_r = bec_states.chi_average(lambda r, th: r)

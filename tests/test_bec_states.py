@@ -37,20 +37,22 @@ def test_q0_scales_with_amplitude_squared():
 
 def test_q2_approaches_norm_at_large_fugacity():
     f = gaussian_test_function(3, center=[0.3, 0.0, 0.0], width=0.9)
-    q2 = bec_states.q_form("q2", f, DISP, BETA, y_infinity=1e6)
+    q2 = bec_states.q_form("q2", f, DISP, BETA, t=1e6)
     assert q2 == pytest.approx(gaussian_norm_sq(f), rel=1e-5)
 
 
 def test_q2_at_unit_fugacity_is_q1():
-    """q2 at y = 1 is the q1 integral, so it is the q1 memo's value (a hit), and
-    q2 just above y = 1 approaches it."""
+    """q2 at t = 0 is the q1 integral, so it is the q1 memo's value (a hit), and
+    q2 just above t = 0 approaches it; a negative t is refused."""
     f = gaussian_test_function(3, center=[0.2, -0.1, 0.0], width=1.1)
     bec_states._q1.cache_clear()
     q1 = bec_states.q_form("q1", f, DISP, BETA)
-    q2 = bec_states.q_form("q2", f, DISP, BETA, y_infinity=1.0)
+    q2 = bec_states.q_form("q2", f, DISP, BETA, t=0.0)
     assert np.float64(q2).tobytes() == np.float64(q1).tobytes()
     assert bec_states._q1.cache_info()[:2] == (1, 1)
-    assert bec_states.q_form("q2", f, DISP, BETA, y_infinity=1.0 + 1e-10) == pytest.approx(q1, rel=1e-3)
+    assert bec_states.q_form("q2", f, DISP, BETA, t=1e-10) == pytest.approx(q1, rel=1e-3)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        bec_states.q_form("q2", f, DISP, BETA, t=-1e-10)
 
 
 def test_q1_memo_is_shared_by_the_gauge_orbit():
@@ -85,7 +87,7 @@ def test_psi_values_in_unit_interval():
         v = bec_states.psi_bec(f, DISP, BETA, phase)
         assert 0.0 < v <= 1.0
         assert abs(bec_states.psi_fiber(phase, f, DISP, BETA)) <= 1.0
-        assert 0.0 < bec_states.psi_normal(f, DISP, BETA, 1.5) <= 1.0
+        assert 0.0 < bec_states.psi_normal(f, DISP, BETA, 0.5) <= 1.0
 
 
 def test_psi_is_one_at_zero_test_function():

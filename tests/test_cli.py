@@ -399,10 +399,10 @@ def test_phase_diagram_computes_rho_crit_once_per_beta(tmp_path, monkeypatch):
     betas = []
     quadrature = phonon_gas.rho_fr_quadrature
 
-    def counted(disp, beta, y, num_internal=1):
-        if y == 1.0:
+    def counted(disp, beta, t, num_internal=1):
+        if t == 0.0:
             betas.append(beta)
-        return quadrature(disp, beta, y, num_internal)
+        return quadrature(disp, beta, t, num_internal)
 
     monkeypatch.setattr(phonon_gas, "rho_fr_quadrature", counted)
     assert run(["--command", "phase-diagram", "--out", str(tmp_path / "r")]) == 0
@@ -526,6 +526,25 @@ def test_non_finite_csv_rows_map_to_divergence_exit(tmp_path):
     assert out.returncode == cli.EXIT_DIVERGENCE
     assert out.stderr == "numerical divergence: condensate density 1e+308: its amplitude c overflows\n"
     assert not (tmp_path / "fingerprint.csv").exists()
+
+
+def test_fingerprint_phases_stay_finite_where_the_amplitude_does(tmp_path):
+    """At rho = 1e305 the amplitude c is finite but c r overflows; the phase is formed
+    as sqrt(c) sqrt(r), so fingerprint round-trips and bec-states fails only on its
+    own q0 = inf, each without a numpy RuntimeWarning.  Run as a user runs it."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    outs = {}
+    for command in ("fingerprint", "bec-states"):
+        argv = ["--command", command, "--out", str(tmp_path / command), "--override", "thermo.rho_target=1e305"]
+        outs[command] = subprocess.run([sys.executable, "-m", "hpbec.cli", *argv], env=env, capture_output=True,
+                                       text=True)
+    assert outs["fingerprint"].returncode == cli.EXIT_OK
+    assert outs["fingerprint"].stderr == ""
+    with open(tmp_path / "fingerprint" / "fingerprint.csv") as fh:
+        assert max(float(row["abs_error_r"]) for row in csv.DictReader(fh)) <= 9e-16
+    assert outs["bec-states"].returncode == cli.EXIT_DIVERGENCE
+    assert outs["bec-states"].stderr == "numerical divergence: bec-states test function 1: q0 = inf is not finite\n"
 
 
 def test_a_non_finite_csv_value_fails_the_run_naming_its_artifact(tmp_path, monkeypatch, capsys):

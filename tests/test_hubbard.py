@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from fermion_oracles import hopping_operator
-from hpbec import fermions, hubbard
+from hpbec import decoupling, fermions, hubbard
+from hpbec.couplings import CouplingFamily
+from hpbec.dispersion import quadratic_dispersion
 from hpbec.errors import ContractViolation
 
 
@@ -81,10 +83,13 @@ def test_invalid_system_parameters():
 
 
 def test_one_corrupted_hopping_entry_fails_the_hermiticity_check(monkeypatch):
-    """The check reads only the nonzero entries of H; one hopping entry off by
-    1e-9 relative still breaks H = H^dagger at D = 924."""
-    sys = hubbard.build_hubbard_system(6, 6, -np.eye(6, k=1) - np.eye(6, k=-1), 2.0)
-    hubbard.build_hubbard_hamiltonian(sys)
+    """H_e is Hermitian when its hopping matrix is, which HubbardSystem checks; it is
+    checked again only where it is diagonalised.  One hopping entry off by 1e-9
+    relative reaches the dense parts of h_full, and their eigendecomposition refuses it."""
+    cluster = hubbard.build_hubbard_system(3, 3, -np.eye(3, k=1) - np.eye(3, k=-1), 2.0, coupling=0.2)
+    sys = decoupling.build_coupled_system(cluster, CouplingFamily(3, 3, 2.0, 0.5), quadratic_dispersion(),
+                                          10.0, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    decoupling.build_coupled_operators(sys, 3).eigh
     entries = fermions.hopping_entries
     calls = []
 
@@ -97,5 +102,6 @@ def test_one_corrupted_hopping_entry_fails_the_hermiticity_check(monkeypatch):
         return rows, cols, signs
 
     monkeypatch.setattr(fermions, "hopping_entries", corrupted)
+    ops = decoupling.build_coupled_operators(sys, 3)
     with pytest.raises(ContractViolation, match="not Hermitian"):
-        hubbard.build_hubbard_hamiltonian(sys)
+        ops.eigh

@@ -102,22 +102,3 @@ def test_boltzmann_weights_overflow_safe_and_reject_nonpositive_beta():
     assert np.isfinite(p).all() and p[0] == pytest.approx(1.0)
     with pytest.raises(ValueError):
         boltzmann_weights(np.zeros(2), 0.0)
-
-
-def test_hermiticity_defect_on_the_nonzero_entries_is_the_dense_defect():
-    """Sparse matrices, Hermitian with a few entries nudged by 1e-9 or with
-    one entry whose mirror is zero: read on their nonzero entries, the
-    defect is the dense one."""
-    rng = np.random.default_rng(3)
-    for trial in range(20):
-        n = int(rng.integers(1, 30))
-        rows, cols = rng.integers(0, n, size=(2, int(rng.integers(1, 3 * n))))
-        B = np.zeros((n, n), dtype=complex)
-        B[rows, cols] = rng.standard_normal(len(rows)) + 1j * rng.standard_normal(len(rows))
-        A = B + B.conj().T
-        if trial % 2:
-            nudged = rng.integers(0, len(rows), size=2)
-            A[rows[nudged], cols[nudged]] *= 1.0 + 1e-9
-        elif n > 1:
-            A[n - 1, 0], A[0, n - 1] = 1e-3, 0.0
-        assert hermiticity_defect(A, np.nonzero(A)) == hermiticity_defect(A)

@@ -104,7 +104,7 @@ def test_a_warm_memo_returns_the_cold_value_bitwise(center, width, amplitude, be
 
     def values():
         q1 = bec_states.q_form("q1", f, disp, beta)
-        return [q1, phonon_gas.rho_crit(disp, beta), *phonon_gas.rho_fr_quadrature(disp, beta, 1.0)]
+        return [q1, phonon_gas.rho_crit(disp, beta), *phonon_gas.rho_fr_quadrature(disp, beta, 0.0)]
 
     _clear()
     cold = values()

@@ -58,36 +58,42 @@ def test_rho_crit_converges_in_one_pass_per_piece(beta):
 @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("t", [1e-15, 1e-13, 1e-11, 1e-9, 1e-6, 1e-3, 0.5, 10.0])
 def test_rho_fr_certificate_covers_its_miss_near_the_pole(beta, t):
-    """On the quadratic gas rho_fr(y) = Li_{3/2}(1/y) (4 pi beta)^{-3/2}.  The pieces
-    graded by 4 toward the pole's width put the pole on the starting panels: one
-    pass at every t, and the error estimate covers the distance from the 40-digit
-    value down to t = 1e-15."""
-    y = 1.0 + t
-    q = phonon_gas.rho_fr_quadrature(DISP, beta, y)
+    """On the quadratic gas rho_fr(1 + t) = Li_{3/2}(1/(1 + t)) (4 pi beta)^{-3/2}.  The
+    pieces graded by 4 toward the pole's width put the pole on the starting panels:
+    one pass at every t, and the error estimate covers the distance from the 40-digit
+    value at that t exactly down to t = 1e-15."""
+    q = phonon_gas.rho_fr_quadrature(DISP, beta, t)
     assert q.passes == 1
     with mpmath.workdps(40):
-        exact = mpmath.polylog(1.5, 1 / mpmath.mpf(y)) * (4 * mpmath.pi * mpmath.mpf(beta)) ** -1.5
+        y = 1 + mpmath.mpf(t)
+        exact = mpmath.polylog(1.5, 1 / y) * (4 * mpmath.pi * mpmath.mpf(beta)) ** -1.5
         assert abs(q.value - exact) <= q.error
 
 
 def test_rho_fr_series_oracle_above_one():
-    for y in (1.3, 2.0, 5.0):
-        assert phonon_gas.rho_fr(DISP, 1.0, y) == pytest.approx(series_rho_fr(y), rel=1e-8)
+    for t in (0.3, 1.0, 4.0):
+        assert phonon_gas.rho_fr(DISP, 1.0, t) == pytest.approx(series_rho_fr(1.0 + t), rel=1e-8)
 
 
 def test_rho_fr_monotone_decreasing_in_y():
-    vals = [phonon_gas.rho_fr(DISP, 1.0, y) for y in (1.0, 1.5, 2.0, 5.0, 50.0)]
+    vals = [phonon_gas.rho_fr(DISP, 1.0, t) for t in (0.0, 0.5, 1.0, 4.0, 49.0)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def test_rho_fr_vanishes_at_large_y():
-    assert phonon_gas.rho_fr(DISP, 1.0, 1e6) < 1e-4 * phonon_gas.rho_fr(DISP, 1.0, 1.0)
+    assert phonon_gas.rho_fr(DISP, 1.0, 1e6) < 1e-4 * phonon_gas.rho_fr(DISP, 1.0, 0.0)
 
 
 def test_rho_fr_below_critical_for_y_above_one():
     rc = phonon_gas.rho_crit(DISP, 1.0)
-    for y in (1.0001, 1.1, 3.0):
-        assert phonon_gas.rho_fr(DISP, 1.0, y) < rc
+    for t in (1e-12, 1e-4, 0.1, 2.0):
+        assert phonon_gas.rho_fr(DISP, 1.0, t) < rc
+
+
+def test_rho_fr_rejects_a_negative_t():
+    for t in (-1e-300, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            phonon_gas.rho_fr(DISP, 1.0, t)
 
 
 def test_rho_crit_linear_in_multiplicity():
@@ -180,14 +186,14 @@ def test_shell_bose_sums_match_mpmath(t):
 
 
 def test_excited_density_converges_to_continuum():
-    """The excited density f_L(y) - 1/((y - 1) L^d) approaches rho_fr(beta, y) at
-    fixed y > 1, monotonically over an L-doubling ladder."""
-    y = 2.0
-    target = phonon_gas.rho_fr(DISP, 1.0, y)
+    """The excited density f_L(1 + t) - 1/(t L^d) approaches rho_fr(beta, 1 + t) at
+    fixed t > 0, monotonically over an L-doubling ladder."""
+    t = 1.0
+    target = phonon_gas.rho_fr(DISP, 1.0, t)
     gaps = []
     for L in (5.0, 10.0, 20.0, 40.0):
         modes = build_lattice_modes(L, DISP, 1.0)
-        excited = phonon_gas.lattice_density(modes, y - 1.0) - 1.0 / ((y - 1.0) * L**3)
+        excited = phonon_gas.lattice_density(modes, t) - 1.0 / (t * L**3)
         gaps.append(abs(excited - target) / target)
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < 1e-2
